@@ -348,6 +348,12 @@ def cmd_eval(args) -> int:
         ds = standardize(ds)
     if ds.dim != net.d_in:
         raise ConfigError(f"dataset has {ds.dim} features but the model expects {net.d_in}")
+    if ds.task == "binary" and net.d_out != 1:
+        raise ConfigError(f"binary eval needs a model with 1 output, got {net.d_out}")
+    if ds.task == "multiclass":
+        lo, hi = int(ds.targets.min()), int(ds.targets.max())
+        if not 0 <= lo <= hi < net.d_out:
+            raise ConfigError(f"labels span [{lo}, {hi}] but the model has {net.d_out} outputs")
     print(json.dumps(evaluate(net, ds)))
     return 0
 

@@ -96,8 +96,8 @@ class CsvSchema:
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Parse a numeric CSV with a header row; any blank or non-numeric cell
-    fails with its row/column coordinates."""
+    """Parse a numeric CSV with a header row; any blank, non-numeric or
+    non-finite cell fails with its row/column coordinates."""
     try:
         f = open(path, newline="")
     except OSError as e:
@@ -131,6 +131,11 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     if not rows:
         raise DataError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        r, j = np.argwhere(~np.isfinite(arr))[0]
+        raise DataError(
+            f"{path}: non-finite value {float(arr[r, j])!r} at line {r + 2}, column {header[j]!r}"
+        )
     targets = arr[:, t_idx]
     features = np.delete(arr, t_idx, axis=1)
     names = [h for k, h in enumerate(header) if k != t_idx]

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "DimensionError",
     "as_matrix",
-    "as_vector",
     "make_rng",
     "matmul",
     "op_inf_norm",
@@ -39,15 +38,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def as_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a vector, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

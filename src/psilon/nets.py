@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,7 +66,8 @@ class NormalizedLinear:
     g: np.ndarray  # (1,) shared across rows, or (h,) per-row
     bias: np.ndarray | None
     mode: NormMode
-    norm_source: str = "self_rows"
+    norm_source: ClassVar[str] = "self_rows"
+    raw_names: ClassVar[tuple[str, ...]] = ("raw",)
 
     def effective(self) -> np.ndarray:
         return rows_effective(self.raw, self.g, self.mode)
@@ -83,7 +85,8 @@ class PairLinear:
     g: np.ndarray  # (1,) shared scalar or (h,) shared per-row vector
     bias: np.ndarray | None
     mode: NormMode
-    norm_source: str = "crelu_max_rows"
+    norm_source: ClassVar[str] = "crelu_max_rows"
+    raw_names: ClassVar[tuple[str, ...]] = ("raw_plus", "raw_minus")
 
     def effective(self) -> tuple[np.ndarray, np.ndarray]:
         return pair_effective(self.raw_plus, self.raw_minus, self.g, self.mode)
@@ -125,11 +128,8 @@ class Network:
         out = []
         for i, layer in enumerate(self.layers()):
             tag = f"layer{i}"
-            if isinstance(layer, PairLinear):
-                out.append((f"{tag}.raw_plus", layer.raw_plus))
-                out.append((f"{tag}.raw_minus", layer.raw_minus))
-            else:
-                out.append((f"{tag}.raw", layer.raw))
+            for name in layer.raw_names:
+                out.append((f"{tag}.{name}", getattr(layer, name)))
             if not self.freeze_lengths:
                 out.append((f"{tag}.g", layer.g))
             if layer.bias is not None:
@@ -161,17 +161,18 @@ def _act_backward(a: np.ndarray, dz: np.ndarray, activation: str) -> np.ndarray:
     return dz[:, :h] * (a > 0.0) + dz[:, h:] * (a < 0.0)
 
 
+def _block_step(z: np.ndarray, wp: np.ndarray, wm: np.ndarray, bias) -> np.ndarray:
+    out = z + np.maximum(z, 0.0) @ wp.T + np.minimum(z, 0.0) @ wm.T
+    return out if bias is None else out + bias
+
+
 def block_forward(block: PairLinear, z: np.ndarray) -> np.ndarray:
     """Residual block output z + W+ relu(z) + W- (-relu(-z)).
 
     Algebraically identical to applying the stacked matrix
     [(I+W+) (I+W-)] to the CReLU features of z.
     """
-    wp, wm = block.effective()
-    out = z + np.maximum(z, 0.0) @ wp.T + np.minimum(z, 0.0) @ wm.T
-    if block.bias is not None:
-        out = out + block.bias
-    return out
+    return _block_step(z, *block.effective(), block.bias)
 
 
 def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, Trace]:
@@ -213,9 +214,7 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, Trace]:
             wp, wm = block.effective()
             inputs.append(z)
             effs.append((wp, wm))
-            z = z + np.maximum(z, 0.0) @ wp.T + np.minimum(z, 0.0) @ wm.T
-            if block.bias is not None:
-                z = z + block.bias
+            z = _block_step(z, wp, wm, block.bias)
             pres.append(z)
         wp, wm = net.last.effective()
         inputs.append(z)

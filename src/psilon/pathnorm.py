@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import DimensionError, as_matrix, op_inf_norm, op_inf_one_norm
 from .nets import Network, effective_weights, predict, resnet_effective_parts
+from .reparam import row_source
 
 __all__ = [
     "PathBudgetError",
@@ -134,9 +135,9 @@ def improved_bound_crelu(first, blocks, last) -> float:
     """1^T max(|W+_K|,|W-_K|) (I + tilde) ... (I + tilde) |W_1| 1."""
     first, pairs, (lp, lm) = _check_resnet_parts(first, blocks, last)
     a = np.abs(first) @ np.ones(first.shape[1])
-    for wp, wm in pairs:
-        a = a + np.maximum(np.abs(wp), np.abs(wm)) @ a
-    return float(np.sum(np.maximum(np.abs(lp), np.abs(lm)) @ a))
+    for pair in pairs:
+        a = a + row_source(pair)[0] @ a
+    return float(np.sum(row_source((lp, lm))[0] @ a))
 
 
 def naive_crelu_path_norm(first, blocks, last) -> float:

@@ -1,9 +1,14 @@
 """Weight reparameterizations: L1/L2 weight normalization, L1-sphere
 projection, the CReLU paired projection, and the alpha-blended pruning form.
 
-Every forward rule here has a matching manual backward (vector-Jacobian
-product) used by the network backward pass; all backward rules are checked
-against central finite differences in the tests.
+One row-normalizer kernel serves every layer.  It takes a tuple of raw
+matrices, (V,) for a dense layer or (V+, V-) for a CReLU pair, and divides
+(or projects) their rows by a normalizer taken from the rows of one source
+matrix: the elementwise max of |V| over the tuple, which is |V| itself for
+a single matrix.  Where the pair ties, the first matrix owns the entry and
+receives its gradient (`row_source`).  The kernel's manual backward
+(vector-Jacobian product) is used by the network backward pass and is
+checked against central finite differences in the tests.
 
 Sign conventions, kept deliberately distinct:
   * the weight-normalization subgradient uses sign(0) = 0 (a valid
@@ -15,6 +20,7 @@ Sign conventions, kept deliberately distinct:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +42,7 @@ __all__ = [
     "proj_l1_sphere",
     "proj_l1_crelu_pair",
     "rows_threshold",
-    "rows_proj_l1_sphere",
+    "row_source",
     "rows_effective",
     "rows_backward",
     "pair_effective",
@@ -123,7 +129,7 @@ def find_threshold(w: np.ndarray) -> float:
 
 def proj_l1_sphere(w: np.ndarray) -> np.ndarray:
     """Euclidean projection of w onto the unit L1 sphere."""
-    return rows_proj_l1_sphere(np.asarray(w, dtype=np.float64)[None, :])[0]
+    return rows_effective(np.asarray(w, dtype=np.float64)[None, :], np.ones(1), L1PROJ)[0]
 
 
 def proj_l1_crelu_pair(wp: np.ndarray, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,19 +139,18 @@ def proj_l1_crelu_pair(wp: np.ndarray, wm: np.ndarray) -> tuple[np.ndarray, np.n
     vectors, so max(|p+|, |p-|) lands exactly on the L1 sphere while each
     projected vector individually lies inside the ball.
     """
-    wp = np.asarray(wp, dtype=np.float64)
-    wm = np.asarray(wm, dtype=np.float64)
-    tau = rows_threshold(np.maximum(np.abs(wp), np.abs(wm))[None, :])[0]
-    pp = np.maximum(0.0, np.abs(wp) - tau) * np.sign(wp + PROJ_EPS)
-    pm = np.maximum(0.0, np.abs(wm) - tau) * np.sign(wm + PROJ_EPS)
-    return pp, pm
+    pair = (np.asarray(wp, dtype=np.float64)[None, :], np.asarray(wm, dtype=np.float64)[None, :])
+    pp, pm = _effective(pair, np.ones(1), L1PROJ)
+    return pp[0], pm[0]
 
 
-# --- row-wise kernels used by the network layers ------------------------------
+# --- the row-normalizer kernel used by the network layers ----------------------
 #
-# V is (h, d) with one direction vector per row; g is (1,) for a shared
-# length or (h,) per-row.  Upstream gradients U have the shape of the
-# effective weight matrix.
+# A layer hands the kernel a tuple of raw matrices: (V,) for a dense layer,
+# (V+, V-) for a CReLU pair.  Each is (h, d) with one direction vector per
+# row; g is (1,) for a shared length or (h,) per-row.  All matrices of the
+# tuple share the row normalizer of one source matrix (`row_source`).
+# Upstream gradients come as a tuple of the effective matrices' shapes.
 
 
 def rows_threshold(v: np.ndarray) -> np.ndarray:
@@ -157,15 +162,36 @@ def rows_threshold(v: np.ndarray) -> np.ndarray:
     return c[np.arange(v.shape[0]), idx - 1]
 
 
-def rows_proj_l1_sphere(v: np.ndarray) -> np.ndarray:
-    tau = rows_threshold(v)
-    return np.maximum(0.0, np.abs(v) - tau[:, None]) * np.sign(v + PROJ_EPS)
+def row_source(vs: tuple) -> tuple:
+    """Row-normalizer source of one or two raw matrices, and its owners.
+
+    Returns (S, owners): S is the elementwise max of |V| over the tuple
+    (|V| itself for one matrix) and owners[i] masks the entries of S that
+    vs[i] supplies.  In a tie the first matrix owns the entry, so gradient
+    through S goes to exactly one matrix; a single matrix owns every entry
+    (its mask is plain True).
+    """
+    if len(vs) == 1:
+        return np.abs(vs[0]), (True,)
+    ap, am = np.abs(vs[0]), np.abs(vs[1])
+    first = ap >= am
+    return np.maximum(ap, am), (first, ~first)
 
 
-def _row_norms(v: np.ndarray, mode_tag: str) -> np.ndarray:
+def _owned(x: np.ndarray, owner) -> np.ndarray:
+    # x on the entries this matrix supplies to the source, 0 elsewhere
+    return x if owner is True else np.where(owner, x, 0.0)
+
+
+def _row_sum(mats: list) -> np.ndarray:
+    # per-row sums of each matrix, added across the tuple in order
+    return functools.reduce(np.add, [m.sum(axis=1) for m in mats])
+
+
+def _row_norms(s: np.ndarray, mode_tag: str) -> np.ndarray:
     if mode_tag == "l1wn":
-        return np.sum(np.abs(v), axis=1)
-    return np.sqrt(np.sum(v * v, axis=1))
+        return s.sum(axis=1)
+    return np.sqrt((s * s).sum(axis=1))
 
 
 def _g_col(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -175,161 +201,93 @@ def _g_col(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g[:, None]
 
 
+def _effective(vs: tuple, g: np.ndarray, mode: NormMode) -> list:
+    """Effective matrices for a tuple of raw matrices sharing one normalizer."""
+    if mode.tag == "none":
+        return [v.copy() for v in vs]
+    if mode.tag == "blend":
+        # convex combination of the L1-normalized and projected forms
+        a = mode.alpha
+        wn, proj = _effective(vs, g, L1WN), _effective(vs, g, L1PROJ)
+        return [(1.0 - a) * w1 + a * w2 for w1, w2 in zip(wn, proj)]
+    gc = _g_col(vs[0], g)
+    s = row_source(vs)[0]
+    if mode.tag == "l1proj":
+        tau = rows_threshold(s)[:, None]
+        return [gc * (np.maximum(0.0, np.abs(v) - tau) * np.sign(v + PROJ_EPS)) for v in vs]
+    n = _row_norms(s, mode.tag)
+    if (n == 0.0).any():
+        raise DegenerateInputError("zero direction row under weight normalization")
+    return [gc * v / n[:, None] for v in vs]
+
+
+def _vjp_mode(vs: tuple, g: np.ndarray, tag: str, us) -> tuple:
+    """(dV per matrix, per-row dg) through one of l1wn, l2wn, l1proj."""
+    gc = _g_col(vs[0], g)
+    s, owners = row_source(vs)
+    if tag == "l1proj":
+        tau = rows_threshold(s)[:, None]
+        k = np.maximum((s > tau).sum(axis=1), 1)
+        mags = [np.abs(v) for v in vs]
+        acts = [m > tau for m in mags]
+        s_eps = [np.sign(v + PROJ_EPS) for v in vs]
+        q_eps = [gc * u * se for u, se in zip(us, s_eps)]
+        # total sensitivity of the projected mass to the shared threshold,
+        # spread over the active entries of the source
+        coef = (_row_sum([np.where(act, q, 0.0) for act, q in zip(acts, q_eps)]) / k)[:, None]
+        dvs = []
+        for v, act, q, owner in zip(vs, acts, q_eps, owners):
+            sv = np.sign(v)
+            dvs.append(np.where(act, q * sv - _owned(sv, owner) * coef, 0.0))
+        dg_rows = _row_sum([np.maximum(0.0, m - tau) * se * u for m, se, u in zip(mags, s_eps, us)])
+        return dvs, dg_rows
+    n = _row_norms(s, tag)
+    c = _row_sum([v * u for v, u in zip(vs, us)])
+    # dn: the row norm's derivative, up to its 1/n factor for l2wn, on the
+    # entries each matrix owns
+    if tag == "l1wn":
+        coef, dn = (c / n)[:, None], [_owned(np.sign(v), o) for v, o in zip(vs, owners)]
+    else:
+        coef, dn = (c / (n * n))[:, None], [_owned(v, o) for v, o in zip(vs, owners)]
+    return [gc / n[:, None] * (u - coef * d) for u, d in zip(us, dn)], c / n
+
+
+def _vjp(vs: tuple, g: np.ndarray, mode: NormMode, us: tuple) -> tuple:
+    """Vector-Jacobian product through `_effective`: (dV per matrix, dg),
+    dg shaped like g (summed over rows for a shared length)."""
+    if mode.tag == "none":
+        return [u.copy() for u in us], np.zeros_like(g)
+    if mode.tag == "blend":
+        a = mode.alpha
+        dv1, dg1 = _vjp_mode(vs, g, "l1wn", [(1.0 - a) * u for u in us])
+        dv2, dg2 = _vjp_mode(vs, g, "l1proj", [a * u for u in us])
+        dvs, dg_rows = [x + y for x, y in zip(dv1, dv2)], dg1 + dg2
+    else:
+        dvs, dg_rows = _vjp_mode(vs, g, mode.tag, us)
+    return dvs, (np.array([dg_rows.sum()]) if g.shape == (1,) else dg_rows)
+
+
+# --- entry points: a dense layer is one matrix, a CReLU pair is two ----------
+
+
 def rows_effective(v: np.ndarray, g: np.ndarray, mode: NormMode) -> np.ndarray:
     """Effective weight matrix for self-normalized rows."""
-    if mode.tag == "none":
-        return v.copy()
-    gc = _g_col(v, g)
-    if mode.tag in ("l1wn", "l2wn"):
-        n = _row_norms(v, mode.tag)
-        if np.any(n == 0.0):
-            raise DegenerateInputError("zero direction row under weight normalization")
-        return gc * v / n[:, None]
-    if mode.tag == "l1proj":
-        return gc * rows_proj_l1_sphere(v)
-    # blend: convex combination of the L1-normalized and projected forms
-    a = mode.alpha
-    return (1.0 - a) * rows_effective(v, g, L1WN) + a * rows_effective(v, g, L1PROJ)
-
-
-def _reduce_g(dg_rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.array([np.sum(dg_rows)]) if g.shape == (1,) else dg_rows
-
-
-def _rows_backward_wn(v, g, u, tag):
-    n = _row_norms(v, tag)
-    gc = _g_col(v, g)
-    vu = np.sum(v * u, axis=1)
-    if tag == "l1wn":
-        dv = gc / n[:, None] * (u - (vu / n)[:, None] * np.sign(v))
-    else:
-        dv = gc / n[:, None] * (u - (vu / (n * n))[:, None] * v)
-    return dv, vu / n
-
-
-def _rows_backward_proj(v, g, u):
-    tau = rows_threshold(v)
-    p = np.maximum(0.0, np.abs(v) - tau[:, None]) * np.sign(v + PROJ_EPS)
-    gc = _g_col(v, g)
-    q = gc * u
-    active = np.abs(v) > tau[:, None]
-    k = np.maximum(np.sum(active, axis=1), 1)
-    s_eps = np.sign(v + PROJ_EPS)
-    s = np.sign(v)
-    t = np.sum(np.where(active, q * s_eps, 0.0), axis=1)
-    dv = np.where(active, q * s_eps * s - s * (t / k)[:, None], 0.0)
-    return dv, np.sum(p * u, axis=1)
+    return _effective((v,), g, mode)[0]
 
 
 def rows_backward(v: np.ndarray, g: np.ndarray, mode: NormMode, u: np.ndarray):
-    """Vector-Jacobian product through the row reparameterization.
-
-    Returns (dV, dg) for upstream dL/dW = u; dg matches the shape of g
-    (summed over rows for a shared length).
-    """
-    if mode.tag == "none":
-        return u.copy(), np.zeros_like(g)
-    if mode.tag in ("l1wn", "l2wn"):
-        dv, dg_rows = _rows_backward_wn(v, g, u, mode.tag)
-    elif mode.tag == "l1proj":
-        dv, dg_rows = _rows_backward_proj(v, g, u)
-    else:
-        a = mode.alpha
-        dv1, dg1 = _rows_backward_wn(v, g, (1.0 - a) * u, "l1wn")
-        dv2, dg2 = _rows_backward_proj(v, g, a * u)
-        dv, dg_rows = dv1 + dv2, dg1 + dg2
-    return dv, _reduce_g(dg_rows, g)
-
-
-# --- paired kernels for CReLU residual weights --------------------------------
-#
-# Both raw matrices share a normalizer built from the rows of
-# max(|V+|, |V-|); ties in the max route gradient to the plus matrix.
-
-
-def _pair_max_and_masks(vp, vm):
-    ap, am = np.abs(vp), np.abs(vm)
-    plus_wins = ap >= am
-    return np.maximum(ap, am), plus_wins
+    """(dV, dg) for upstream dL/dW = u; dg matches the shape of g."""
+    (dv,), dg = _vjp((v,), g, mode, (u,))
+    return dv, dg
 
 
 def pair_effective(vp: np.ndarray, vm: np.ndarray, g: np.ndarray, mode: NormMode):
-    """Effective (W+, W-) for a shared-normalizer pair."""
-    if mode.tag == "none":
-        return vp.copy(), vm.copy()
-    gc = _g_col(vp, g)
-    if mode.tag in ("l1wn", "l2wn"):
-        tilde, _ = _pair_max_and_masks(vp, vm)
-        n = _row_norms(tilde, mode.tag)
-        if np.any(n == 0.0):
-            raise DegenerateInputError("zero direction row pair under weight normalization")
-        return gc * vp / n[:, None], gc * vm / n[:, None]
-    if mode.tag == "l1proj":
-        tilde, _ = _pair_max_and_masks(vp, vm)
-        tau = rows_threshold(tilde)[:, None]
-        pp = np.maximum(0.0, np.abs(vp) - tau) * np.sign(vp + PROJ_EPS)
-        pm = np.maximum(0.0, np.abs(vm) - tau) * np.sign(vm + PROJ_EPS)
-        return gc * pp, gc * pm
-    a = mode.alpha
-    wp1, wm1 = pair_effective(vp, vm, g, L1WN)
-    wp2, wm2 = pair_effective(vp, vm, g, L1PROJ)
-    return (1.0 - a) * wp1 + a * wp2, (1.0 - a) * wm1 + a * wm2
-
-
-def _pair_backward_wn(vp, vm, g, up, um, tag):
-    tilde, plus_wins = _pair_max_and_masks(vp, vm)
-    n = _row_norms(tilde, tag)
-    gc = _g_col(vp, g)
-    c = np.sum(vp * up, axis=1) + np.sum(vm * um, axis=1)
-    if tag == "l1wn":
-        mp = np.where(plus_wins, np.sign(vp), 0.0)
-        mm = np.where(~plus_wins, np.sign(vm), 0.0)
-    else:
-        scale = tilde / n[:, None]
-        mp = np.where(plus_wins, np.sign(vp), 0.0) * scale
-        mm = np.where(~plus_wins, np.sign(vm), 0.0) * scale
-    coef = (c / n)[:, None]
-    dvp = gc / n[:, None] * (up - coef * mp)
-    dvm = gc / n[:, None] * (um - coef * mm)
-    return dvp, dvm, c / n
-
-
-def _pair_backward_proj(vp, vm, g, up, um):
-    tilde, plus_wins = _pair_max_and_masks(vp, vm)
-    tau = rows_threshold(tilde)
-    gc = _g_col(vp, g)
-    sp_eps, sm_eps = np.sign(vp + PROJ_EPS), np.sign(vm + PROJ_EPS)
-    pp = np.maximum(0.0, np.abs(vp) - tau[:, None]) * sp_eps
-    pm = np.maximum(0.0, np.abs(vm) - tau[:, None]) * sm_eps
-    qp, qm = gc * up, gc * um
-    act_p = np.abs(vp) > tau[:, None]
-    act_m = np.abs(vm) > tau[:, None]
-    act_tilde = tilde > tau[:, None]
-    k = np.maximum(np.sum(act_tilde, axis=1), 1)
-    # total sensitivity of the projected mass to the shared threshold
-    t = np.sum(np.where(act_p, qp * sp_eps, 0.0), axis=1) + np.sum(
-        np.where(act_m, qm * sm_eps, 0.0), axis=1
-    )
-    mu_p = np.where(act_tilde & plus_wins, np.sign(vp), 0.0)
-    mu_m = np.where(act_tilde & ~plus_wins, np.sign(vm), 0.0)
-    coef = (t / k)[:, None]
-    dvp = np.where(act_p, qp * sp_eps * np.sign(vp), 0.0) - mu_p * coef
-    dvm = np.where(act_m, qm * sm_eps * np.sign(vm), 0.0) - mu_m * coef
-    dg_rows = np.sum(pp * up, axis=1) + np.sum(pm * um, axis=1)
-    return dvp, dvm, dg_rows
+    """Effective (W+, W-) for a pair normalized by the rows of max(|V+|, |V-|)."""
+    wp, wm = _effective((vp, vm), g, mode)
+    return wp, wm
 
 
 def pair_backward(vp, vm, g, mode: NormMode, up, um):
-    """Vector-Jacobian product through the paired reparameterization."""
-    if mode.tag == "none":
-        return up.copy(), um.copy(), np.zeros_like(g)
-    if mode.tag in ("l1wn", "l2wn"):
-        dvp, dvm, dg_rows = _pair_backward_wn(vp, vm, g, up, um, mode.tag)
-    elif mode.tag == "l1proj":
-        dvp, dvm, dg_rows = _pair_backward_proj(vp, vm, g, up, um)
-    else:
-        a = mode.alpha
-        p1 = _pair_backward_wn(vp, vm, g, (1.0 - a) * up, (1.0 - a) * um, "l1wn")
-        p2 = _pair_backward_proj(vp, vm, g, a * up, a * um)
-        dvp, dvm, dg_rows = p1[0] + p2[0], p1[1] + p2[1], p1[2] + p2[2]
-    return dvp, dvm, _reduce_g(dg_rows, g)
+    """(dV+, dV-, dg) for upstream gradients (up, um) of the pair."""
+    (dvp, dvm), dg = _vjp((vp, vm), g, mode, (up, um))
+    return dvp, dvm, dg

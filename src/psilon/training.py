@@ -35,7 +35,7 @@ from .pathnorm import (
     naive_crelu_path_norm,
     path_norm_mlp,
 )
-from .reparam import blend, rows_threshold
+from .reparam import blend, row_source, rows_threshold
 
 __all__ = [
     "ConfigError",
@@ -318,27 +318,16 @@ def _path_reg_weight_grads(net: Network, kind: str) -> dict[int, object]:
         out[len(mats) - 1] = (np.sign(lp) * outer, np.sign(lm) * outer)
         return out
 
-    # improved bound: factors (I + max(|W+|, |W-|)), ties routed to plus
+    # improved bound: factors (I + max(|W+|, |W-|)), gradient to the owner
     d = first.shape[0]
-    mats = [np.abs(first)]
-    tilde = [np.maximum(np.abs(wp), np.abs(wm)) for wp, wm in pairs]
-    mats += [np.eye(d) + t for t in tilde]
-    mats.append(np.maximum(np.abs(lp), np.abs(lm)))
+    pairs = [*pairs, (lp, lm)]
+    sources = [row_source(pair) for pair in pairs]
+    mats = [np.abs(first), *(np.eye(d) + s for s, _ in sources[:-1]), sources[-1][0]]
     a, b = _chain_partials(mats)
     out[0] = np.sign(first) * np.outer(b[0], a[0])
-    for i, (wp, wm) in enumerate(pairs):
-        outer = np.outer(b[i + 1], a[i + 1])
-        plus_wins = np.abs(wp) >= np.abs(wm)
-        out[i + 1] = (
-            np.where(plus_wins, np.sign(wp), 0.0) * outer,
-            np.where(~plus_wins, np.sign(wm), 0.0) * outer,
-        )
-    outer = np.outer(b[-1], a[-2])
-    plus_wins = np.abs(lp) >= np.abs(lm)
-    out[len(mats) - 1] = (
-        np.where(plus_wins, np.sign(lp), 0.0) * outer,
-        np.where(~plus_wins, np.sign(lm), 0.0) * outer,
-    )
+    for i, (pair, (_, owners)) in enumerate(zip(pairs, sources), start=1):
+        outer = np.outer(b[i], a[i])
+        out[i] = tuple(np.where(o, np.sign(w), 0.0) * outer for w, o in zip(pair, owners))
     return out
 
 
@@ -487,20 +476,14 @@ def _zero_pruned_moments(net: Network, state: AdamState) -> None:
     for i, layer in enumerate(net.layers()):
         if layer.mode.tag != "blend":
             continue
-        if isinstance(layer, PairLinear):
-            tau = rows_threshold(np.maximum(np.abs(layer.raw_plus), np.abs(layer.raw_minus)))
-            for name, raw in ((f"layer{i}.raw_plus", layer.raw_plus), (f"layer{i}.raw_minus", layer.raw_minus)):
-                dead = np.abs(raw) <= tau[:, None]
-                if name in state.m:
-                    state.m[name][dead] = 0.0
-                    state.v[name][dead] = 0.0
-        else:
-            tau = rows_threshold(layer.raw)
-            name = f"layer{i}.raw"
-            dead = np.abs(layer.raw) <= tau[:, None]
-            if name in state.m:
-                state.m[name][dead] = 0.0
-                state.v[name][dead] = 0.0
+        raws = [getattr(layer, name) for name in layer.raw_names]
+        tau = rows_threshold(row_source(raws)[0])[:, None]
+        for name, raw in zip(layer.raw_names, raws):
+            key = f"layer{i}.{name}"
+            if key in state.m:
+                dead = np.abs(raw) <= tau
+                state.m[key][dead] = 0.0
+                state.v[key][dead] = 0.0
 
 
 def train(net: Network, splits: Splits, plan: TrainPlan) -> tuple[Network, list[MetricsRow]]:

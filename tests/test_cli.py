@@ -214,6 +214,22 @@ class TestEvalCommand:
         doc = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert doc["rmse"] > 0 and "rmse_raw_units" in doc
 
+    def test_label_outside_model_outputs(self, tmp_path, capsys):
+        spec = NetSpec(kind="mlp", d_in=2, d_out=3, hidden=[4], mode=L1WN)
+        model = tmp_path / "m.json"
+        save_network(init_network(spec, np.random.default_rng(10)), model)
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,b,y\n0.1,0.2,0\n0.3,-0.1,2\n-0.2,0.4,3\n")
+        assert main(["eval", str(model), "--data", str(csv_path),
+                     "--target", "y", "--task", "multiclass"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "error: labels span [0, 3] but the model has 3 outputs"
+        csv_path.write_text("a,b,y\n0.1,0.2,0\n0.3,-0.1,1\n")
+        assert main(["eval", str(model), "--data", str(csv_path),
+                     "--target", "y", "--task", "binary"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "error: binary eval needs a model with 1 output, got 3"
+
     def test_missing_data_file(self, tmp_path, capsys):
         spec = NetSpec(kind="mlp", d_in=5, d_out=1, hidden=[6], mode=L1WN)
         net = init_network(spec, np.random.default_rng(8))

@@ -37,6 +37,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"'foo' at line 3, column 'a'"):
             load_csv(p, CsvSchema(target="y", task="binary"))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,b,y\n1,2,0.5\n3,{cell},1.5\n")
+        with pytest.raises(DataError, match=r"non-finite value -?(nan|inf) at line 3, column 'b'"):
+            load_csv(p, CsvSchema(target="y", task="regression"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             load_csv(tmp_path / "nope.csv", CsvSchema(target="y", task="regression"))

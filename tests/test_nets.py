@@ -17,7 +17,7 @@ from psilon.nets import (
     predict,
     resnet_effective_parts,
 )
-from psilon.reparam import L1WN, L2WN, NONE, blend
+from psilon.reparam import L1PROJ, L1WN, L2WN, NONE, blend
 
 
 def jitter_params(net, rng, scale=0.4):
@@ -134,7 +134,9 @@ class TestForward:
 class TestBackward:
     @pytest.mark.parametrize("kind", ["mlp", "crelu_resnet"])
     @pytest.mark.parametrize(
-        "mode", [L1WN, L2WN, NONE, blend(0.3)], ids=["l1wn", "l2wn", "none", "blend"]
+        "mode",
+        [L1WN, L2WN, L1PROJ, NONE, blend(0.3)],
+        ids=["l1wn", "l2wn", "l1proj", "none", "blend"],
     )
     def test_matches_finite_differences(self, kind, mode):
         rng = make_rng(12)

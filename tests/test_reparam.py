@@ -16,8 +16,13 @@ from psilon.reparam import (
     effective_weight,
     find_threshold,
     l1wn_subgradient,
+    pair_backward,
+    pair_effective,
     proj_l1_crelu_pair,
     proj_l1_sphere,
+    row_source,
+    rows_backward,
+    rows_effective,
 )
 
 
@@ -229,3 +234,34 @@ class TestL1wnSubgradient:
             w = vp / g_p
             expected = 2.0 * np.dot(w, x) / np.sum(np.abs(w))
             assert lo - hi == pytest.approx(expected, rel=1e-5, abs=1e-7)
+
+
+class TestRowSource:
+    def test_max_magnitude_and_ties_to_first(self):
+        vp = np.array([[2.0, -1.0, 0.5]])
+        vm = np.array([[-1.0, 1.0, -3.0]])
+        s, (own_p, own_m) = row_source((vp, vm))
+        np.testing.assert_array_equal(s, [[2.0, 1.0, 3.0]])
+        np.testing.assert_array_equal(own_p, [[True, True, False]])  # tie at index 1
+        np.testing.assert_array_equal(own_m, ~own_p)
+
+    def test_single_matrix_owns_every_entry(self):
+        v = np.array([[1.0, -2.0], [0.0, 3.0]])
+        s, (owner,) = row_source((v,))
+        np.testing.assert_array_equal(s, np.abs(v))
+        assert owner is True
+
+    @pytest.mark.parametrize("mode", [L1WN, L2WN, L1PROJ, NONE, blend(0.3)])
+    def test_pair_with_zero_minus_is_a_single_layer(self, mode):
+        # the plus matrix then owns the whole source, so the pair kernel and
+        # its backward must reduce to the single-matrix ones
+        rng = make_rng(9)
+        v, u = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+        zero = np.zeros_like(v)
+        for g in (np.array([1.3]), rng.standard_normal(4)):
+            wp, wm = pair_effective(v, zero, g, mode)
+            np.testing.assert_allclose(wp, rows_effective(v, g, mode), rtol=1e-14, atol=1e-15)
+            dvp, _, dg = pair_backward(v, zero, g, mode, u, zero)
+            dv, dg_single = rows_backward(v, g, mode, u)
+            np.testing.assert_allclose(dvp, dv, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(dg, dg_single, rtol=1e-14, atol=1e-15)
