@@ -331,12 +331,28 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _load_stats(path, ds) -> dict:
+    """A training run's dataset_stats.json, checked against the dataset it
+    will standardize: the keys eval reads, one mean and sd per feature."""
+    with open(path) as f:
+        stats = json.load(f)
+    keys = ["feature_mean", "feature_sd"]
+    if ds.task == "regression":
+        keys += ["target_median", "target_qd"]
+    missing = [k for k in keys if not isinstance(stats, dict) or k not in stats]
+    if missing:
+        raise ConfigError(f"{path}: missing keys {missing}")
+    for key in ("feature_mean", "feature_sd"):
+        if not isinstance(stats[key], list) or len(stats[key]) != ds.dim:
+            raise ConfigError(f"{path}: {key} must list {ds.dim} values, one per dataset feature")
+    return stats
+
+
 def cmd_eval(args) -> int:
     net = load_network(args.model)
     ds = load_csv(args.data, CsvSchema(target=args.target, task=args.task))
     if args.stats:
-        with open(args.stats) as f:
-            stats = json.load(f)
+        stats = _load_stats(args.stats, ds)
         mean = np.asarray(stats["feature_mean"])
         sd = np.asarray(stats["feature_sd"])
         ds.features = (ds.features - mean) / sd

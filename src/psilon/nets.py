@@ -26,6 +26,7 @@ from .linalg import DimensionError, orthogonal_init
 from .reparam import NormMode, pair_backward, pair_effective, rows_backward, rows_effective
 
 __all__ = [
+    "ConfigError",
     "NormalizedLinear",
     "PairLinear",
     "Network",
@@ -42,6 +43,11 @@ __all__ = [
     "save_network",
     "load_network",
 ]
+
+
+class ConfigError(ValueError):
+    """A run config or model document that does not describe a valid run or
+    network."""
 
 
 def crelu(z: np.ndarray) -> np.ndarray:
@@ -485,8 +491,43 @@ def network_to_json(net: Network) -> dict:
     }
 
 
+def _check_layers(kind: str, activation: str, layers: list) -> None:
+    """Reject a layer list that `forward` cannot run: no layers, layers of
+    the wrong type for the kind, raw shapes that do not chain (or a residual
+    block that is not square), and lengths or biases of the wrong shape."""
+    if kind not in ("mlp", "crelu_resnet"):
+        raise ConfigError(f"unknown network kind {kind!r}")
+    if not layers:
+        raise ConfigError("model has no layers")
+    if kind == "crelu_resnet" and len(layers) < 2:
+        raise ConfigError("a residual net needs a first layer and a final pair")
+    width = None  # the input width the next layer must take
+    for i, layer in enumerate(layers):
+        paired = kind == "crelu_resnet" and i > 0
+        if isinstance(layer, PairLinear) != paired:
+            expected = "a plus/minus pair" if paired else "one matrix"
+            raise ConfigError(f"layer {i} must be {expected}")
+        shapes = [getattr(layer, name).shape for name in layer.raw_names]
+        if len(shapes[0]) != 2 or len(set(shapes)) > 1:
+            shown = " and ".join(map(str, shapes))
+            raise ConfigError(f"layer {i}: raw shape {shown} is not one 2-D shape")
+        rows, cols = shapes[0]
+        if width is not None and cols != width:
+            raise ConfigError(f"layer {i} takes {cols} inputs but layer {i - 1} gives {width}")
+        if paired and i < len(layers) - 1 and rows != cols:
+            raise ConfigError(f"residual block {i} is {rows}x{cols}, not square")
+        if layer.g.shape not in ((1,), (rows,)):
+            raise ConfigError(
+                f"layer {i}: lengths shape {layer.g.shape} is neither (1,) nor ({rows},)"
+            )
+        if layer.bias is not None and layer.bias.shape != (rows,):
+            raise ConfigError(f"layer {i}: bias shape {layer.bias.shape} is not ({rows},)")
+        width = rows * (2 if kind == "mlp" and activation == "crelu" else 1)
+
+
 def network_from_json(doc: dict) -> Network:
     layers = [_layer_from_json(d) for d in doc["layers"]]
+    _check_layers(doc["kind"], doc["activation"], layers)
     return Network(
         kind=doc["kind"],
         first=layers[0],
@@ -505,4 +546,8 @@ def save_network(net: Network, path) -> None:
 
 def load_network(path) -> Network:
     with open(path) as f:
-        return network_from_json(json.load(f))
+        doc = json.load(f)
+    try:
+        return network_from_json(doc)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None

@@ -35,6 +35,7 @@ __all__ = [
     "path_norm_with_bias",
     "improved_bound_crelu",
     "naive_crelu_path_norm",
+    "collapse_crelu_mlp",
     "psilon_closed_form_mlp",
     "psilon_closed_form_resnet",
     "product_bound",
@@ -231,9 +232,10 @@ class PathNormReport:
         return asdict(self)
 
 
-def _collapse_crelu_mlp(ws: list[np.ndarray]) -> list[np.ndarray]:
-    # fold the plus/minus feature copies of a CReLU MLP into one
-    # nonnegative matrix per layer: |left half| + |right half|
+def collapse_crelu_mlp(ws: list[np.ndarray]) -> list[np.ndarray]:
+    """A CReLU MLP's effective matrices with the plus/minus feature copies
+    folded into one nonnegative matrix per hidden layer (|left half| +
+    |right half|); the first matrix is returned as is."""
     out = [ws[0]]
     for w in ws[1:]:
         h = w.shape[1] // 2
@@ -247,7 +249,7 @@ def mlp_path_matrices(net: Network) -> list[np.ndarray]:
     ws = effective_weights(net)
     if net.kind != "mlp":
         raise ValueError("mlp_path_matrices expects an MLP")
-    return _collapse_crelu_mlp(ws) if net.activation == "crelu" else ws
+    return collapse_crelu_mlp(ws) if net.activation == "crelu" else ws
 
 
 def resnet_naive_matrices(net: Network) -> list[np.ndarray]:

@@ -8,7 +8,9 @@ matrix: the elementwise max of |V| over the tuple, which is |V| itself for
 a single matrix.  Where the pair ties, the first matrix owns the entry and
 receives its gradient (`row_source`).  The kernel's manual backward
 (vector-Jacobian product) is used by the network backward pass and is
-checked against central finite differences in the tests.
+checked against central finite differences in the tests.  The pruning
+blend at alpha = 0 is L1 weight normalization up to the sign of a zero, so
+it runs the L1WN kernel alone, forward and backward.
 
 Sign conventions, kept deliberately distinct:
   * the weight-normalization subgradient uses sign(0) = 0 (a valid
@@ -201,8 +203,16 @@ def _g_col(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g[:, None]
 
 
+def _at_blend_zero(mode: NormMode) -> NormMode:
+    # blend(0) weighs the projection by 0: it is L1WN up to the sign of a
+    # zero, so it runs only the L1WN kernel (which also keeps rejecting a
+    # zero direction row)
+    return L1WN if mode.tag == "blend" and mode.alpha == 0.0 else mode
+
+
 def _effective(vs: tuple, g: np.ndarray, mode: NormMode) -> list:
     """Effective matrices for a tuple of raw matrices sharing one normalizer."""
+    mode = _at_blend_zero(mode)
     if mode.tag == "none":
         return [v.copy() for v in vs]
     if mode.tag == "blend":
@@ -255,6 +265,7 @@ def _vjp_mode(vs: tuple, g: np.ndarray, tag: str, us) -> tuple:
 def _vjp(vs: tuple, g: np.ndarray, mode: NormMode, us: tuple) -> tuple:
     """Vector-Jacobian product through `_effective`: (dV per matrix, dg),
     dg shaped like g (summed over rows for a shared length)."""
+    mode = _at_blend_zero(mode)
     if mode.tag == "none":
         return [u.copy() for u in us], np.zeros_like(g)
     if mode.tag == "blend":

@@ -6,6 +6,11 @@ from their own generator, evaluation never consumes randomness, and the
 metrics log is reproducible byte for byte.  Wall-clock timings are kept in
 the in-memory rows but stay out of the CSV unless explicitly requested, so
 rerunning a config reproduces identical files.
+
+A training step materializes each layer's effective weights once: the
+regularizer's value and its weight gradient reuse the matrices that
+`forward` keeps in its trace.  Before the pruning window every layer runs
+blend(0), which the reparameterization computes with the L1WN kernel alone.
 """
 
 from __future__ import annotations
@@ -17,21 +22,11 @@ import numpy as np
 
 from .data import Dataset
 from .metrics import network_sparsity
-from .nets import (
-    NetSpec,
-    Network,
-    PairLinear,
-    backward,
-    effective_weights,
-    forward,
-    init_network,
-    resnet_effective_parts,
-    sigmoid,
-)
+from .nets import ConfigError, NetSpec, Network, backward, forward, init_network, sigmoid
 from .pathnorm import (
     closed_form_for,
+    collapse_crelu_mlp,
     improved_bound_crelu,
-    mlp_path_matrices,
     naive_crelu_path_norm,
     path_norm_mlp,
 )
@@ -67,10 +62,6 @@ __all__ = [
 DEFAULT_LAMBDA_GRID = [
     5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1,
 ]
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class TrainingDiverged(RuntimeError):
@@ -255,18 +246,31 @@ def _check_reg(net: Network, reg: Regularizer) -> None:
         )
 
 
-def reg_value(net: Network, reg: Regularizer) -> float:
+def reg_value(net: Network, reg: Regularizer, effs: list | None = None) -> float:
+    """The regularizer's value.  `effs` are the per-layer effective weights
+    in the layout of `forward`'s trace (a matrix per dense layer, a (W+, W-)
+    tuple per pair); without them each layer is materialized once."""
     if reg.kind == "none":
         return 0.0
-    if reg.kind == "l2wr":
-        return float(sum(np.sum(w * w) for w in effective_weights(net)))
     if reg.kind == "path_closed_form":
         return closed_form_for(net)
+    if effs is None:
+        effs = [layer.effective() for layer in net.layers()]
+    if reg.kind == "l2wr":
+        flat = [w for e in effs for w in (e if isinstance(e, tuple) else (e,))]
+        return float(sum(np.sum(w * w) for w in flat))
     if reg.kind == "path_naive":
         if net.kind == "mlp":
-            return path_norm_mlp(mlp_path_matrices(net))
-        return naive_crelu_path_norm(*resnet_effective_parts(net))
-    return improved_bound_crelu(*resnet_effective_parts(net))
+            return path_norm_mlp(collapse_crelu_mlp(effs) if net.activation == "crelu" else effs)
+        return naive_crelu_path_norm(*_resnet_parts(net, effs))
+    return improved_bound_crelu(*_resnet_parts(net, effs))
+
+
+def _resnet_parts(net: Network, effs: list):
+    # (first, [(W+, W-) per block], (W+_K, W-_K)) as the bounds take them
+    if net.kind != "crelu_resnet":
+        raise ValueError("not a residual network")
+    return effs[0], effs[1:-1], effs[-1]
 
 
 def _chain_partials(mats: list[np.ndarray]):
@@ -283,27 +287,22 @@ def _chain_partials(mats: list[np.ndarray]):
     return a, b
 
 
-def _path_reg_weight_grads(net: Network, kind: str) -> dict[int, object]:
-    """dR/d(effective weight) per layer index for the path-norm bounds."""
+def _path_reg_weight_grads(net: Network, kind: str, effs: list) -> dict[int, object]:
+    """dR/d(effective weight) per layer index for the path-norm bounds, from
+    the per-layer effective weights `effs` (see `reg_value`)."""
     out: dict[int, object] = {}
     if net.kind == "mlp":
-        ws = effective_weights(net)
-        if net.activation == "crelu":
-            mats = mlp_path_matrices(net)
-            a, b = _chain_partials(mats)
-            for i, w in enumerate(ws):
-                outer = np.outer(b[i], a[i])
-                # hidden layers see duplicated features; both copies share
-                # the same collapsed partials
-                out[i] = np.sign(w) * (outer if i == 0 else np.hstack([outer, outer]))
-        else:
-            mats = [np.abs(w) for w in ws]
-            a, b = _chain_partials(mats)
-            for i, w in enumerate(ws):
-                out[i] = np.sign(w) * np.outer(b[i], a[i])
+        crelu = net.activation == "crelu"
+        mats = [np.abs(m) for m in (collapse_crelu_mlp(effs) if crelu else effs)]
+        a, b = _chain_partials(mats)
+        for i, w in enumerate(effs):
+            outer = np.outer(b[i], a[i])
+            # CReLU hidden layers see duplicated features; both copies share
+            # the same collapsed partials
+            out[i] = np.sign(w) * (np.hstack([outer, outer]) if crelu and i > 0 else outer)
         return out
 
-    first, pairs, (lp, lm) = resnet_effective_parts(net)
+    first, pairs, (lp, lm) = _resnet_parts(net, effs)
     if kind == "path_naive":
         d = first.shape[0]
         mats = [np.abs(first)]
@@ -331,15 +330,11 @@ def _path_reg_weight_grads(net: Network, kind: str) -> dict[int, object]:
     return out
 
 
-def _l2wr_weight_grads(net: Network) -> dict[int, object]:
-    out: dict[int, object] = {}
-    for i, layer in enumerate(net.layers()):
-        if isinstance(layer, PairLinear):
-            wp, wm = layer.effective()
-            out[i] = (2.0 * wp, 2.0 * wm)
-        else:
-            out[i] = 2.0 * layer.effective()
-    return out
+def _l2wr_weight_grads(effs: list) -> dict[int, object]:
+    return {
+        i: tuple(2.0 * w for w in e) if isinstance(e, tuple) else 2.0 * e
+        for i, e in enumerate(effs)
+    }
 
 
 def _closed_form_g_grads(net: Network) -> dict[str, np.ndarray]:
@@ -390,11 +385,12 @@ def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
     extra = None
     rval = 0.0
     if reg.kind != "none" and reg.lam > 0.0:
-        rval = reg_value(net, reg)
+        # the bound and its gradient use the weights forward materialized
+        rval = reg_value(net, reg, trace.effs)
         if reg.kind == "l2wr":
-            wgrads = _l2wr_weight_grads(net)
+            wgrads = _l2wr_weight_grads(trace.effs)
         elif reg.kind in ("path_naive", "path_improved"):
-            wgrads = _path_reg_weight_grads(net, reg.kind)
+            wgrads = _path_reg_weight_grads(net, reg.kind, trace.effs)
         else:
             wgrads = {}
         if wgrads:

@@ -164,6 +164,36 @@ class TestAnalyzeCommand:
         doc = json.loads(out.read_text())
         assert doc["improved_p1"] <= doc["naive_p1"]
 
+    @pytest.mark.parametrize("mutate,reason", [
+        (lambda doc: doc["layers"].clear(), "model has no layers"),
+        (lambda doc: doc["layers"][2]["raw"].update(plus=[[1.0] * 3], minus=[[1.0] * 3]),
+         "layer 2 takes 3 inputs but layer 1 gives 4"),
+        (lambda doc: doc["layers"][0]["lengths"].update(values=[1.0, 1.0]),
+         "layer 0: lengths shape (2,) is neither (1,) nor (4,)"),
+        (lambda doc: doc["layers"][0].update(bias=[0.0]), "layer 0: bias shape (1,) is not (4,)"),
+        (lambda doc: doc["layers"][0].update(raw=[1.0, 2.0, 3.0]),
+         "layer 0: raw shape (3,) is not one 2-D shape"),
+        (lambda doc: doc["layers"][1]["raw"]["minus"].pop(),
+         "layer 1: raw shape (4, 4) and (3, 4) is not one 2-D shape"),
+        (lambda doc: doc["layers"][1]["raw"].update(plus=[[1.0] * 4] * 5, minus=[[1.0] * 4] * 5),
+         "residual block 1 is 5x4, not square"),
+        (lambda doc: doc.update(kind="mlp"), "layer 1 must be one matrix"),
+        (lambda doc: doc.update(layers=doc["layers"][:1]),
+         "a residual net needs a first layer and a final pair"),
+        (lambda doc: doc.update(kind="cnn"), "unknown network kind 'cnn'"),
+    ], ids=["no_layers", "shapes_do_not_chain", "lengths_shape", "bias_shape", "raw_not_2d",
+            "pair_shapes_differ", "block_not_square", "layer_type", "no_final_pair",
+            "unknown_kind"])
+    def test_malformed_model_rejected(self, tmp_path, capsys, mutate, reason):
+        spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=1, hidden=[4], mode=L1WN)
+        model = tmp_path / "m.json"
+        save_network(init_network(spec, np.random.default_rng(0)), model)
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        model.write_text(json.dumps(doc))
+        assert main(["analyze", str(model)]) == 1
+        assert capsys.readouterr().err == f"error: {model}: {reason}\n"
+
 
 class TestEvalCommand:
     def test_regression_eval_and_unit_consistency(self, tmp_path, capsys):
@@ -229,6 +259,25 @@ class TestEvalCommand:
                      "--target", "y", "--task", "binary"]) == 1
         err = capsys.readouterr().err
         assert err.strip() == "error: binary eval needs a model with 1 output, got 3"
+
+    @pytest.mark.parametrize("stats,reason", [
+        ({"feature_mean": [0.0] * 4, "target_median": 0.0, "target_qd": 1.0},
+         "missing keys ['feature_sd']"),
+        ({"feature_mean": [0.0] * 3, "feature_sd": [1.0] * 3, "target_median": 0.0,
+          "target_qd": 1.0}, "feature_mean must list 4 values, one per dataset feature"),
+    ], ids=["missing_key", "wrong_feature_count"])
+    def test_bad_stats_file_rejected(self, tmp_path, capsys, stats, reason):
+        ds = synth_task("sparse_teacher", 30, 4, 0.2, seed=11)
+        csv_path = tmp_path / "d.csv"
+        save_csv(ds, csv_path)
+        spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[6], mode=L1WN)
+        model = tmp_path / "m.json"
+        save_network(init_network(spec, np.random.default_rng(12)), model)
+        stats_path = tmp_path / "stats.json"
+        stats_path.write_text(json.dumps(stats))
+        assert main(["eval", str(model), "--data", str(csv_path), "--target", "target",
+                     "--task", "regression", "--stats", str(stats_path)]) == 1
+        assert capsys.readouterr().err == f"error: {stats_path}: {reason}\n"
 
     def test_missing_data_file(self, tmp_path, capsys):
         spec = NetSpec(kind="mlp", d_in=5, d_out=1, hidden=[6], mode=L1WN)

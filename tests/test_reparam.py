@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import psilon.reparam
 from psilon.linalg import make_rng
 from psilon.reparam import (
     L1PROJ,
@@ -24,6 +25,7 @@ from psilon.reparam import (
     rows_backward,
     rows_effective,
 )
+from psilon.reparam import _effective, _vjp
 
 
 def brute_force_l1_sphere_projection(w: np.ndarray) -> np.ndarray:
@@ -265,3 +267,32 @@ class TestRowSource:
             dv, dg_single = rows_backward(v, g, mode, u)
             np.testing.assert_allclose(dvp, dv, rtol=1e-14, atol=1e-15)
             np.testing.assert_allclose(dg, dg_single, rtol=1e-14, atol=1e-15)
+
+
+class TestBlendZero:
+    def test_is_the_l1wn_kernel(self, monkeypatch):
+        # the projection term weighs 0, so blend(0) runs L1WN alone
+        thresholds = []
+        kernel = psilon.reparam.rows_threshold
+        monkeypatch.setattr(psilon.reparam, "rows_threshold",
+                            lambda v: thresholds.append(v) or kernel(v))
+        rng = make_rng(12)
+        for n_mats in (1, 2):  # a dense layer, a CReLU pair
+            vs = tuple(rng.standard_normal((4, 5)) for _ in range(n_mats))
+            us = tuple(rng.standard_normal((4, 5)) for _ in range(n_mats))
+            for g in (np.array([1.3]), rng.standard_normal(4)):  # shared, per-row
+                got, want = _effective(vs, g, blend(0.0)), _effective(vs, g, L1WN)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                got_dv, got_dg = _vjp(vs, g, blend(0.0), us)
+                want_dv, want_dg = _vjp(vs, g, L1WN, us)
+                assert all(np.array_equal(a, b) for a, b in zip(got_dv, want_dv))
+                assert np.array_equal(got_dg, want_dg)
+        assert thresholds == []
+
+    def test_zero_row_still_rejected(self):
+        v = make_rng(13).standard_normal((3, 4))
+        v[1] = 0.0
+        with pytest.raises(DegenerateInputError):
+            rows_effective(v, np.array([1.0]), blend(0.0))
+        with pytest.raises(DegenerateInputError):
+            pair_effective(v, np.zeros_like(v), np.ones(3), blend(0.0))

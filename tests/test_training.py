@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import psilon.nets
 from psilon.data import SplitSpec, apply_stats, split, standardize, synth_task
 from psilon.linalg import make_rng
 from psilon.metrics import network_sparsity
-from psilon.nets import NetSpec, forward, init_network
+from psilon.nets import NetSpec, PairLinear, backward, forward, init_network
 from psilon.reparam import L1WN, NONE, rows_threshold
 from psilon.training import (
     DEFAULT_LAMBDA_GRID,
@@ -22,10 +23,12 @@ from psilon.training import (
     grid_search,
     lr_at,
     prune_alpha,
+    reg_value,
     regularized_loss,
     rows_to_csv,
     train,
 )
+from psilon.training import _l2wr_weight_grads, _loss_and_grad, _path_reg_weight_grads
 
 
 def make_splits(kind="two_gaussians", n=300, d=4, noise=0.4, seed=0, train_n=200):
@@ -159,8 +162,11 @@ class TestRegularizedLoss:
     def test_total_objective_matches_finite_differences(self):
         # the whole thing: data loss + bound, through every reparameterization
         splits = make_splits(n=40, train_n=20)
-        for kind, regk in [("mlp", "path_naive"), ("crelu_resnet", "path_improved")]:
-            spec = NetSpec(kind=kind, d_in=4, d_out=1, hidden=[3, 3], mode=L1WN)
+        for kind, activation, regk in [("mlp", "relu", "path_naive"),
+                                       ("mlp", "crelu", "path_naive"),
+                                       ("crelu_resnet", "crelu", "path_improved")]:
+            spec = NetSpec(kind=kind, d_in=4, d_out=1, hidden=[3, 3], activation=activation,
+                           mode=L1WN)
             net = init_network(spec, make_rng(7))
             rng = make_rng(8)
             for _, p in net.slots():
@@ -183,6 +189,50 @@ class TestRegularizedLoss:
                     net.touch()
                     fd = (up - down) / (2 * h)
                     assert grads[name].reshape(-1)[i] == pytest.approx(fd, rel=1e-4, abs=1e-7), name
+
+    @pytest.mark.parametrize("kind,activation,regk", [
+        ("crelu_resnet", "crelu", "path_improved"),
+        ("mlp", "relu", "path_naive"),
+        ("mlp", "crelu", "path_naive"),
+        ("mlp", "relu", "l2wr"),
+    ])
+    def test_materializes_each_layer_once(self, monkeypatch, kind, activation, regk):
+        # the bound's value and gradient reuse the weights forward materialized
+        splits = make_splits(n=40, train_n=20)
+        spec = NetSpec(kind=kind, d_in=4, d_out=2, hidden=[3, 3], activation=activation, mode=L1WN)
+        net = init_network(spec, make_rng(7))
+        rng = make_rng(8)
+        for _, p in net.slots():
+            p += 0.4 * rng.standard_normal(p.shape)
+        net.touch()
+        reg = Regularizer(regk, 0.2)
+        plan = TrainPlan(steps=1, loss="cross_entropy", regularizer=reg)
+
+        # reference: reg_value and every kernel run afresh
+        ref_loss = data_loss(net, splits.train, plan.loss) + reg.lam * reg_value(net, reg)
+        fresh = [layer.effective() for layer in net.layers()]
+        wgrads = (_l2wr_weight_grads(fresh) if regk == "l2wr"
+                  else _path_reg_weight_grads(net, regk, fresh))
+        extra = {i: tuple(reg.lam * w for w in gw) if isinstance(gw, tuple) else reg.lam * gw
+                 for i, gw in wgrads.items()}
+        logits, trace = forward(net, splits.train.features)
+        ref_grads = backward(net, trace, _loss_and_grad(logits, splits.train, plan.loss)[1], extra)
+
+        calls = {"rows_effective": 0, "pair_effective": 0}
+        for name in calls:
+            def counting(*args, _name=name, _kernel=getattr(psilon.nets, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+            monkeypatch.setattr(psilon.nets, name, counting)
+        loss, grads = regularized_loss(net, splits.train, plan)
+        monkeypatch.undo()
+
+        n_pairs = sum(isinstance(layer, PairLinear) for layer in net.layers())
+        assert calls == {"rows_effective": len(net.layers()) - n_pairs, "pair_effective": n_pairs}
+        assert np.array_equal(loss, ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 class TestTrain:
