@@ -31,7 +31,15 @@ from .data import (
     synth_task,
 )
 from .metrics import network_sparsity
-from .nets import NetSpec, init_network, load_network, network_to_json, save_network
+from .nets import (
+    NetSpec,
+    init_network,
+    load_network,
+    network_to_json,
+    save_network,
+    write_atomic,
+    write_json,
+)
 from .pathnorm import analyze_network
 from .reparam import NormMode
 from .training import (
@@ -221,10 +229,9 @@ def _prepare_out_dir(path: str, overwrite: bool, expected: list[str]) -> Path:
     return out
 
 
-def _dump_json(obj, path: Path) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+def _dump_json(obj, path) -> None:
+    # a file path or an open text stream
+    write_json(obj, path, indent=2, end="\n")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -251,18 +258,16 @@ def cmd_train(args, require_window: bool = False) -> int:
     try:
         net, rows, opt_state = train_with_state(net, splits, plan)
     except TrainingDiverged as e:
-        (out / "metrics.csv").write_text(rows_to_csv(e.rows, include_wall=args.timings))
+        write_atomic(out / "metrics.csv", [rows_to_csv(e.rows, include_wall=args.timings)])
         print(f"training diverged at step {e.step}; partial metrics written", file=sys.stderr)
         return RUNTIME_ERROR
 
-    (out / "metrics.csv").write_text(rows_to_csv(rows, include_wall=args.timings))
+    write_atomic(out / "metrics.csv", [rows_to_csv(rows, include_wall=args.timings)])
     if args.jsonl:
-        (out / "metrics.jsonl").write_text(rows_to_jsonl(rows, include_wall=args.timings))
-    save_network(net, out / "model.json")
-    _dump_json(
-        {"model": network_to_json(net), "optimizer": adam_state_to_json(opt_state)},
-        out / "checkpoint.json",
-    )
+        write_atomic(out / "metrics.jsonl", [rows_to_jsonl(rows, include_wall=args.timings)])
+    model = network_to_json(net)
+    write_json(model, out / "model.json")
+    _dump_json({"model": model, "optimizer": adam_state_to_json(opt_state)}, out / "checkpoint.json")
     report, warnings = analyze_network(net)
     doc = report.to_json()
     doc["seed"] = cfg["seed"]
@@ -290,12 +295,12 @@ def cmd_gridsearch(args) -> int:
     for cell in cells:
         sub = out / f"lam_{cell.lam:g}"
         sub.mkdir(exist_ok=True)
-        (sub / "metrics.csv").write_text(rows_to_csv(cell.rows, include_wall=args.timings))
+        write_atomic(sub / "metrics.csv", [rows_to_csv(cell.rows, include_wall=args.timings)])
         if args.jsonl:
-            (sub / "metrics.jsonl").write_text(rows_to_jsonl(cell.rows, include_wall=args.timings))
+            write_atomic(sub / "metrics.jsonl", [rows_to_jsonl(cell.rows, include_wall=args.timings)])
         save_network(cell.net, sub / "model.json")
         curves.extend(f"{r.step},{cell.lam:g},{r.val_loss!r}" for r in cell.rows)
-    (out / "curves.csv").write_text("\n".join(curves) + "\n")
+    write_atomic(out / "curves.csv", ["\n".join(curves), "\n"])
     summary = {
         "seed": cfg["seed"],
         "best_lambda": best_lam,
@@ -324,10 +329,9 @@ def cmd_analyze(args) -> int:
     doc["sparsity"] = network_sparsity(net).to_json()
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    text = json.dumps(doc, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        _dump_json(doc, args.out)
+    _dump_json(doc, sys.stdout)
     return 0
 
 

@@ -16,8 +16,11 @@ backward rules in `reparam`.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -42,6 +45,8 @@ __all__ = [
     "network_from_json",
     "save_network",
     "load_network",
+    "write_atomic",
+    "write_json",
 ]
 
 
@@ -444,6 +449,79 @@ def resnet_effective_parts(net: Network):
 #
 # Floats are emitted with Python's shortest round-trip repr (the json
 # module default), so save/load reproduces every float64 bit-exactly.
+#
+# Every JSON file psilon writes goes through `write_json`, which streams the
+# text of `json.dumps(obj, indent=indent)` to the file in pieces.  The json
+# module runs its pure-Python encoder, one Python call per float, for
+# `json.dump` and for any indent; here dicts and lists of containers are
+# walked in Python and each innermost list of numbers is one C `json.dumps`
+# call.  The file is written to a temporary name and renamed into place, so
+# it never holds a partial document.
+
+# element types for which `json.dumps(list)` text contains no strings, so
+# that every ", " in it separates two elements
+_NUMBER_TYPES = frozenset({float, int, bool, type(None)})
+
+
+def _json_chunks(obj, indent: int | None, level: int):
+    """Pieces of the text of `json.dumps(obj, indent=indent)`, for `obj`
+    nested `level` containers deep."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        yield json.dumps(obj)
+        return
+    if indent is None:
+        inner, outer, sep = "", "", ", "
+    else:
+        inner = "\n" + " " * (indent * (level + 1))
+        outer = "\n" + " " * (indent * level)
+        sep = "," + inner
+    if isinstance(obj, dict):
+        lead = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield lead + json.dumps(key) + ": "
+            lead = sep
+            yield from _json_chunks(value, indent, level + 1)
+        yield outer + "}"
+        return
+    if set(map(type, obj)) <= _NUMBER_TYPES:
+        text = json.dumps(obj)
+        yield text if indent is None else "[" + inner + text[1:-1].replace(", ", sep) + outer + "]"
+        return
+    lead = "[" + inner
+    for item in obj:
+        yield lead
+        lead = sep
+        yield from _json_chunks(item, indent, level + 1)
+    yield outer + "]"
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the text pieces `chunks` to a temporary file next to `path`,
+    then rename it to `path`.  If writing fails, the temporary file is
+    removed and an earlier file at `path` stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    f = open(tmp, "x")
+    try:
+        with f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(obj, path, indent: int | None = None, end: str = "") -> None:
+    """Write `json.dumps(obj, indent=indent) + end`, byte for byte, to the
+    file `path` (atomically, see `write_atomic`) or to an open text stream.
+    The text is streamed, never held whole in memory."""
+    chunks = itertools.chain(_json_chunks(obj, indent, 0), (end,))
+    if hasattr(path, "write"):
+        path.writelines(chunks)
+    else:
+        write_atomic(path, chunks)
 
 
 def _arr(a: np.ndarray | None):
@@ -464,19 +542,44 @@ def _layer_to_json(layer) -> dict:
     }
 
 
-def _layer_from_json(d: dict):
-    g = np.asarray(d["lengths"]["values"], dtype=np.float64)
-    bias = None if d["bias"] is None else np.asarray(d["bias"], dtype=np.float64)
-    mode = NormMode.decode(d["mode"])
-    if isinstance(d["raw"], dict):
+def _lookup(doc, path: str, where: str):
+    """doc[k1][k2] for the path "k1.k2", or a ConfigError naming the key."""
+    for key in path.split("."):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ConfigError(f"{where}missing key {path!r}")
+        doc = doc[key]
+    return doc
+
+
+def _finite(doc, path: str, where: str) -> np.ndarray:
+    value = _lookup(doc, path, where)
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (OverflowError, TypeError, ValueError):
+        raise ConfigError(f"{where}{path} is not an array of numbers") from None
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{where}{path} has a non-finite value")
+    return a
+
+
+def _layer_from_json(d, i: int):
+    where = f"layer {i}: "
+    text = _lookup(d, "mode", where)
+    try:
+        mode = NormMode.decode(text)
+    except (AttributeError, ValueError):
+        raise ConfigError(f"{where}invalid mode {text!r}") from None
+    g = _finite(d, "lengths.values", where)
+    bias = None if _lookup(d, "bias", where) is None else _finite(d, "bias", where)
+    if isinstance(_lookup(d, "raw", where), dict):
         return PairLinear(
-            raw_plus=np.asarray(d["raw"]["plus"], dtype=np.float64),
-            raw_minus=np.asarray(d["raw"]["minus"], dtype=np.float64),
+            raw_plus=_finite(d, "raw.plus", where),
+            raw_minus=_finite(d, "raw.minus", where),
             g=g,
             bias=bias,
             mode=mode,
         )
-    return NormalizedLinear(raw=np.asarray(d["raw"], dtype=np.float64), g=g, bias=bias, mode=mode)
+    return NormalizedLinear(raw=_finite(d, "raw", where), g=g, bias=bias, mode=mode)
 
 
 def network_to_json(net: Network) -> dict:
@@ -497,6 +600,8 @@ def _check_layers(kind: str, activation: str, layers: list) -> None:
     block that is not square), and lengths or biases of the wrong shape."""
     if kind not in ("mlp", "crelu_resnet"):
         raise ConfigError(f"unknown network kind {kind!r}")
+    if activation not in ("relu", "crelu"):
+        raise ConfigError(f"unknown activation {activation!r}")
     if not layers:
         raise ConfigError("model has no layers")
     if kind == "crelu_resnet" and len(layers) < 2:
@@ -526,28 +631,35 @@ def _check_layers(kind: str, activation: str, layers: list) -> None:
 
 
 def network_from_json(doc: dict) -> Network:
-    layers = [_layer_from_json(d) for d in doc["layers"]]
-    _check_layers(doc["kind"], doc["activation"], layers)
+    kind, activation, out_nonlinearity, layer_docs = (
+        _lookup(doc, key, "") for key in ("kind", "activation", "out_nonlinearity", "layers")
+    )
+    if not isinstance(layer_docs, list):
+        raise ConfigError("'layers' is not a list")
+    layers = [_layer_from_json(d, i) for i, d in enumerate(layer_docs)]
+    _check_layers(kind, activation, layers)
+    if out_nonlinearity not in ("identity", "sigmoid"):
+        raise ConfigError(f"unknown output nonlinearity {out_nonlinearity!r}")
     return Network(
-        kind=doc["kind"],
+        kind=kind,
         first=layers[0],
         hidden=layers[1:-1],
         last=layers[-1],
-        activation=doc["activation"],
-        out_nonlinearity=doc["out_nonlinearity"],
+        activation=activation,
+        out_nonlinearity=out_nonlinearity,
         freeze_lengths=doc.get("freeze_lengths", False),
     )
 
 
 def save_network(net: Network, path) -> None:
-    with open(path, "w") as f:
-        json.dump(network_to_json(net), f)
+    write_json(network_to_json(net), path)
 
 
 def load_network(path) -> Network:
-    with open(path) as f:
-        doc = json.load(f)
+    """A network from a `model.json`; a file that is not one raises a
+    one-line ConfigError naming the file."""
     try:
-        return network_from_json(doc)
-    except ConfigError as e:
+        with open(path) as f:
+            return network_from_json(json.load(f))
+    except (ConfigError, json.JSONDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None

@@ -191,9 +191,11 @@ def _row_sum(mats: list) -> np.ndarray:
 
 
 def _row_norms(s: np.ndarray, mode_tag: str) -> np.ndarray:
-    if mode_tag == "l1wn":
-        return s.sum(axis=1)
-    return np.sqrt((s * s).sum(axis=1))
+    # the weight-normalization divisor, for the forward kernel and its VJP
+    n = s.sum(axis=1) if mode_tag == "l1wn" else np.sqrt((s * s).sum(axis=1))
+    if (n == 0.0).any():
+        raise DegenerateInputError("zero direction row under weight normalization")
+    return n
 
 
 def _g_col(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -226,8 +228,6 @@ def _effective(vs: tuple, g: np.ndarray, mode: NormMode) -> list:
         tau = rows_threshold(s)[:, None]
         return [gc * (np.maximum(0.0, np.abs(v) - tau) * np.sign(v + PROJ_EPS)) for v in vs]
     n = _row_norms(s, mode.tag)
-    if (n == 0.0).any():
-        raise DegenerateInputError("zero direction row under weight normalization")
     return [gc * v / n[:, None] for v in vs]
 
 

@@ -46,6 +46,25 @@ class TestTrainCommand:
         assert report["naive_p1"] > 0
         json.loads((out / "model.json").read_text())  # parses
 
+    def test_json_artifacts_in_their_format(self, tmp_path, capsys):
+        # model.json is compact with no newline; every other JSON artifact,
+        # and analyze's report, is indented by 2 and ends in a newline
+        cfg = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["train", "--config", cfg]) == 0
+        out = tmp_path / "run"
+        text = (out / "model.json").read_text()
+        assert text == json.dumps(json.loads(text))
+        for name in ["checkpoint.json", "pathnorm_report.json", "sparsity_report.json",
+                     "config_resolved.json", "dataset_stats.json"]:
+            text = (out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+        capsys.readouterr()
+        assert main(["analyze", str(out / "model.json"), "--out", str(tmp_path / "r.json")]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert (tmp_path / "r.json").read_text() == text
+        assert sorted(p.name for p in out.iterdir() if p.name.startswith(".")) == []
+
     def test_rerun_identical_metrics(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "run"))
         assert main(["train", "--config", cfg]) == 0
@@ -181,9 +200,32 @@ class TestAnalyzeCommand:
         (lambda doc: doc.update(layers=doc["layers"][:1]),
          "a residual net needs a first layer and a final pair"),
         (lambda doc: doc.update(kind="cnn"), "unknown network kind 'cnn'"),
+        (lambda doc: doc.pop("layers"), "missing key 'layers'"),
+        (lambda doc: doc["layers"][0].pop("bias"), "layer 0: missing key 'bias'"),
+        (lambda doc: doc["layers"][1]["raw"].pop("minus"), "layer 1: missing key 'raw.minus'"),
+        (lambda doc: doc["layers"][2]["lengths"].pop("values"),
+         "layer 2: missing key 'lengths.values'"),
+        (lambda doc: doc["layers"][1].update(mode="bogus"), "layer 1: invalid mode 'bogus'"),
+        (lambda doc: doc["layers"][2].update(mode="blend:x"), "layer 2: invalid mode 'blend:x'"),
+        (lambda doc: doc["layers"][0]["raw"][1].__setitem__(2, float("nan")),
+         "layer 0: raw has a non-finite value"),
+        (lambda doc: doc["layers"][1]["raw"]["plus"][0].__setitem__(0, float("inf")),
+         "layer 1: raw.plus has a non-finite value"),
+        (lambda doc: doc["layers"][1]["lengths"].update(values=[float("-inf")]),
+         "layer 1: lengths.values has a non-finite value"),
+        (lambda doc: doc["layers"][2].update(bias=[float("nan")]),
+         "layer 2: bias has a non-finite value"),
+        (lambda doc: doc["layers"][2].update(bias=[10**400]),
+         "layer 2: bias is not an array of numbers"),
+        (lambda doc: doc.update(activation="tanh"), "unknown activation 'tanh'"),
+        (lambda doc: doc.update(out_nonlinearity="softmax"),
+         "unknown output nonlinearity 'softmax'"),
     ], ids=["no_layers", "shapes_do_not_chain", "lengths_shape", "bias_shape", "raw_not_2d",
             "pair_shapes_differ", "block_not_square", "layer_type", "no_final_pair",
-            "unknown_kind"])
+            "unknown_kind", "missing_layers_key", "missing_bias", "missing_pair_minus",
+            "missing_length_values", "unknown_mode", "undecodable_blend", "nan_raw",
+            "inf_raw_plus", "inf_lengths", "nan_bias", "huge_int_bias", "unknown_activation",
+            "unknown_out_nonlinearity"])
     def test_malformed_model_rejected(self, tmp_path, capsys, mutate, reason):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=1, hidden=[4], mode=L1WN)
         model = tmp_path / "m.json"
@@ -193,6 +235,13 @@ class TestAnalyzeCommand:
         model.write_text(json.dumps(doc))
         assert main(["analyze", str(model)]) == 1
         assert capsys.readouterr().err == f"error: {model}: {reason}\n"
+
+    def test_not_json_rejected(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text('{"kind": "mlp", ')
+        assert main(["analyze", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: Expecting") and err.count("\n") == 1
 
 
 class TestEvalCommand:

@@ -1,4 +1,8 @@
+import ast
+import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from psilon.nets import (
     network_to_json,
     predict,
     resnet_effective_parts,
+    write_json,
 )
 from psilon.reparam import L1PROJ, L1WN, L2WN, NONE, blend
 
@@ -292,3 +297,86 @@ class TestSerialization:
             assert set(layer) == {"raw", "lengths", "bias", "mode", "norm_source"}
         assert doc["layers"][1]["norm_source"] == "crelu_max_rows"
         assert doc["layers"][0]["norm_source"] == "self_rows"
+
+
+# every JSON corner the writer must reproduce: non-finite and extreme
+# floats, big ints, literals, empty and nested-empty containers, tuples,
+# strings that need escaping or contain the list separator, mixed lists,
+# float subclasses (numpy scalars)
+JSON_CORPUS = {
+    "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e22, 0.1, -2.5],
+    "ints": [0, -7, 2**64, 10**30],
+    "literals": [True, False, None],
+    "empty": [[], {}, [[]], [{}], {"a": []}, {"b": {}}, ()],
+    "tuple": (1.5, (2, 3), []),
+    "strings": ["", "caf\u00e9 \u2203", "a, b", "[", "]", "\"q\\", "x\ny"],
+    "mixed": [1.0, [2.0, 3.0], "s, t", None, {"k": [4, "u"]}, [[5.0], []]],
+    "float_subclass": [np.float64(0.1), np.float64(-3e-8), 2.0],
+    "rows": [[0.5, -1.25], [3.0, 1e-300], [float("nan"), 2]],
+    "nested": {"d": {"e": {"f": [1, 2, {"g": None}]}}},
+    "caf\u00e9, [key]": "value",
+}
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_bytes_match_json_dumps(self, tmp_path, indent):
+        path = tmp_path / "doc.json"
+        write_json(JSON_CORPUS, path, indent=indent)
+        assert path.read_bytes() == json.dumps(JSON_CORPUS, indent=indent).encode()
+        for value in JSON_CORPUS.values():  # each corner also at the top level
+            write_json(value, path, indent=indent, end="\n")
+            assert path.read_text() == json.dumps(value, indent=indent) + "\n"
+
+    @pytest.mark.parametrize("key", [1, 2.5, True, None, (1, 2)])
+    def test_non_str_keys_rejected(self, key):
+        # json.dumps would convert all but the tuple; psilon writes str keys only
+        stream = io.StringIO()
+        with pytest.raises(TypeError, match="keys must be str"):
+            write_json({"a": 1.0, "b": {key: 0}}, stream, indent=2)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_streams_the_text(self, tmp_path, indent):
+        # about 8 MB of text; the writer holds one innermost list at a time
+        doc = {"rows": make_rng(30).standard_normal((1200, 256)).tolist()}
+        path = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            write_json(doc, path, indent=indent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 6_000_000
+        assert peak < size / 4
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        # a large valid prefix, then a value json cannot encode
+        doc = {"rows": make_rng(31).standard_normal((200, 64)).tolist(),
+               "tail": {"count": np.int64(3)}}
+        new = tmp_path / "new.json"
+        with pytest.raises(TypeError):
+            write_json(doc, new, indent=2)
+        assert not new.exists()
+        old = tmp_path / "old.json"
+        old.write_text("earlier contents")
+        with pytest.raises(TypeError):
+            write_json(doc, old)
+        assert old.read_text() == "earlier contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+    def test_is_the_only_json_writer(self):
+        # every JSON artifact goes through write_json: no module calls
+        # json.dump, and only write_json is passed an indent
+        src = Path(__file__).resolve().parents[1] / "src" / "psilon"
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = ast.unparse(node.func)
+                if callee in ("json.dump", "dump") or (
+                        callee not in ("write_json", "nets.write_json")
+                        and any(k.arg == "indent" for k in node.keywords)):
+                    offenders.append(f"{path.name}:{node.lineno} {callee}")
+        assert offenders == []

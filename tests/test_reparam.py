@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -296,3 +297,20 @@ class TestBlendZero:
             rows_effective(v, np.array([1.0]), blend(0.0))
         with pytest.raises(DegenerateInputError):
             pair_effective(v, np.zeros_like(v), np.ones(3), blend(0.0))
+
+
+class TestZeroRowBackward:
+    @pytest.mark.parametrize("mode", [L1WN, L2WN, blend(0.0)], ids=["l1wn", "l2wn", "blend0"])
+    def test_rejected_like_the_forward_kernel(self, mode):
+        # the VJP divides by the same row norms as the forward kernel, so a
+        # zero direction row raises instead of returning inf/NaN
+        rng = make_rng(14)
+        v = rng.standard_normal((3, 4))
+        v[1] = 0.0
+        u = rng.standard_normal((3, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError):
+                rows_backward(v, np.array([1.0]), mode, u)
+            with pytest.raises(DegenerateInputError):
+                pair_backward(v, np.zeros_like(v), np.ones(3), mode, u, u)
