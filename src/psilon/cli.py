@@ -244,8 +244,8 @@ def cmd_train(args, require_window: bool = False) -> int:
         raise ConfigError("prune requires train.prune_window in the config")
     out = _prepare_out_dir(
         cfg["out_dir"], args.overwrite,
-        ["model.json", "checkpoint.json", "metrics.csv", "metrics.jsonl",
-         "pathnorm_report.json", "config_resolved.json"],
+        ["model.json", "checkpoint.json", "metrics.csv", "metrics.jsonl", "pathnorm_report.json",
+         "sparsity_report.json", "config_resolved.json", "dataset_stats.json"],
     )
     splits = _build_splits(cfg)
     d_in, d_out = _dims_for(cfg, splits)
@@ -283,7 +283,10 @@ def cmd_gridsearch(args) -> int:
     with open(args.config) as f:
         cfg = resolve_config(json.load(f), args)
     lambdas = args.lambdas if args.lambdas else DEFAULT_LAMBDA_GRID
-    out = _prepare_out_dir(cfg["out_dir"], args.overwrite, ["summary.json", "curves.csv"])
+    cell_dirs = [f"lam_{lam:g}" for lam in lambdas]
+    out = _prepare_out_dir(
+        cfg["out_dir"], args.overwrite, ["summary.json", "curves.csv", "config_resolved.json", *cell_dirs]
+    )
     splits = _build_splits(cfg)
     d_in, d_out = _dims_for(cfg, splits)
     net_spec = _build_net_spec(cfg, d_in, d_out)
@@ -292,8 +295,8 @@ def cmd_gridsearch(args) -> int:
 
     best_lam, cells = grid_search(net_spec, splits, plan, lambdas, jobs=args.jobs)
     curves = ["step,lambda,val_loss"]
-    for cell in cells:
-        sub = out / f"lam_{cell.lam:g}"
+    for cell, name in zip(cells, cell_dirs):
+        sub = out / name
         sub.mkdir(exist_ok=True)
         write_atomic(sub / "metrics.csv", [rows_to_csv(cell.rows, include_wall=args.timings)])
         if args.jsonl:

@@ -15,16 +15,21 @@ sup norm on inputs and the L1 norm on outputs:
     enumerated exactly over sign vertices when the width permits;
   * path enumeration and empirical Lipschitz probing as independent
     oracles.
+
+Training and `analyze_network` share one engine: each path bound is one
+chain of nonnegative factor matrices (`_bound_chain`), read for its value and
+gradient by `bound_value_and_grad`.  The formulas are the tests' references.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .linalg import DimensionError, as_matrix, op_inf_norm, op_inf_one_norm
-from .nets import Network, effective_weights, predict, resnet_effective_parts
+from .nets import Network, predict
 from .reparam import row_source
 
 __all__ = [
@@ -35,12 +40,13 @@ __all__ = [
     "path_norm_with_bias",
     "improved_bound_crelu",
     "naive_crelu_path_norm",
-    "collapse_crelu_mlp",
     "psilon_closed_form_mlp",
     "psilon_closed_form_resnet",
     "product_bound",
     "empirical_lipschitz",
     "closed_form_for",
+    "closed_form_g_grads",
+    "bound_value_and_grad",
     "analyze_network",
 ]
 
@@ -151,20 +157,24 @@ def naive_crelu_path_norm(first, blocks, last) -> float:
     return float(np.sum(np.abs(lp) @ a) + np.sum(np.abs(lm) @ a))
 
 
+def _length_factors(g_last, g_interior, residual: bool) -> list[float]:
+    """[||g_K||_1, c_1, ..., c_{K-1}] with c_k = |g_k|, or 1 + |g_k| for the
+    residual blocks (interior layers after the first when `residual`)."""
+    out = [float(np.sum(np.abs(np.asarray(g_last, dtype=np.float64))))]
+    for k, g in enumerate(g_interior):
+        c = abs(float(g))
+        out.append(1.0 + c if residual and k > 0 else c)
+    return out
+
+
 def psilon_closed_form_mlp(g_interior, g_last) -> float:
     """||g_K||_1 * prod |g_k| for shared-length row-L1-sphere layers."""
-    val = float(np.sum(np.abs(np.asarray(g_last, dtype=np.float64))))
-    for g in g_interior:
-        val *= abs(float(g))
-    return val
+    return math.prod(_length_factors(g_last, g_interior, residual=False))
 
 
 def psilon_closed_form_resnet(g1, g_interior, g_last) -> float:
     """||g_K||_1 * |g_1| * prod (1 + |g_k|) for shared-length residual nets."""
-    val = float(np.sum(np.abs(np.asarray(g_last, dtype=np.float64)))) * abs(float(g1))
-    for g in g_interior:
-        val *= 1.0 + abs(float(g))
-    return val
+    return math.prod(_length_factors(g_last, [g1, *g_interior], residual=True))
 
 
 def product_bound(weights, exact_dim_limit: int = 16) -> tuple[float, bool]:
@@ -232,54 +242,106 @@ class PathNormReport:
         return asdict(self)
 
 
-def collapse_crelu_mlp(ws: list[np.ndarray]) -> list[np.ndarray]:
-    """A CReLU MLP's effective matrices with the plus/minus feature copies
-    folded into one nonnegative matrix per hidden layer (|left half| +
-    |right half|); the first matrix is returned as is."""
-    out = [ws[0]]
-    for w in ws[1:]:
-        h = w.shape[1] // 2
-        out.append(np.abs(w[:, :h]) + np.abs(w[:, h:]))
-    return out
-
-
-def mlp_path_matrices(net: Network) -> list[np.ndarray]:
-    """Effective matrices arranged so `path_norm_mlp` counts the unrolled
-    network's paths (CReLU activation copies folded in)."""
-    ws = effective_weights(net)
-    if net.kind != "mlp":
-        raise ValueError("mlp_path_matrices expects an MLP")
-    return collapse_crelu_mlp(ws) if net.activation == "crelu" else ws
-
-
-def resnet_naive_matrices(net: Network) -> list[np.ndarray]:
-    """Nonnegative per-layer matrices of the unrolled residual net with
-    skip, weight, and activation-copy paths all distinct.  Chained through
-    `path_norm_mlp`/`path_norm_enumerate` they reproduce the naive bound;
-    through `product_bound` they give a valid operator product for the
-    same path family."""
-    first, pairs, (lp, lm) = resnet_effective_parts(net)
-    d = first.shape[0]
-    mats = [first]
-    for wp, wm in pairs:
-        mats.append(2.0 * np.eye(d) + np.abs(wp) + np.abs(wm))
-    mats.append(np.abs(lp) + np.abs(lm))
-    return mats
-
-
-def closed_form_for(net: Network) -> float | None:
-    """Length-product value when the architecture satisfies the
-    shared-length + row-sphere constraints, else None."""
+def _net_length_factors(net: Network) -> list[float] | None:
+    # None unless every layer is row-L1 and interior lengths are shared
     if any(layer.mode.tag not in ("l1wn", "l1proj", "blend") for layer in net.layers()):
         return None
     interior = net.layers()[:-1]
     if any(layer.g.shape != (1,) for layer in interior):
         return None
-    if net.kind == "mlp":
-        return psilon_closed_form_mlp([layer.g[0] for layer in interior], net.last.g)
-    return psilon_closed_form_resnet(
-        net.first.g[0], [b.g[0] for b in net.hidden], net.last.g
+    return _length_factors(
+        net.last.g, [layer.g[0] for layer in interior], residual=net.kind == "crelu_resnet"
     )
+
+
+def closed_form_for(net: Network) -> float | None:
+    """Length-product value when the architecture satisfies the
+    shared-length + row-sphere constraints, else None."""
+    factors = _net_length_factors(net)
+    return None if factors is None else math.prod(factors)
+
+
+def closed_form_g_grads(net: Network) -> dict[str, np.ndarray]:
+    """dR/dg per layer for the closed form (it depends on lengths only): the
+    product with that layer's factor taken as 1, times the sign of its lengths."""
+    factors = _net_length_factors(net)
+    if factors is None:
+        raise ValueError("the network has no closed-form bound")
+    layers = net.layers()
+    # factor 0 belongs to the last layer, factor k to layer k - 1; math.prod
+    # multiplies left to right, so a factor taken as 1 keeps the others' order
+    layer_of = [len(layers) - 1, *range(len(layers) - 1)]
+    return {
+        f"layer{i}.g": np.sign(layers[i].g) * math.prod([*factors[:k], 1.0, *factors[k + 1 :]])
+        for k, i in enumerate(layer_of)
+    }
+
+
+def _signs(e, owners=None) -> tuple:
+    # sign(W) of each matrix of a layer, zeroed where W does not own the max
+    ws = e if isinstance(e, tuple) else (e,)
+    if owners is None:
+        return tuple(np.sign(w) for w in ws)
+    return tuple(np.where(o, np.sign(w), 0.0) for w, o in zip(ws, owners))
+
+
+def _bound_chain(net: Network, kind: str, effs: list):
+    """The nonnegative factor matrices A_k of a path bound, one per layer,
+    whose value 1^T A_K ... A_1 1 is the bound, and per layer a tuple with
+    the elementwise derivative of A_k with respect to each of the layer's
+    effective weights `effs` (laid out as in `forward`'s trace):
+
+      * MLP: A_k = |W_k|, derivative sign(W_k).  A CReLU layer after the
+        first reads both activation copies: A_k = |W_k[:, :h]| + |W_k[:, h:]|.
+      * ResNet `path_naive`: |W_1|, 2I + |W+| + |W-| per block (skip and
+        both copies counted apart), |W+_K| + |W-_K|; derivatives sign(W).
+      * ResNet `path_improved`: |W_1|, I + max(|W+|, |W-|) per block and
+        max(|W+_K|, |W-_K|); derivatives sign(W) where W owns the max
+        (`row_source`), else 0.
+    The derivatives are a generator, computed as they are read;
+    `analyze_network` reads the matrices only.
+    """
+    first = effs[0]
+    mats, owners = [np.abs(first)], [None] * len(effs)
+    if net.kind == "mlp":
+        crelu = net.activation == "crelu"
+        for w in effs[1:]:
+            h = w.shape[1] // 2
+            mats.append(np.abs(w[:, :h]) + np.abs(w[:, h:]) if crelu else np.abs(w))
+    elif kind == "path_naive":
+        mats += [2.0 * np.eye(first.shape[0]) + np.abs(wp) + np.abs(wm) for wp, wm in effs[1:-1]]
+        mats.append(np.abs(effs[-1][0]) + np.abs(effs[-1][1]))
+    else:
+        sources = [row_source(pair) for pair in effs[1:]]
+        mats += [np.eye(first.shape[0]) + s for s, _ in sources[:-1]]
+        mats.append(sources[-1][0])
+        owners[1:] = [o for _, o in sources]
+    return mats, (_signs(e, o) for e, o in zip(effs, owners))
+
+
+def bound_value_and_grad(net: Network, kind: str, effs: list) -> tuple[float, list]:
+    """A path bound (`path_naive`, or `path_improved` for a CReLU ResNet)
+    and its gradient with respect to each layer's effective weights, in the
+    layout of `effs` (see `_bound_chain`).
+
+    One right-to-left pass gives a_k = A_k ... A_1 1 and one left-to-right
+    pass b_k = A_{k+1}^T ... A_K^T 1; then dR/dA_k = b_k a_{k-1}^T.
+    """
+    mats, derivs = _bound_chain(net, kind, effs)
+    a = [np.ones(mats[0].shape[1])]
+    for m in mats:
+        a.append(m @ a[-1])
+    b = [np.ones(mats[-1].shape[0])]
+    for m in reversed(mats[1:]):
+        b.append(m.T @ b[-1])
+    b.reverse()
+    grads = []
+    for k, ds in enumerate(derivs):
+        # a CReLU MLP layer reads each unit twice, once per activation copy
+        outer = np.outer(b[k], np.tile(a[k], ds[0].shape[1] // a[k].size))
+        gs = tuple(dk * outer for dk in ds)
+        grads.append(gs if isinstance(effs[k], tuple) else gs[0])
+    return float(np.sum(a[-1])), grads
 
 
 def analyze_network(
@@ -294,22 +356,22 @@ def analyze_network(
     """All applicable bounds for a network, plus any warnings raised along
     the way (oracle guard trips produce a null oracle field, not a failure)."""
     warnings: list[str] = []
-    if net.kind == "mlp":
-        path_ws = mlp_path_matrices(net)
-        naive = path_norm_mlp(path_ws)
-        improved = None
-        prod, exact = product_bound(path_ws, exact_dim_limit)
-    else:
-        first, pairs, last = resnet_effective_parts(net)
-        naive = naive_crelu_path_norm(first, pairs, last)
-        improved = improved_bound_crelu(first, pairs, last)
-        path_ws = resnet_naive_matrices(net)
-        prod, exact = product_bound(path_ws, exact_dim_limit)
+    effs = [layer.effective() for layer in net.layers()]
+    mats = _bound_chain(net, "path_naive", effs)[0]
+    naive = path_norm_mlp(mats)
+    improved = None
+    final = mats[-1]
+    if net.kind == "crelu_resnet":
+        improved = path_norm_mlp(_bound_chain(net, "path_improved", effs)[0])
+    elif net.activation == "relu" or len(effs) == 1:
+        # the (inf,1) factor of an output map with no CReLU collapse keeps its signs
+        final = effs[-1]
+    prod, exact = product_bound([*mats[:-1], final], exact_dim_limit)
 
     oracle_val = None
     if oracle:
         try:
-            oracle_val = path_norm_enumerate(path_ws, max_paths=oracle_guard)
+            oracle_val = path_norm_enumerate(mats, max_paths=oracle_guard)
         except PathBudgetError as e:
             warnings.append(f"path enumeration skipped: {e}")
 

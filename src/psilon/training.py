@@ -7,7 +7,9 @@ metrics log is reproducible byte for byte.  Wall-clock timings are kept in
 the in-memory rows but stay out of the CSV unless explicitly requested, so
 rerunning a config reproduces identical files.
 
-A training step materializes each layer's effective weights once: the
+Bounds and their gradients come from `pathnorm.bound_value_and_grad` (the
+path bounds) and `pathnorm.closed_form_g_grads` (the length products).  A
+training step materializes each layer's effective weights once: the
 regularizer's value and its weight gradient reuse the matrices that
 `forward` keeps in its trace.  Before the pruning window every layer runs
 blend(0), which the reparameterization computes with the L1WN kernel alone.
@@ -23,13 +25,7 @@ import numpy as np
 from .data import Dataset
 from .metrics import network_sparsity
 from .nets import ConfigError, NetSpec, Network, backward, forward, init_network, sigmoid
-from .pathnorm import (
-    closed_form_for,
-    collapse_crelu_mlp,
-    improved_bound_crelu,
-    naive_crelu_path_norm,
-    path_norm_mlp,
-)
+from .pathnorm import bound_value_and_grad, closed_form_for, closed_form_g_grads
 from .reparam import blend, row_source, rows_threshold
 
 __all__ = [
@@ -259,117 +255,11 @@ def reg_value(net: Network, reg: Regularizer, effs: list | None = None) -> float
     if reg.kind == "l2wr":
         flat = [w for e in effs for w in (e if isinstance(e, tuple) else (e,))]
         return float(sum(np.sum(w * w) for w in flat))
-    if reg.kind == "path_naive":
-        if net.kind == "mlp":
-            return path_norm_mlp(collapse_crelu_mlp(effs) if net.activation == "crelu" else effs)
-        return naive_crelu_path_norm(*_resnet_parts(net, effs))
-    return improved_bound_crelu(*_resnet_parts(net, effs))
+    return bound_value_and_grad(net, reg.kind, effs)[0]
 
 
-def _resnet_parts(net: Network, effs: list):
-    # (first, [(W+, W-) per block], (W+_K, W-_K)) as the bounds take them
-    if net.kind != "crelu_resnet":
-        raise ValueError("not a residual network")
-    return effs[0], effs[1:-1], effs[-1]
-
-
-def _chain_partials(mats: list[np.ndarray]):
-    """For P = 1^T A_K ... A_1 1 over nonnegative matrices, return the
-    right partial vectors a_k and left partial vectors b_k with
-    dP/dA_k = b_k a_{k-1}^T."""
-    a = [np.ones(mats[0].shape[1])]
-    for m in mats:
-        a.append(m @ a[-1])
-    b = [np.ones(mats[-1].shape[0])]
-    for m in reversed(mats[1:]):
-        b.append(m.T @ b[-1])
-    b.reverse()
-    return a, b
-
-
-def _path_reg_weight_grads(net: Network, kind: str, effs: list) -> dict[int, object]:
-    """dR/d(effective weight) per layer index for the path-norm bounds, from
-    the per-layer effective weights `effs` (see `reg_value`)."""
-    out: dict[int, object] = {}
-    if net.kind == "mlp":
-        crelu = net.activation == "crelu"
-        mats = [np.abs(m) for m in (collapse_crelu_mlp(effs) if crelu else effs)]
-        a, b = _chain_partials(mats)
-        for i, w in enumerate(effs):
-            outer = np.outer(b[i], a[i])
-            # CReLU hidden layers see duplicated features; both copies share
-            # the same collapsed partials
-            out[i] = np.sign(w) * (np.hstack([outer, outer]) if crelu and i > 0 else outer)
-        return out
-
-    first, pairs, (lp, lm) = _resnet_parts(net, effs)
-    if kind == "path_naive":
-        d = first.shape[0]
-        mats = [np.abs(first)]
-        mats += [2.0 * np.eye(d) + np.abs(wp) + np.abs(wm) for wp, wm in pairs]
-        mats.append(np.abs(lp) + np.abs(lm))
-        a, b = _chain_partials(mats)
-        out[0] = np.sign(first) * np.outer(b[0], a[0])
-        for i, (wp, wm) in enumerate(pairs):
-            outer = np.outer(b[i + 1], a[i + 1])
-            out[i + 1] = (np.sign(wp) * outer, np.sign(wm) * outer)
-        outer = np.outer(b[-1], a[-2])
-        out[len(mats) - 1] = (np.sign(lp) * outer, np.sign(lm) * outer)
-        return out
-
-    # improved bound: factors (I + max(|W+|, |W-|)), gradient to the owner
-    d = first.shape[0]
-    pairs = [*pairs, (lp, lm)]
-    sources = [row_source(pair) for pair in pairs]
-    mats = [np.abs(first), *(np.eye(d) + s for s, _ in sources[:-1]), sources[-1][0]]
-    a, b = _chain_partials(mats)
-    out[0] = np.sign(first) * np.outer(b[0], a[0])
-    for i, (pair, (_, owners)) in enumerate(zip(pairs, sources), start=1):
-        outer = np.outer(b[i], a[i])
-        out[i] = tuple(np.where(o, np.sign(w), 0.0) * outer for w, o in zip(pair, owners))
-    return out
-
-
-def _l2wr_weight_grads(effs: list) -> dict[int, object]:
-    return {
-        i: tuple(2.0 * w for w in e) if isinstance(e, tuple) else 2.0 * e
-        for i, e in enumerate(effs)
-    }
-
-
-def _closed_form_g_grads(net: Network) -> dict[str, np.ndarray]:
-    """dR/dg for the length-product bounds (they depend on lengths only)."""
-    layers = net.layers()
-    n_last = len(layers) - 1
-    g_last = net.last.g
-    out: dict[str, np.ndarray] = {}
-    if net.kind == "mlp":
-        interior = [float(l.g[0]) for l in layers[:-1]]
-        norm_last = float(np.sum(np.abs(g_last)))
-        for k in range(len(interior)):
-            prod = norm_last
-            for j, gj in enumerate(interior):
-                prod *= abs(gj) if j != k else 1.0
-            out[f"layer{k}.g"] = np.array([np.sign(interior[k]) * prod])
-        prod_int = 1.0
-        for gj in interior:
-            prod_int *= abs(gj)
-        out[f"layer{n_last}.g"] = np.sign(g_last) * prod_int
-        return out
-    g1 = float(net.first.g[0])
-    gb = [float(b.g[0]) for b in net.hidden]
-    norm_last = float(np.sum(np.abs(g_last)))
-    prod_blocks = 1.0
-    for g in gb:
-        prod_blocks *= 1.0 + abs(g)
-    out["layer0.g"] = np.array([np.sign(g1) * norm_last * prod_blocks])
-    for k, g in enumerate(gb):
-        prod = norm_last * abs(g1)
-        for j, gj in enumerate(gb):
-            prod *= (1.0 + abs(gj)) if j != k else 1.0
-        out[f"layer{k + 1}.g"] = np.array([np.sign(g) * prod])
-    out[f"layer{n_last}.g"] = np.sign(g_last) * abs(g1) * prod_blocks
-    return out
+def _l2wr_weight_grads(effs: list) -> list:
+    return [tuple(2.0 * w for w in e) if isinstance(e, tuple) else 2.0 * e for e in effs]
 
 
 def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
@@ -386,24 +276,20 @@ def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
     rval = 0.0
     if reg.kind != "none" and reg.lam > 0.0:
         # the bound and its gradient use the weights forward materialized
-        rval = reg_value(net, reg, trace.effs)
-        if reg.kind == "l2wr":
-            wgrads = _l2wr_weight_grads(trace.effs)
-        elif reg.kind in ("path_naive", "path_improved"):
-            wgrads = _path_reg_weight_grads(net, reg.kind, trace.effs)
+        if reg.kind == "path_closed_form":
+            rval, wgrads = closed_form_for(net), []
+        elif reg.kind == "l2wr":
+            rval, wgrads = reg_value(net, reg, trace.effs), _l2wr_weight_grads(trace.effs)
         else:
-            wgrads = {}
-        if wgrads:
-            extra = {}
-            for i, gw in wgrads.items():
-                if isinstance(gw, tuple):
-                    extra[i] = (reg.lam * gw[0], reg.lam * gw[1])
-                else:
-                    extra[i] = reg.lam * gw
+            rval, wgrads = bound_value_and_grad(net, reg.kind, trace.effs)
+        extra = {
+            i: (reg.lam * gw[0], reg.lam * gw[1]) if isinstance(gw, tuple) else reg.lam * gw
+            for i, gw in enumerate(wgrads)
+        }
 
     grads = backward(net, trace, dlogits, extra=extra)
     if reg.kind == "path_closed_form" and reg.lam > 0.0 and not net.freeze_lengths:
-        for key, gg in _closed_form_g_grads(net).items():
+        for key, gg in closed_form_g_grads(net).items():
             grads[key] = grads[key] + reg.lam * gg
     return dval + reg.lam * rval, grads
 

@@ -78,6 +78,26 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg]) == 1
         assert "overwrite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,name", [
+        ("train", "dataset_stats.json"),
+        ("train", "sparsity_report.json"),
+        ("prune", "dataset_stats.json"),
+        ("prune", "sparsity_report.json"),
+        ("gridsearch", "config_resolved.json"),
+        ("gridsearch", "lam_0.001/model.json"),
+    ])
+    def test_refuses_to_clobber_any_artifact(self, tmp_path, capsys, command, name):
+        cfg = write_config(tmp_path, base_config(tmp_path / "run", steps=20, prune_window=[10, 20]))
+        target = tmp_path / "run" / name
+        target.parent.mkdir(parents=True)
+        target.write_bytes(b"hand-written\n")
+        argv = [command, "--config", cfg, *(["--lambdas", "0.001"] if command == "gridsearch" else [])]
+        assert main(argv) == 1
+        assert f"({name.split('/')[0]})" in capsys.readouterr().err
+        assert target.read_bytes() == b"hand-written\n"
+        assert main([*argv, "--overwrite"]) == 0
+        assert target.read_bytes() != b"hand-written\n"
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         doc = base_config(tmp_path / "run")
         doc["modle"] = {}

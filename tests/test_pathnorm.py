@@ -5,7 +5,11 @@ from psilon.linalg import DimensionError, make_rng, op_inf_one_norm
 from psilon.nets import NetSpec, init_network, predict
 from psilon.pathnorm import (
     PathBudgetError,
+    _bound_chain,
     analyze_network,
+    bound_value_and_grad,
+    closed_form_for,
+    closed_form_g_grads,
     empirical_lipschitz,
     improved_bound_crelu,
     naive_crelu_path_norm,
@@ -15,7 +19,6 @@ from psilon.pathnorm import (
     product_bound,
     psilon_closed_form_mlp,
     psilon_closed_form_resnet,
-    resnet_naive_matrices,
 )
 from psilon.reparam import L1WN, NONE
 from psilon.nets import effective_weights, resnet_effective_parts
@@ -372,7 +375,65 @@ class TestAnalyzeNetwork:
         spec = NetSpec(kind="crelu_resnet", d_in=2, d_out=1, hidden=[3], mode=NONE)
         net = init_network(spec, make_rng(24))
         _jitter(net, make_rng(25), 0.4)
-        mats = resnet_naive_matrices(net)
+        mats, _ = _bound_chain(net, "path_naive", [layer.effective() for layer in net.layers()])
         assert path_norm_enumerate(mats) == pytest.approx(
             naive_crelu_path_norm(*resnet_effective_parts(net)), rel=1e-10
         )
+
+
+class TestBoundEngine:
+    # the engine's chains against the formula-level references
+
+    def test_mlp_value_is_the_path_norm(self):
+        rng = make_rng(26)
+        for trial in range(20):
+            activation = "crelu" if trial % 2 else "relu"
+            hidden = [int(rng.integers(2, 6)) for _ in range(trial % 3)]
+            spec = NetSpec(kind="mlp", d_in=3, d_out=2, hidden=hidden, activation=activation, mode=L1WN)
+            net = init_network(spec, rng)
+            _jitter(net, rng)
+            ws = effective_weights(net)
+            if activation == "crelu":
+                # fold the plus/minus feature copies each later layer reads
+                ws = [ws[0], *(np.abs(w[:, : w.shape[1] // 2]) + np.abs(w[:, w.shape[1] // 2 :])
+                               for w in ws[1:])]
+            effs = [layer.effective() for layer in net.layers()]
+            assert bound_value_and_grad(net, "path_naive", effs)[0] == path_norm_mlp(ws)
+
+    def test_resnet_values_match_the_formulas(self):
+        rng = make_rng(27)
+        for trial in range(20):
+            spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=int(rng.integers(1, 4)),
+                           hidden=[4] * (1 + trial % 3), mode=L1WN)
+            net = init_network(spec, rng)
+            _jitter(net, rng)
+            effs = [layer.effective() for layer in net.layers()]
+            parts = resnet_effective_parts(net)
+            for kind, formula in [("path_naive", naive_crelu_path_norm),
+                                  ("path_improved", improved_bound_crelu)]:
+                got = bound_value_and_grad(net, kind, effs)[0]
+                assert got == pytest.approx(formula(*parts), rel=1e-12, abs=0.0), kind
+
+    def test_closed_form_fold(self):
+        rng = make_rng(28)
+        for kind in ["mlp", "crelu_resnet"] * 10:
+            spec = NetSpec(kind=kind, d_in=3, d_out=2, hidden=[4] * int(rng.integers(1, 4)), mode=L1WN)
+            net = init_network(spec, rng)
+            _jitter(net, rng)
+            layers = net.layers()
+            gs = [layer.g[0] for layer in layers[:-1]]
+            if kind == "mlp":
+                want = psilon_closed_form_mlp(gs, net.last.g)
+                factors = [abs(g) for g in gs]
+            else:
+                want = psilon_closed_form_resnet(gs[0], gs[1:], net.last.g)
+                factors = [abs(gs[0]), *(1.0 + abs(g) for g in gs[1:])]
+            assert closed_form_for(net) == want
+            grads = closed_form_g_grads(net)
+            assert sorted(grads) == sorted(f"layer{i}.g" for i in range(len(layers)))
+            for i in range(len(factors)):
+                rest = np.sum(np.abs(net.last.g)) * np.prod(factors[:i] + factors[i + 1:])
+                assert grads[f"layer{i}.g"] == pytest.approx(np.sign(gs[i]) * rest, rel=1e-14)
+            assert grads[f"layer{len(layers) - 1}.g"] == pytest.approx(
+                np.sign(net.last.g) * np.prod(factors), rel=1e-14
+            )

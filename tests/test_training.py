@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import psilon.nets
+import psilon.pathnorm
+import psilon.training
 from psilon.data import SplitSpec, apply_stats, split, standardize, synth_task
 from psilon.linalg import make_rng
 from psilon.metrics import network_sparsity
 from psilon.nets import NetSpec, PairLinear, backward, forward, init_network
+from psilon.pathnorm import bound_value_and_grad
 from psilon.reparam import L1WN, NONE, rows_threshold
 from psilon.training import (
     DEFAULT_LAMBDA_GRID,
@@ -28,7 +31,7 @@ from psilon.training import (
     rows_to_csv,
     train,
 )
-from psilon.training import _l2wr_weight_grads, _loss_and_grad, _path_reg_weight_grads
+from psilon.training import _l2wr_weight_grads, _loss_and_grad
 
 
 def make_splits(kind="two_gaussians", n=300, d=4, noise=0.4, seed=0, train_n=200):
@@ -162,9 +165,13 @@ class TestRegularizedLoss:
     def test_total_objective_matches_finite_differences(self):
         # the whole thing: data loss + bound, through every reparameterization
         splits = make_splits(n=40, train_n=20)
+        # hidden=[3, 3] gives a ResNet two blocks, where the closed form's
+        # length gradients depend on the order of the fold
         for kind, activation, regk in [("mlp", "relu", "path_naive"),
                                        ("mlp", "crelu", "path_naive"),
-                                       ("crelu_resnet", "crelu", "path_improved")]:
+                                       ("crelu_resnet", "crelu", "path_improved"),
+                                       ("crelu_resnet", "crelu", "path_naive"),
+                                       ("crelu_resnet", "crelu", "path_closed_form")]:
             spec = NetSpec(kind=kind, d_in=4, d_out=1, hidden=[3, 3], activation=activation,
                            mode=L1WN)
             net = init_network(spec, make_rng(7))
@@ -212,23 +219,26 @@ class TestRegularizedLoss:
         ref_loss = data_loss(net, splits.train, plan.loss) + reg.lam * reg_value(net, reg)
         fresh = [layer.effective() for layer in net.layers()]
         wgrads = (_l2wr_weight_grads(fresh) if regk == "l2wr"
-                  else _path_reg_weight_grads(net, regk, fresh))
+                  else bound_value_and_grad(net, regk, fresh)[1])
         extra = {i: tuple(reg.lam * w for w in gw) if isinstance(gw, tuple) else reg.lam * gw
-                 for i, gw in wgrads.items()}
+                 for i, gw in enumerate(wgrads)}
         logits, trace = forward(net, splits.train.features)
         ref_grads = backward(net, trace, _loss_and_grad(logits, splits.train, plan.loss)[1], extra)
 
-        calls = {"rows_effective": 0, "pair_effective": 0}
-        for name in calls:
-            def counting(*args, _name=name, _kernel=getattr(psilon.nets, name)):
+        # the improved bound's value and gradient share one row_source per pair
+        calls = {"rows_effective": 0, "pair_effective": 0, "row_source": 0}
+        for module, name in [(psilon.nets, "rows_effective"), (psilon.nets, "pair_effective"),
+                             (psilon.pathnorm, "row_source"), (psilon.training, "row_source")]:
+            def counting(*args, _name=name, _kernel=getattr(module, name)):
                 calls[_name] += 1
                 return _kernel(*args)
-            monkeypatch.setattr(psilon.nets, name, counting)
+            monkeypatch.setattr(module, name, counting)
         loss, grads = regularized_loss(net, splits.train, plan)
         monkeypatch.undo()
 
         n_pairs = sum(isinstance(layer, PairLinear) for layer in net.layers())
-        assert calls == {"rows_effective": len(net.layers()) - n_pairs, "pair_effective": n_pairs}
+        assert calls == {"rows_effective": len(net.layers()) - n_pairs, "pair_effective": n_pairs,
+                         "row_source": n_pairs if regk == "path_improved" else 0}
         assert np.array_equal(loss, ref_loss)
         assert grads.keys() == ref_grads.keys()
         for name in grads:
