@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -318,6 +319,14 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    for flag, value, ok, need in [
+        ("--box", args.box, math.isfinite(args.box) and args.box > 0, "a finite number > 0"),
+        ("--pairs", args.pairs, args.pairs >= 0, ">= 0"),
+        ("--seed", args.seed, args.seed >= 0, ">= 0"),
+        ("--oracle-guard", args.oracle_guard, args.oracle_guard >= 1, ">= 1"),
+    ]:
+        if not ok:
+            raise ConfigError(f"{flag} must be {need}, got {value}")
     net = load_network(args.model)
     report, warnings = analyze_network(
         net,

@@ -7,8 +7,6 @@ float32 would eat the tolerances.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 __all__ = [
@@ -58,6 +56,9 @@ def op_inf_norm(w: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(w), axis=1)))
 
 
+_VERTEX_ELEMENTS = 1 << 16  # elements per temporary in op_inf_one_norm
+
+
 def op_inf_one_norm(w: np.ndarray, exact_dim_limit: int = 16) -> tuple[float, bool]:
     """sup over ||t||_inf <= 1 of ||W t||_1.
 
@@ -66,18 +67,31 @@ def op_inf_one_norm(w: np.ndarray, exact_dim_limit: int = 16) -> tuple[float, bo
     is exact.  Beyond that the problem is NP-hard in general and we fall
     back to the entrywise absolute sum, a valid upper bound; the second
     return value flags which path was taken.
+
+    Vertices come in `itertools.product((-1, 1), ...)` order, in chunks: the
+    top bits of a vertex index fix the signs of the first columns, and a
+    chunk holds every vertex sharing them.  Each W t is summed column by
+    column in column order, whatever the BLAS, and no temporary holds more
+    than `_VERTEX_ELEMENTS` elements unless W has more rows than that.
     """
     w = as_matrix(w)
-    n_cols = w.shape[1]
+    n_rows, n_cols = w.shape
     if n_cols == 0 or w.size == 0:
         return 0.0, True
     if n_cols > exact_dim_limit:
         return float(np.sum(np.abs(w))), False
+    # the last `low` columns' signs vary inside a chunk of 2^low vertices
+    low = min(n_cols, max(0, (_VERTEX_ELEMENTS // n_rows).bit_length() - 1))
+    high = n_cols - low
     best = 0.0
-    for signs in itertools.product((-1.0, 1.0), repeat=n_cols):
-        val = float(np.sum(np.abs(w @ np.array(signs))))
-        if val > best:
-            best = val
+    for top in range(1 << high):
+        wt = np.zeros((1, n_rows))
+        for col in range(high):
+            wt = wt + w[:, col] if top >> (high - 1 - col) & 1 else wt - w[:, col]
+        for col in range(high, n_cols):
+            # each vertex splits in two, sign -1 first
+            wt = np.stack([wt - w[:, col], wt + w[:, col]], axis=1).reshape(-1, n_rows)
+        best = max(best, float(np.max(np.sum(np.abs(wt), axis=1))))
     return best, True
 
 

@@ -23,6 +23,7 @@ gradient by `bound_value_and_grad`.  The formulas are the tests' references.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -76,30 +77,47 @@ def path_norm_mlp(weights) -> float:
     return float(np.sum(a))
 
 
+_SUFFIX_PATHS = 1 << 16  # paths formed per numpy chunk by path_norm_enumerate
+
+
 def path_norm_enumerate(weights, max_paths: int = 10_000_000) -> float:
-    """Path norm by its definition: walk every input-to-output path and sum
-    the absolute products of traversed weights.  Exponential; guarded."""
+    """Path norm by its definition: form every input-to-output path's
+    product of traversed weights and sum their absolute values.
+    Exponential; guarded.
+
+    Each path's product is multiplied factor by factor in path order, and
+    the absolute products are added one at a time in lexicographic path
+    order (start column, then the row in each layer), so the result is
+    bit for bit that of a path-by-path walk.  Path prefixes are walked in
+    Python until the remaining suffix has at most `_SUFFIX_PATHS` paths;
+    each suffix is one numpy chunk.
+    """
     ws = _check_chain(weights)
     n_paths = ws[0].shape[1]
     for w in ws:
         n_paths *= w.shape[0]
         if n_paths > max_paths:
             raise PathBudgetError(f"path count exceeds guard ({max_paths})")
+    if n_paths == 0:
+        return 0.0
 
+    rows = [w.shape[0] for w in ws]
+    split = 0  # layers before `split` are walked one row at a time
+    while split < len(ws) - 1 and math.prod(rows[split:]) > _SUFFIX_PATHS:
+        split += 1
     total = 0.0
-
-    def walk(k: int, node: int, prod: float) -> None:
-        nonlocal total
-        if k == len(ws):
-            total += abs(prod)
-            return
-        w = ws[k]
-        for nxt in range(w.shape[0]):
-            walk(k + 1, nxt, prod * w[nxt, node])
-
     for start in range(ws[0].shape[1]):
-        walk(0, start, 1.0)
-    return total
+        for prefix in itertools.product(*map(range, rows[:split])):
+            node, prod = start, 1.0
+            for w, nxt in zip(ws, prefix):
+                node, prod = nxt, prod * w[nxt, node]
+            paths = prod * ws[split][:, node]
+            for w in ws[split + 1 :]:
+                paths = paths[..., None] * w.T
+            terms = np.abs(paths).ravel()
+            terms[0] += total
+            total = np.add.accumulate(terms)[-1]
+    return float(total)
 
 
 def path_norm_with_bias(weights, biases) -> float:

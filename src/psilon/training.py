@@ -17,6 +17,7 @@ blend(0), which the reparameterization computes with the L1WN kernel alone.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -136,8 +137,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("none", "l2wr", "path_closed_form", "path_naive", "path_improved"):
             raise ConfigError(f"unknown regularizer {self.kind!r}")
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError("lambda must be a finite number >= 0")
 
 
 @dataclass
@@ -449,13 +450,12 @@ class GridCell:
 
 
 def _run_cell(args) -> GridCell:
-    net_spec, splits, plan, lam = args
+    net_spec, splits, plan = args
     net = init_network(net_spec, np.random.default_rng(plan.seed))
-    cell_plan = replace(plan, regularizer=replace(plan.regularizer, lam=lam))
-    net, rows = train(net, splits, cell_plan)
+    net, rows = train(net, splits, plan)
     vals = [r.val_loss for r in rows]
     return GridCell(
-        lam=lam,
+        lam=plan.regularizer.lam,
         final_val_loss=vals[-1] if vals else float("nan"),
         best_val_loss=min(vals) if vals else float("nan"),
         rows=rows,
@@ -476,7 +476,11 @@ def grid_search(
     lams = list(DEFAULT_LAMBDA_GRID if lambdas is None else lambdas)
     if not lams:
         raise ConfigError("need at least one lambda")
-    tasks = [(net_spec, splits, plan, lam) for lam in lams]
+    # each cell's Regularizer checks its lambda here, before any cell trains
+    tasks = [
+        (net_spec, splits, replace(plan, regularizer=replace(plan.regularizer, lam=lam)))
+        for lam in lams
+    ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -143,6 +143,22 @@ class TestTrainCommand:
         assert (tmp_path / "run" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--lam", "nan"],
+    ["train", "--lam", "inf"],
+    ["gridsearch", "--lambdas", "1e-3", "nan"],
+    ["gridsearch", "--lambdas", "inf"],
+], ids=["train_nan", "train_inf", "grid_nan", "grid_inf"])
+def test_non_finite_lambda_rejected(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, base_config(tmp_path / "run"))
+    command, *flags = argv
+    assert main([command, "--config", cfg, *flags]) == 1
+    assert capsys.readouterr().err == "error: lambda must be a finite number >= 0\n"
+    # nothing trained: no grid cell and no training artifact was written
+    assert not (tmp_path / "run" / "lam_0.001").exists()
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 class TestGridsearchCommand:
     def test_two_lambda_grid(self, tmp_path):
         doc = base_config(tmp_path / "grid", steps=40)
@@ -255,6 +271,19 @@ class TestAnalyzeCommand:
         model.write_text(json.dumps(doc))
         assert main(["analyze", str(model)]) == 1
         assert capsys.readouterr().err == f"error: {model}: {reason}\n"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--box", "nan"), ("--box", "inf"), ("--box", "-1"), ("--box", "0"),
+        ("--pairs", "-1"), ("--seed", "-1"), ("--oracle-guard", "0"), ("--oracle-guard", "-1"),
+    ])
+    def test_bad_flag_rejected(self, tmp_path, capsys, flag, value):
+        spec = NetSpec(kind="mlp", d_in=3, d_out=1, hidden=[4], mode=L1WN)
+        model = tmp_path / "m.json"
+        save_network(init_network(spec, np.random.default_rng(0)), model)
+        assert main(["analyze", str(model), "--oracle", "--pairs", "10", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be ") and captured.err.count("\n") == 1
 
     def test_not_json_rejected(self, tmp_path, capsys):
         model = tmp_path / "m.json"

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,54 @@ class TestOpInfOneNorm:
             empirical = np.max(np.sum(np.abs(t @ w.T), axis=1))
             assert val >= empirical - 1e-12
             assert val <= np.sum(np.abs(w)) + 1e-12
+
+
+def inf_one_reference(w) -> float:
+    """max over sign vertices t of ||W t||_1, one explicit vertex per row."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=w.shape[1])))
+    return float(np.max(np.sum(np.abs(signs @ w.T), axis=1)))
+
+
+class TestOpInfOneNormVertices:
+    @pytest.mark.parametrize("n_cols", range(1, 17))
+    def test_matches_the_per_vertex_reference(self, n_cols):
+        rng = make_rng(100 + n_cols)
+        for n_rows in range(1, 6):
+            w = rng.integers(-9, 10, size=(n_rows, n_cols)).astype(np.float64)
+            assert op_inf_one_norm(w) == (inf_one_reference(w), True)
+            w = rng.standard_normal((n_rows, n_cols))
+            val, exact = op_inf_one_norm(w)
+            assert exact
+            assert val == pytest.approx(inf_one_reference(w), rel=1e-15, abs=0.0)
+
+    def test_sums_each_vertex_in_column_order(self):
+        # the same bits whatever BLAS kernel a matrix product would pick
+        rng = make_rng(120)
+        for n_rows, n_cols in [(1, 3), (1, 8), (3, 7), (5, 8)]:
+            w = rng.standard_normal((n_rows, n_cols))
+            best = 0.0
+            for signs in itertools.product((-1.0, 1.0), repeat=n_cols):
+                wt = np.zeros(n_rows)
+                for col, sign in enumerate(signs):
+                    wt = wt + sign * w[:, col]
+                best = max(best, float(np.sum(np.abs(wt))))
+            assert op_inf_one_norm(w) == (best, True)
+
+    def test_wide_rows_memory_stays_bounded(self):
+        w = make_rng(121).standard_normal((2000, 12))
+        tracemalloc.start()
+        try:
+            val, exact = op_inf_one_norm(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        want = max(
+            float(np.sum(np.abs(w @ np.array(t))))
+            for t in itertools.product((-1.0, 1.0), repeat=12)
+        )
+        assert exact
+        assert val == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestOrthogonalInit:

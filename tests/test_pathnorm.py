@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from psilon.linalg import DimensionError, make_rng, op_inf_one_norm
 from psilon.nets import NetSpec, init_network, predict
 from psilon.pathnorm import (
+    _SUFFIX_PATHS,
     PathBudgetError,
     _bound_chain,
     analyze_network,
@@ -71,7 +74,60 @@ class TestPathNormMlp:
                 assert path_norm_mlp(scaled) == pytest.approx(c * base, rel=1e-12)
 
 
+def walk_reference(ws) -> float:
+    """The path norm one path at a time, depth first: each path's product
+    multiplied in path order and added to the total in lexicographic order."""
+    total = 0.0
+
+    def walk(k: int, node: int, prod: float) -> None:
+        nonlocal total
+        if k == len(ws):
+            total += abs(prod)
+            return
+        w = ws[k]
+        for nxt in range(w.shape[0]):
+            walk(k + 1, nxt, prod * w[nxt, node])
+
+    for start in range(ws[0].shape[1]):
+        walk(0, start, 1.0)
+    return total
+
+
 class TestPathNormEnumerate:
+    def test_equals_the_walk_on_random_chains(self):
+        rng = make_rng(40)
+        for trial in range(40):
+            ws = random_mlp_weights(rng, n_layers=1 + trial % 4)
+            assert path_norm_enumerate(ws) == walk_reference(ws)
+
+    def test_equals_the_walk_on_a_resnet_naive_chain(self):
+        spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=2, hidden=[4, 4, 4], mode=NONE)
+        net = init_network(spec, make_rng(41))
+        _jitter(net, make_rng(42), 0.4)
+        mats, _ = _bound_chain(net, "path_naive", [layer.effective() for layer in net.layers()])
+        assert path_norm_enumerate(mats) == walk_reference(mats)
+
+    def test_equals_the_walk_across_chunk_boundaries(self):
+        # 300 * 300 = 9e4 paths after each start column, more than one chunk
+        rng = make_rng(43)
+        ws = [rng.standard_normal((300, 2)), rng.standard_normal((300, 300)),
+              rng.standard_normal((1, 300))]
+        assert 300 * 300 > _SUFFIX_PATHS
+        assert path_norm_enumerate(ws) == walk_reference(ws)
+
+    def test_memory_stays_bounded_on_a_million_paths(self):
+        rng = make_rng(44)
+        ws = [rng.standard_normal((200, 25)), rng.standard_normal((200, 200)),
+              rng.standard_normal((1, 200))]
+        tracemalloc.start()
+        try:
+            value = path_norm_enumerate(ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert value == pytest.approx(path_norm_mlp(ws), rel=1e-12)
+
     def test_single_layer(self):
         w = np.array([[1.0, -2.0], [3.0, 4.0]])
         assert path_norm_enumerate([w]) == 10.0
