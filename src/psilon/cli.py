@@ -243,15 +243,16 @@ def cmd_train(args, require_window: bool = False) -> int:
         cfg = resolve_config(json.load(f), args)
     if require_window and cfg["train"]["prune_window"] is None:
         raise ConfigError("prune requires train.prune_window in the config")
+    splits = _build_splits(cfg)
+    d_in, d_out = _dims_for(cfg, splits)
+    net_spec = _build_net_spec(cfg, d_in, d_out)
+    plan = _build_plan(cfg)
+    # only a run whose config checked out gets an output directory
     out = _prepare_out_dir(
         cfg["out_dir"], args.overwrite,
         ["model.json", "checkpoint.json", "metrics.csv", "metrics.jsonl", "pathnorm_report.json",
          "sparsity_report.json", "config_resolved.json", "dataset_stats.json"],
     )
-    splits = _build_splits(cfg)
-    d_in, d_out = _dims_for(cfg, splits)
-    net_spec = _build_net_spec(cfg, d_in, d_out)
-    plan = _build_plan(cfg)
     _dump_json(cfg, out / "config_resolved.json")
     _dump_json(splits.train.stats_json(), out / "dataset_stats.json")
 
@@ -284,14 +285,16 @@ def cmd_gridsearch(args) -> int:
     with open(args.config) as f:
         cfg = resolve_config(json.load(f), args)
     lambdas = args.lambdas if args.lambdas else DEFAULT_LAMBDA_GRID
-    cell_dirs = [f"lam_{lam:g}" for lam in lambdas]
-    out = _prepare_out_dir(
-        cfg["out_dir"], args.overwrite, ["summary.json", "curves.csv", "config_resolved.json", *cell_dirs]
-    )
     splits = _build_splits(cfg)
     d_in, d_out = _dims_for(cfg, splits)
     net_spec = _build_net_spec(cfg, d_in, d_out)
     plan = _build_plan(cfg)
+    for lam in lambdas:
+        Regularizer(plan.regularizer.kind, lam)  # checks each lambda before anything is written
+    cell_dirs = [f"lam_{lam:g}" for lam in lambdas]
+    out = _prepare_out_dir(
+        cfg["out_dir"], args.overwrite, ["summary.json", "curves.csv", "config_resolved.json", *cell_dirs]
+    )
     _dump_json(cfg, out / "config_resolved.json")
 
     best_lam, cells = grid_search(net_spec, splits, plan, lambdas, jobs=args.jobs)

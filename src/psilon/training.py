@@ -18,6 +18,7 @@ blend(0), which the reparameterization computes with the L1WN kernel alone.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -153,6 +154,8 @@ class TrainPlan:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) or self.steps < 0:
+            raise ConfigError("train.steps must be an integer >= 0")
         if self.loss not in ("mse", "cross_entropy"):
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.prune_window is not None:

@@ -1,60 +1,29 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Training-backed criteria (7, 8, 9) run real optimization and take a few
-minutes combined; everything else is fast.  Run with `pytest -v
-tests/test_acceptance.py` (add -s to watch the PASS lines stream).
+minutes combined; everything else is fast.  Criteria 1-6 and 10 call the
+invariant functions in `psilon.selftest` with their acceptance sizes and
+seeds.  Run with `pytest -v tests/test_acceptance.py` (add -s to watch the
+PASS lines stream).
 """
 
 import json
 import time
 
 import numpy as np
-import pytest
 
+from psilon import selftest
 from psilon.cli import main as cli_main
 from psilon.data import SplitSpec, apply_stats, split, standardize, synth_task
 from psilon.linalg import make_rng
-from psilon.metrics import near_sparsity, network_sparsity
-from psilon.nets import (
-    NetSpec,
-    backward,
-    effective_weights,
-    forward,
-    init_network,
-    resnet_effective_parts,
-)
-from psilon.pathnorm import (
-    empirical_lipschitz,
-    improved_bound_crelu,
-    naive_crelu_path_norm,
-    path_norm_enumerate,
-    path_norm_mlp,
-    product_bound,
-    psilon_closed_form_mlp,
-    psilon_closed_form_resnet,
-)
-from psilon.reparam import L1WN, L2WN, NONE, blend, proj_l1_sphere
-from psilon.training import (
-    Regularizer,
-    Splits,
-    TrainPlan,
-    evaluate,
-    grid_search,
-    regularized_loss,
-    train,
-)
-
-from test_reparam import brute_force_l1_sphere_projection
+from psilon.metrics import network_sparsity
+from psilon.nets import NetSpec, init_network
+from psilon.reparam import L1WN, L2WN
+from psilon.training import Regularizer, Splits, TrainPlan, evaluate, grid_search, train
 
 
 def _report(n, msg):
     print(f"ACCEPTANCE {n} PASS: {msg}")
-
-
-def _jitter(net, rng, scale=0.5):
-    for _, p in net.slots():
-        p += scale * rng.standard_normal(p.shape)
-    net.touch()
 
 
 def make_splits(kind, n, d, noise, seed, train_n, **kw):
@@ -65,180 +34,48 @@ def make_splits(kind, n, d, noise, seed, train_n, **kw):
 
 
 def test_criterion_01_oracle_equivalence():
-    rng = make_rng(101)
     t0 = time.time()
     n_nets = 200
-    for _ in range(n_nets):
-        n_layers = int(rng.integers(1, 5))  # <= 4 layers
-        dims = [int(rng.integers(2, 7)) for _ in range(n_layers + 1)]  # widths <= 6
-        ws = [rng.standard_normal((dims[i + 1], dims[i])) for i in range(n_layers)]
-        fast = path_norm_mlp(ws)
-        slow = path_norm_enumerate(ws)
-        assert abs(fast - slow) <= 1e-10 * max(1.0, abs(slow))
+    assert selftest.oracle_equivalence(n_nets, 101) == []
     elapsed = time.time() - t0
     assert elapsed < 10.0
     _report(1, f"{n_nets} random MLPs, matvec path norm == enumeration to 1e-10 ({elapsed:.1f}s)")
 
 
 def test_criterion_02_theorem1_chain():
-    rng = make_rng(102)
-    violations = 0
     n_nets = 100
-    for trial in range(n_nets):
-        hidden = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(1, 3)))]
-        spec = NetSpec(
-            kind="mlp",
-            d_in=int(rng.integers(2, 9)),
-            d_out=1,  # the regime where the printed product bound is a theorem
-            hidden=hidden,
-            mode=NONE,
-            activation="relu",
-            out_nonlinearity="sigmoid" if trial % 2 else "identity",
-        )
-        net = init_network(spec, rng)
-        _jitter(net, rng)
-        ws = effective_weights(net)
-        p1 = path_norm_mlp(ws)
-        prod, exact = product_bound(ws)
-        lip = empirical_lipschitz(net, 10_000, 2.0, make_rng(1000 + trial))
-        if not exact or lip > p1 * (1 + 1e-9) or p1 > prod * (1 + 1e-12):
-            violations += 1
-    assert violations == 0
+    assert selftest.theorem1_chain(n_nets, 102) == []
     _report(2, f"{n_nets} MLPs: empirical Lipschitz <= path norm <= exact product bound, 0 violations")
 
 
 def test_criterion_03_theorem2_chain():
-    rng = make_rng(103)
-    violations = 0
     n_nets = 100
-    for trial in range(n_nets):
-        width = int(rng.integers(2, 7))  # d <= 6
-        spec = NetSpec(
-            kind="crelu_resnet",
-            d_in=int(rng.integers(2, 7)),
-            d_out=int(rng.integers(1, 4)),
-            hidden=[width] * int(rng.integers(1, 5)),  # <= 4 blocks
-            mode=NONE,
-        )
-        net = init_network(spec, rng)
-        _jitter(net, rng)
-        first, blocks, last = resnet_effective_parts(net)
-        improved = improved_bound_crelu(first, blocks, last)
-        naive = naive_crelu_path_norm(first, blocks, last)
-        lip = empirical_lipschitz(net, 10_000, 2.0, make_rng(2000 + trial))
-        if lip > improved * (1 + 1e-9) or improved > naive * (1 + 1e-12):
-            violations += 1
-    assert violations == 0
+    assert selftest.theorem2_chain(n_nets, 103) == []
     _report(3, f"{n_nets} CReLU residual nets: Lipschitz <= improved <= naive, 0 violations")
 
 
 def test_criterion_04_closed_form_collapse():
-    rng = make_rng(104)
     n_draws = 100
-    for _ in range(n_draws):
-        spec = NetSpec(
-            kind="mlp",
-            d_in=int(rng.integers(2, 6)),
-            d_out=int(rng.integers(1, 4)),
-            hidden=[int(rng.integers(2, 6)) for _ in range(int(rng.integers(1, 3)))],
-            mode=L1WN,
-        )
-        net = init_network(spec, rng)
-        _jitter(net, rng, 0.8)
-        got = path_norm_mlp(effective_weights(net))
-        want = psilon_closed_form_mlp([l.g[0] for l in net.layers()[:-1]], net.last.g)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-    for _ in range(n_draws):
-        width = int(rng.integers(2, 6))
-        spec = NetSpec(
-            kind="crelu_resnet",
-            d_in=int(rng.integers(2, 6)),
-            d_out=int(rng.integers(1, 4)),
-            hidden=[width] * int(rng.integers(1, 4)),
-            mode=L1WN,
-        )
-        net = init_network(spec, rng)
-        _jitter(net, rng, 0.8)
-        got = improved_bound_crelu(*resnet_effective_parts(net))
-        want = psilon_closed_form_resnet(net.first.g[0], [b.g[0] for b in net.hidden], net.last.g)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    assert selftest.closed_form_collapse(n_draws, 104) == []
     _report(4, f"{n_draws} draws each: length products equal the general bounds to 1e-10")
 
 
-def _fd_check_sampled(net, splits_train, plan, rng, coords_per_slot=4):
-    _, grads = regularized_loss(net, splits_train, plan)
-    h = 1e-6
-    checked = 0
-    for name, p in net.slots():
-        flat = p.reshape(-1)
-        for idx in rng.choice(flat.size, size=min(coords_per_slot, flat.size), replace=False):
-            old = flat[idx]
-            flat[idx] = old + h
-            net.touch()
-            up, _ = regularized_loss(net, splits_train, plan)
-            flat[idx] = old - h
-            net.touch()
-            down, _ = regularized_loss(net, splits_train, plan)
-            flat[idx] = old
-            net.touch()
-            fd = (up - down) / (2 * h)
-            g = grads[name].reshape(-1)[idx]
-            assert abs(g - fd) <= 1e-4 * max(abs(fd), abs(g)) + 1e-7, f"{name}[{idx}]: {g} vs {fd}"
-            checked += 1
-    return checked
-
-
 def test_criterion_05_gradient_correctness():
-    rng = make_rng(105)
-    ds = synth_task("two_gaussians", 24, 3, 0.4, seed=303)
-    ds_std = standardize(ds)
-    configs = [
-        ("mlp", L1WN, "path_closed_form"),
-        ("mlp", L1WN, "path_naive"),
-        ("mlp", L2WN, "l2wr"),
-        ("mlp", blend(0.4), "none"),
-        ("crelu_resnet", L1WN, "path_improved"),
-        ("crelu_resnet", L2WN, "none"),
-        ("crelu_resnet", blend(0.4), "path_closed_form"),
-    ]
     n_per = 50
-    total = 0
-    for kind, mode, regk in configs:
-        shared = regk == "path_closed_form" or mode.tag in ("l1wn", "blend")
-        for trial in range(n_per):
-            spec = NetSpec(kind=kind, d_in=3, d_out=1, hidden=[4, 4], mode=mode,
-                           shared_lengths=shared)
-            net = init_network(spec, rng)
-            _jitter(net, rng, 0.4)
-            # jitter inputs away from activation kinks
-            x = ds_std.features.copy()
-            for _ in range(100):
-                _, tr = forward(net, x)
-                if all(np.all(np.abs(a) > 1e-3) for a in tr.pres):
-                    break
-                x = x + 0.02 * rng.standard_normal(x.shape)
-            batch = synth_task("two_gaussians", 24, 3, 0.4, seed=303)
-            batch = standardize(batch)
-            batch.features = x
-            plan = TrainPlan(steps=1, loss="cross_entropy",
-                             regularizer=Regularizer(regk, 0.3 if regk != "none" else 0.0))
-            total += _fd_check_sampled(net, batch, plan, rng)
+    assert selftest.gradient_check(n_per, 105) == []
+    configs = selftest.GRADIENT_CONFIGS
+    per_trial = sum(
+        min(selftest.FD_COORDS_PER_SLOT, p.size)
+        for config in configs
+        for _, p in init_network(selftest.gradient_spec(*config), make_rng(0)).slots()
+    )
     _report(5, f"{n_per} jittered configs x {len(configs)} layer/regularizer types, "
-               f"{total} coordinates vs central differences at 1e-4")
+               f"{n_per * per_trial} coordinates vs central differences at 1e-4")
 
 
 def test_criterion_06_projection_correctness():
-    rng = make_rng(106)
-    np.testing.assert_allclose(proj_l1_sphere(np.array([3.0, 1.0])), [1.0, 0.0])
     n_vecs = 500
-    for _ in range(n_vecs):
-        d = int(rng.integers(2, 9))  # d <= 8
-        w = rng.standard_normal(d) * rng.uniform(0.1, 4.0)
-        p = proj_l1_sphere(w)
-        assert abs(np.sum(np.abs(p)) - 1.0) <= 1e-12
-        np.testing.assert_allclose(proj_l1_sphere(p), p, atol=1e-12)
-        oracle = brute_force_l1_sphere_projection(w)
-        assert np.max(np.abs(p - oracle)) <= 1e-8
+    assert selftest.sphere_projection(n_vecs, 106) == []
     _report(6, f"{n_vecs} vectors vs the KKT support-enumeration oracle at 1e-8; "
                "unit norm to 1e-12; idempotent; worked value reproduced")
 
@@ -265,10 +102,7 @@ def test_criterion_07_pruning_pipeline():
     assert sparsity >= 0.5
     assert mse_pruned <= 1.1 * mse_plain
     # pruned weights are exactly zero, and the row constraint still holds
-    for layer in pruned.layers():
-        w = layer.effective()
-        g = layer.g if layer.g.shape != (1,) else np.full(w.shape[0], layer.g[0])
-        np.testing.assert_allclose(np.sum(np.abs(w), axis=1), np.abs(g), atol=1e-12)
+    assert selftest.row_constraint_problems(pruned) == []
     _report(7, f"4k+1k prune: exact sparsity {sparsity:.3f} >= 0.5, "
                f"test mse ratio {mse_pruned / mse_plain:.3f} <= 1.1 ({time.time() - t0:.0f}s)")
 
@@ -320,13 +154,7 @@ def test_criterion_09_capacity_control_benefit():
 
 
 def test_criterion_10_metric_definitions():
-    assert near_sparsity(np.zeros(5)) == 1.0
-    d = 6
-    for bits in range(1, 2**d):
-        v = np.array([(bits >> i) & 1 for i in range(d)], dtype=np.float64)
-        assert near_sparsity(v) == pytest.approx(1.0 - v.sum() / d, abs=1e-12)
-    for c in [0.3, -2.0, 11.0]:
-        assert near_sparsity(np.full(7, c)) == pytest.approx(0.0, abs=1e-12)
+    assert selftest.metric_definitions() == []
     _report(10, "near-sparsity definition cases: zero vector, all bit vectors, uniform vectors")
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from psilon import selftest
 from psilon.cli import main
 from psilon.data import save_csv, synth_task
 from psilon.nets import NetSpec, init_network, save_network
@@ -157,6 +158,27 @@ def test_non_finite_lambda_rejected(tmp_path, capsys, argv):
     # nothing trained: no grid cell and no training artifact was written
     assert not (tmp_path / "run" / "lam_0.001").exists()
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+STEPS_MESSAGE = "train.steps must be an integer >= 0"
+
+
+@pytest.mark.parametrize("argv, train_overrides, message", [
+    (["train", "--lam", "nan"], {}, "lambda must be a finite number >= 0"),
+    (["gridsearch", "--lambdas", "0.1", "nan"], {}, "lambda must be a finite number >= 0"),
+    (["train", "--steps", "-1"], {}, STEPS_MESSAGE),
+    (["train"], {"steps": -1}, STEPS_MESSAGE),
+    (["train"], {"steps": 1.5}, STEPS_MESSAGE),
+    (["train"], {"steps": True}, STEPS_MESSAGE),
+    (["gridsearch", "--lambdas", "0.1"], {"steps": 1.5}, STEPS_MESSAGE),
+], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
+        "steps_fractional", "steps_bool", "grid_steps_fractional"])
+def test_rejected_config_leaves_no_output(tmp_path, capsys, argv, train_overrides, message):
+    cfg = write_config(tmp_path, base_config(tmp_path / "run", **train_overrides))
+    command, *flags = argv
+    assert main([command, "--config", cfg, *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 class TestGridsearchCommand:
@@ -389,5 +411,33 @@ class TestEvalCommand:
 class TestSelftestCommand:
     def test_fast_selftest_passes(self, capsys):
         assert main(["selftest", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[PASS] oracle equivalence",
+            "[PASS] mlp bound chain",
+            "[PASS] resnet bound chain",
+            "[PASS] closed-form collapse",
+            "[PASS] sphere projection",
+            "[PASS] gradient checks",
+            "[PASS] metric definitions",
+            "[PASS] training determinism",
+        ]
+
+    def test_failing_and_crashing_checks_fail_the_run(self, capsys, monkeypatch):
+        def violated(n, seed):
+            return [f"net {i}: bound violated" for i in range(n)]
+
+        def crashes():
+            raise ValueError("boom")
+
+        monkeypatch.setattr(selftest, "CHECKS", [
+            ("returns problems", violated, 1, 2, 3, "{n} nets"),
+            ("raises", crashes, None, None, None, "never shown"),
+            ("holds", lambda: [], None, None, None, "fine"),
+        ])
+        assert main(["selftest", "--fast"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] returns problems: net 0: bound violated (+1 more)",
+            "[FAIL] raises: raised ValueError: boom",
+            "[PASS] holds: fine",
+        ]

@@ -19,16 +19,10 @@ from psilon.nets import (
     network_from_json,
     network_to_json,
     predict,
-    resnet_effective_parts,
     write_json,
 )
 from psilon.reparam import L1PROJ, L1WN, L2WN, NONE, blend
-
-
-def jitter_params(net, rng, scale=0.4):
-    for _, p in net.slots():
-        p += scale * rng.standard_normal(p.shape)
-    net.touch()
+from psilon.selftest import jitter, row_constraint_problems
 
 
 def jittered_input(net, rng, batch=3, margin=1e-3):
@@ -147,7 +141,7 @@ class TestBackward:
         rng = make_rng(12)
         spec = NetSpec(kind=kind, d_in=3, d_out=2, hidden=[4, 4], mode=mode)
         net = init_network(spec, rng)
-        jitter_params(net, rng)
+        jitter(net, rng, 0.4)
         x = jittered_input(net, rng)
         target = rng.standard_normal((3, 2))
 
@@ -250,21 +244,15 @@ class TestInitNetwork:
         net = init_network(spec, make_rng(21))
         rng = make_rng(22)
         for _ in range(5):
-            jitter_params(net, rng, scale=1.0)
-        for layer, w in zip(net.layers(), effective_weights(net)):
-            g = layer.g if layer.g.shape != (1,) else np.full(w.shape[0], layer.g[0])
-            np.testing.assert_allclose(np.sum(np.abs(w), axis=1), np.abs(g), atol=1e-12)
+            jitter(net, rng, 1.0)
+        assert row_constraint_problems(net) == []
 
     def test_resnet_shared_max_row_norms(self):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=2, hidden=[4], mode=L1WN)
         net = init_network(spec, make_rng(23))
-        jitter_params(net, make_rng(24), scale=1.0)
-        first, blocks, (lp, lm) = resnet_effective_parts(net)
-        for block, (wp, wm) in zip(net.hidden, blocks):
-            tilde = np.maximum(np.abs(wp), np.abs(wm))
-            np.testing.assert_allclose(np.sum(tilde, axis=1), abs(block.g[0]), atol=1e-12)
-        tilde = np.maximum(np.abs(lp), np.abs(lm))
-        np.testing.assert_allclose(np.sum(tilde, axis=1), np.abs(net.last.g), atol=1e-12)
+        jitter(net, make_rng(24), 1.0)
+        # rows of max(|W+|, |W-|) for the blocks and the output pair
+        assert row_constraint_problems(net) == []
 
     def test_mode_none_passthrough_weights(self):
         spec = NetSpec(kind="mlp", d_in=3, d_out=2, hidden=[4], mode=NONE)
@@ -278,7 +266,7 @@ class TestSerialization:
         for kind, hidden in [("mlp", [4, 5]), ("crelu_resnet", [4, 4])]:
             spec = NetSpec(kind=kind, d_in=3, d_out=2, hidden=hidden, mode=blend(0.25))
             net = init_network(spec, make_rng(26))
-            jitter_params(net, make_rng(27))
+            jitter(net, make_rng(27), 0.4)
             doc = json.loads(json.dumps(network_to_json(net)))
             clone = network_from_json(doc)
             x = make_rng(28).standard_normal((4, 3))

@@ -25,6 +25,7 @@ from psilon.pathnorm import (
 )
 from psilon.reparam import L1WN, NONE
 from psilon.nets import effective_weights, resnet_effective_parts
+from psilon.selftest import jitter, theorem1_chain, theorem2_chain
 
 
 def random_mlp_weights(rng, n_layers=None, max_width=6, d_out=None):
@@ -103,7 +104,7 @@ class TestPathNormEnumerate:
     def test_equals_the_walk_on_a_resnet_naive_chain(self):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=2, hidden=[4, 4, 4], mode=NONE)
         net = init_network(spec, make_rng(41))
-        _jitter(net, make_rng(42), 0.4)
+        jitter(net, make_rng(42), 0.4)
         mats, _ = _bound_chain(net, "path_naive", [layer.effective() for layer in net.layers()])
         assert path_norm_enumerate(mats) == walk_reference(mats)
 
@@ -335,63 +336,20 @@ class TestEmpiricalLipschitz:
         assert a == b
 
 
-def _jitter(net, rng, scale=0.5):
-    for _, p in net.slots():
-        p += scale * rng.standard_normal(p.shape)
-    net.touch()
-
-
 class TestBoundChains:
+    # the acceptance chains of criteria 2 and 3 on other draws
     def test_mlp_chain(self):
-        # empirical slope <= path norm <= exact product bound, with relu
-        # or sigmoid outputs; single-output nets keep the product side exact
-        rng = make_rng(17)
-        for trial in range(30):
-            hidden = [int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 3)))]
-            spec = NetSpec(
-                kind="mlp",
-                d_in=int(rng.integers(2, 7)),
-                d_out=1,
-                hidden=hidden,
-                mode=NONE,
-                out_nonlinearity="sigmoid" if trial % 2 else "identity",
-            )
-            net = init_network(spec, rng)
-            _jitter(net, rng)
-            ws = effective_weights(net)
-            p1 = path_norm_mlp(ws)
-            prod, exact = product_bound(ws)
-            lip = empirical_lipschitz(net, 2000, 2.0, make_rng(trial))
-            assert exact
-            assert lip <= p1 * (1 + 1e-9)
-            assert p1 <= prod * (1 + 1e-12)
+        assert theorem1_chain(30, 17) == []
 
     def test_resnet_chain(self):
-        rng = make_rng(18)
-        for trial in range(30):
-            width = int(rng.integers(2, 6))
-            spec = NetSpec(
-                kind="crelu_resnet",
-                d_in=int(rng.integers(2, 6)),
-                d_out=int(rng.integers(1, 4)),
-                hidden=[width] * int(rng.integers(1, 4)),
-                mode=NONE,
-            )
-            net = init_network(spec, rng)
-            _jitter(net, rng)
-            first, blocks, last = resnet_effective_parts(net)
-            improved = improved_bound_crelu(first, blocks, last)
-            naive = naive_crelu_path_norm(first, blocks, last)
-            lip = empirical_lipschitz(net, 2000, 2.0, make_rng(trial))
-            assert lip <= improved * (1 + 1e-9)
-            assert improved <= naive * (1 + 1e-12)
+        assert theorem2_chain(30, 18) == []
 
 
 class TestAnalyzeNetwork:
     def test_mlp_report_fields(self):
         spec = NetSpec(kind="mlp", d_in=3, d_out=1, hidden=[4], mode=L1WN)
         net = init_network(spec, make_rng(19))
-        _jitter(net, make_rng(20), 0.3)
+        jitter(net, make_rng(20), 0.3)
         report, warnings = analyze_network(net, oracle=True, lipschitz_pairs=500)
         assert warnings == []
         assert report.improved_p1 is None
@@ -412,7 +370,7 @@ class TestAnalyzeNetwork:
     def test_resnet_report_consistency(self):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=2, hidden=[4, 4], mode=L1WN)
         net = init_network(spec, make_rng(21))
-        _jitter(net, make_rng(22), 0.3)
+        jitter(net, make_rng(22), 0.3)
         report, _ = analyze_network(net, oracle=True)
         assert report.improved_p1 <= report.naive_p1 * (1 + 1e-12)
         assert report.oracle_p1 == pytest.approx(report.naive_p1, rel=1e-9)
@@ -430,7 +388,7 @@ class TestAnalyzeNetwork:
     def test_resnet_oracle_runs_on_distinct_path_matrices(self):
         spec = NetSpec(kind="crelu_resnet", d_in=2, d_out=1, hidden=[3], mode=NONE)
         net = init_network(spec, make_rng(24))
-        _jitter(net, make_rng(25), 0.4)
+        jitter(net, make_rng(25), 0.4)
         mats, _ = _bound_chain(net, "path_naive", [layer.effective() for layer in net.layers()])
         assert path_norm_enumerate(mats) == pytest.approx(
             naive_crelu_path_norm(*resnet_effective_parts(net)), rel=1e-10
@@ -447,7 +405,7 @@ class TestBoundEngine:
             hidden = [int(rng.integers(2, 6)) for _ in range(trial % 3)]
             spec = NetSpec(kind="mlp", d_in=3, d_out=2, hidden=hidden, activation=activation, mode=L1WN)
             net = init_network(spec, rng)
-            _jitter(net, rng)
+            jitter(net, rng)
             ws = effective_weights(net)
             if activation == "crelu":
                 # fold the plus/minus feature copies each later layer reads
@@ -462,7 +420,7 @@ class TestBoundEngine:
             spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=int(rng.integers(1, 4)),
                            hidden=[4] * (1 + trial % 3), mode=L1WN)
             net = init_network(spec, rng)
-            _jitter(net, rng)
+            jitter(net, rng)
             effs = [layer.effective() for layer in net.layers()]
             parts = resnet_effective_parts(net)
             for kind, formula in [("path_naive", naive_crelu_path_norm),
@@ -475,7 +433,7 @@ class TestBoundEngine:
         for kind in ["mlp", "crelu_resnet"] * 10:
             spec = NetSpec(kind=kind, d_in=3, d_out=2, hidden=[4] * int(rng.integers(1, 4)), mode=L1WN)
             net = init_network(spec, rng)
-            _jitter(net, rng)
+            jitter(net, rng)
             layers = net.layers()
             gs = [layer.g[0] for layer in layers[:-1]]
             if kind == "mlp":

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -27,27 +26,7 @@ from psilon.reparam import (
     rows_effective,
 )
 from psilon.reparam import _effective, _vjp
-
-
-def brute_force_l1_sphere_projection(w: np.ndarray) -> np.ndarray:
-    """Independent oracle: enumerate every support set, solve the
-    stationarity condition on it, and keep the feasible candidate closest
-    to w in Euclidean distance."""
-    d = w.size
-    best, best_dist = None, np.inf
-    for r in range(1, d + 1):
-        for support in itertools.combinations(range(d), r):
-            s = np.array(support)
-            tau = (np.sum(np.abs(w[s])) - 1.0) / r
-            mags = np.abs(w[s]) - tau
-            if np.any(mags < 0):
-                continue
-            p = np.zeros(d)
-            p[s] = np.sign(w[s] + 1e-8) * mags
-            dist = np.sum((p - w) ** 2)
-            if dist < best_dist:
-                best, best_dist = p, dist
-    return best
+from psilon.selftest import brute_force_l1_sphere_projection
 
 
 class TestFindThreshold:

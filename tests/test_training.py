@@ -10,6 +10,7 @@ from psilon.metrics import network_sparsity
 from psilon.nets import NetSpec, PairLinear, backward, forward, init_network
 from psilon.pathnorm import bound_value_and_grad
 from psilon.reparam import L1WN, NONE, rows_threshold
+from psilon.selftest import row_constraint_problems
 from psilon.training import (
     DEFAULT_LAMBDA_GRID,
     AdamState,
@@ -297,11 +298,7 @@ class TestTrain:
         report = network_sparsity(net)
         assert report.exact_sparsity > 0.0
         # rows still satisfy the length constraint exactly after pruning
-        for layer in net.layers():
-            w = layer.effective() if not hasattr(layer, "raw_plus") else None
-            if w is not None:
-                g = layer.g if layer.g.shape != (1,) else np.full(w.shape[0], layer.g[0])
-                np.testing.assert_allclose(np.sum(np.abs(w), axis=1), np.abs(g), atol=1e-12)
+        assert row_constraint_problems(net) == []
         assert rows[-1].alpha == 1.0
 
     def test_pruned_support_never_regrows(self):
