@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .data import (
     CsvSchema,
     DataError,
+    Dataset,
     SplitSpec,
     apply_stats,
     load_csv,
@@ -172,13 +174,13 @@ def _build_splits(cfg: dict):
     return Splits(trs, apply_stats(va, trs), apply_stats(te, trs))
 
 
-def _build_net_spec(cfg: dict, d_in: int, d_out: int) -> NetSpec:
+def _build_net_spec(cfg: dict, train: Dataset) -> NetSpec:
     m = cfg["model"]
     return NetSpec(
         kind=m["kind"],
-        d_in=d_in,
-        d_out=d_out,
-        hidden=list(m["hidden"]),
+        d_in=train.dim,
+        d_out=train.n_classes if train.task == "multiclass" else 1,
+        hidden=m["hidden"],
         activation=m["activation"],
         mode=NormMode.decode(m["mode"]),
         shared_lengths=m["shared_lengths"],
@@ -197,7 +199,6 @@ def _build_plan(cfg: dict) -> TrainPlan:
         sched = OneCycle(s["init"], s["max_lr"], s["final"], s["peak_frac"])
     else:
         raise ConfigError(f"unknown lr schedule {s['kind']!r}")
-    window = t["prune_window"]
     return TrainPlan(
         steps=t["steps"],
         batches_per_epoch=t["batches_per_epoch"],
@@ -205,18 +206,9 @@ def _build_plan(cfg: dict) -> TrainPlan:
         lr_schedule=sched,
         regularizer=Regularizer(t["regularizer"]["kind"], t["regularizer"]["lam"]),
         loss=t["loss"],
-        prune_window=None if window is None else (int(window[0]), int(window[1])),
+        prune_window=t["prune_window"],
         seed=cfg["seed"],
     )
-
-
-def _dims_for(cfg: dict, splits: Splits) -> tuple[int, int]:
-    ds = splits.train
-    if ds.task == "regression":
-        return ds.dim, 1
-    if ds.task == "binary":
-        return ds.dim, 1
-    return ds.dim, ds.n_classes
 
 
 def _prepare_out_dir(path: str, overwrite: bool, expected: list[str]) -> Path:
@@ -244,8 +236,7 @@ def cmd_train(args, require_window: bool = False) -> int:
     if require_window and cfg["train"]["prune_window"] is None:
         raise ConfigError("prune requires train.prune_window in the config")
     splits = _build_splits(cfg)
-    d_in, d_out = _dims_for(cfg, splits)
-    net_spec = _build_net_spec(cfg, d_in, d_out)
+    net_spec = _build_net_spec(cfg, splits.train)
     plan = _build_plan(cfg)
     # only a run whose config checked out gets an output directory
     out = _prepare_out_dir(
@@ -286,8 +277,7 @@ def cmd_gridsearch(args) -> int:
         cfg = resolve_config(json.load(f), args)
     lambdas = args.lambdas if args.lambdas else DEFAULT_LAMBDA_GRID
     splits = _build_splits(cfg)
-    d_in, d_out = _dims_for(cfg, splits)
-    net_spec = _build_net_spec(cfg, d_in, d_out)
+    net_spec = _build_net_spec(cfg, splits.train)
     plan = _build_plan(cfg)
     for lam in lambdas:
         Regularizer(plan.regularizer.kind, lam)  # checks each lambda before anything is written
@@ -350,9 +340,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_stats(path, ds) -> dict:
-    """A training run's dataset_stats.json, checked against the dataset it
-    will standardize: the keys eval reads, one mean and sd per feature."""
+def _finite_numbers(values) -> bool:
+    # JSON numbers only: a bool, a string or null is not one
+    try:
+        return all(type(v) in (int, float) and math.isfinite(v) for v in values)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _load_stats(path, ds: Dataset) -> Dataset:
+    """A training run's dataset_stats.json as the fitted dataset whose
+    standardization `apply_stats` gives `ds`, checked against it: the keys
+    eval reads, one mean and sd per feature, finite numbers and positive
+    scales."""
     with open(path) as f:
         stats = json.load(f)
     keys = ["feature_mean", "feature_sd"]
@@ -364,23 +364,23 @@ def _load_stats(path, ds) -> dict:
     for key in ("feature_mean", "feature_sd"):
         if not isinstance(stats[key], list) or len(stats[key]) != ds.dim:
             raise ConfigError(f"{path}: {key} must list {ds.dim} values, one per dataset feature")
-    return stats
+    for key in keys:
+        values = stats[key] if isinstance(stats[key], list) else [stats[key]]
+        if not _finite_numbers(values):
+            raise ConfigError(f"{path}: {key} has a value that is not a finite number")
+        if key in ("feature_sd", "target_qd") and min(values) <= 0:
+            raise ConfigError(f"{path}: {key} has a value <= 0")
+    fitted = replace(ds, feature_mean=np.asarray(stats["feature_mean"]),
+                     feature_sd=np.asarray(stats["feature_sd"]))
+    if ds.task == "regression":
+        fitted.target_median, fitted.target_qd = stats["target_median"], stats["target_qd"]
+    return fitted
 
 
 def cmd_eval(args) -> int:
     net = load_network(args.model)
     ds = load_csv(args.data, CsvSchema(target=args.target, task=args.task))
-    if args.stats:
-        stats = _load_stats(args.stats, ds)
-        mean = np.asarray(stats["feature_mean"])
-        sd = np.asarray(stats["feature_sd"])
-        ds.features = (ds.features - mean) / sd
-        if ds.task == "regression" and stats["target_qd"] is not None:
-            ds.targets = (ds.targets - stats["target_median"]) / stats["target_qd"]
-            ds.target_median = stats["target_median"]
-            ds.target_qd = stats["target_qd"]
-    else:
-        ds = standardize(ds)
+    ds = apply_stats(ds, _load_stats(args.stats, ds)) if args.stats else standardize(ds)
     if ds.dim != net.d_in:
         raise ConfigError(f"dataset has {ds.dim} features but the model expects {net.d_in}")
     if ds.task == "binary" and net.d_out != 1:

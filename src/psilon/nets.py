@@ -7,6 +7,13 @@ Two families:
     z -> z + W+ relu(z) + W- (-relu(-z)), then CReLU into a final paired
     linear map.
 
+Both run one per-layer step, z' = [z +] sum_j u_j W_j^T [+ b]: layer i
+reads the inputs u_j of the previous pre-activation z (`_layer_inputs`:
+the network input for the first layer, relu(z) or crelu(z) in an MLP, the
+two CReLU halves for a pair), and a residual block adds the skip z
+(`_is_block`).  A layer's effective weights are always a tuple, (W,) for a
+dense layer and (W+, W-) for a pair (`layer_weights`).
+
 All layers store raw directions plus length parameters; effective weights
 are materialized through the normalization mode at every use, so row-norm
 constraints hold exactly after any number of optimizer steps.  Gradients
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +49,7 @@ __all__ = [
     "predict",
     "init_network",
     "effective_weights",
+    "layer_weights",
     "network_to_json",
     "network_from_json",
     "save_network",
@@ -55,9 +64,18 @@ class ConfigError(ValueError):
     network."""
 
 
+def is_count(value, low: int) -> bool:
+    """Whether `value` is an integer (not a bool) >= `low`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def _halves(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.maximum(z, 0.0), np.minimum(z, 0.0)
+
+
 def crelu(z: np.ndarray) -> np.ndarray:
     """Concatenated ReLU: [relu(z); -relu(-z)], doubling the width."""
-    return np.concatenate([np.maximum(z, 0.0), np.minimum(z, 0.0)], axis=-1)
+    return np.concatenate(_halves(z), axis=-1)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -83,6 +101,14 @@ class NormalizedLinear:
     def effective(self) -> np.ndarray:
         return rows_effective(self.raw, self.g, self.mode)
 
+    def weights(self) -> tuple[np.ndarray]:
+        return (self.effective(),)
+
+    def backward(self, us: tuple) -> tuple[tuple, np.ndarray]:
+        """(dV per raw matrix, dg) for upstream gradients `us` of `weights()`."""
+        dv, dg = rows_backward(self.raw, self.g, self.mode, *us)
+        return (dv,), dg
+
     def shape(self) -> tuple[int, int]:
         return self.raw.shape
 
@@ -101,6 +127,13 @@ class PairLinear:
 
     def effective(self) -> tuple[np.ndarray, np.ndarray]:
         return pair_effective(self.raw_plus, self.raw_minus, self.g, self.mode)
+
+    weights = effective
+
+    def backward(self, us: tuple) -> tuple[tuple, np.ndarray]:
+        """(dV per raw matrix, dg) for upstream gradients `us` of `weights()`."""
+        dvp, dvm, dg = pair_backward(self.raw_plus, self.raw_minus, self.g, self.mode, *us)
+        return (dvp, dvm), dg
 
     def shape(self) -> tuple[int, int]:
         return self.raw_plus.shape
@@ -150,30 +183,34 @@ class Network:
 
 @dataclass
 class Trace:
-    """Activations retained by forward for the matching backward."""
+    """What forward keeps for the matching backward, per layer: its
+    pre-activation input z (the network input for the first layer) and its
+    effective weights as a tuple."""
 
     version: int
-    x: np.ndarray  # (B, d_in)
-    inputs: list  # input to each layer (post-activation of previous)
-    pres: list  # pre-activation outputs of first/hidden layers
-    effs: list  # effective weights per layer, as used in forward
+    zs: list
+    effs: list
 
 
-def _act_forward(a: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(a, 0.0)
-    return crelu(a)
+def _layer_inputs(net: Network, i: int, z: np.ndarray) -> tuple:
+    """What layer i reads of the previous pre-activation z."""
+    if i == 0:
+        return (z,)
+    if net.kind == "crelu_resnet":
+        return _halves(z)
+    return (np.maximum(z, 0.0),) if net.activation == "relu" else (crelu(z),)
 
 
-def _act_backward(a: np.ndarray, dz: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return dz * (a > 0.0)
-    h = a.shape[1]
-    return dz[:, :h] * (a > 0.0) + dz[:, h:] * (a < 0.0)
+def _is_block(net: Network, i: int) -> bool:
+    """Whether layer i is a residual block, which adds its input z."""
+    return net.kind == "crelu_resnet" and 0 < i < len(net.layers()) - 1
 
 
-def _block_step(z: np.ndarray, wp: np.ndarray, wm: np.ndarray, bias) -> np.ndarray:
-    out = z + np.maximum(z, 0.0) @ wp.T + np.minimum(z, 0.0) @ wm.T
+def _affine(skip, inputs: tuple, ws: tuple, bias) -> np.ndarray:
+    """[skip +] sum_j inputs_j @ ws_j^T [+ bias], added left to right."""
+    out = skip
+    for u, w in zip(inputs, ws):
+        out = u @ w.T if out is None else out + u @ w.T
     return out if bias is None else out + bias
 
 
@@ -183,7 +220,7 @@ def block_forward(block: PairLinear, z: np.ndarray) -> np.ndarray:
     Algebraically identical to applying the stacked matrix
     [(I+W+) (I+W-)] to the CReLU features of z.
     """
-    return _block_step(z, *block.effective(), block.bias)
+    return _affine(z, _halves(z), block.weights(), block.bias)
 
 
 def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, Trace]:
@@ -199,43 +236,13 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, Trace]:
     if X.shape[1] != net.d_in:
         raise DimensionError(f"input width {X.shape[1]} != network d_in {net.d_in}")
 
-    inputs, pres, effs = [], [], []
-    z = X
-    if net.kind == "mlp":
-        mlp_layers = net.layers()
-        for layer in mlp_layers[:-1]:
-            w = layer.effective()
-            inputs.append(z)
-            effs.append(w)
-            a = z @ w.T + (layer.bias if layer.bias is not None else 0.0)
-            pres.append(a)
-            z = _act_forward(a, net.activation)
-        last = mlp_layers[-1]
-        w = last.effective()
-        inputs.append(z)
-        effs.append(w)
-        out = z @ w.T + (last.bias if last.bias is not None else 0.0)
-    else:
-        w = net.first.effective()
-        inputs.append(X)
-        effs.append(w)
-        z = X @ w.T + (net.first.bias if net.first.bias is not None else 0.0)
-        pres.append(z)
-        for block in net.hidden:
-            wp, wm = block.effective()
-            inputs.append(z)
-            effs.append((wp, wm))
-            z = _block_step(z, wp, wm, block.bias)
-            pres.append(z)
-        wp, wm = net.last.effective()
-        inputs.append(z)
-        effs.append((wp, wm))
-        out = np.maximum(z, 0.0) @ wp.T + np.minimum(z, 0.0) @ wm.T
-        if net.last.bias is not None:
-            out = out + net.last.bias
-
-    trace = Trace(version=net.version, x=X, inputs=inputs, pres=pres, effs=effs)
-    return (out[0] if squeeze else out), trace
+    effs = layer_weights(net)
+    zs = [X]
+    for i, (layer, ws) in enumerate(zip(net.layers(), effs)):
+        z = zs[-1]
+        zs.append(_affine(z if _is_block(net, i) else None, _layer_inputs(net, i, z), ws, layer.bias))
+    out = zs.pop()
+    return (out[0] if squeeze else out), Trace(version=net.version, zs=zs, effs=effs)
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
@@ -253,7 +260,8 @@ def backward(
     Returns a dict keyed like Network.slots(); gradients flow into raw
     directions and lengths through the normalization-mode backward rules.
     `extra` may add per-layer-index gradients with respect to the effective
-    weights (a regularizer's dR/dW), routed through the same rules.
+    weights (a regularizer's dR/dW, a tuple per layer like `layer_weights`),
+    routed through the same rules.
     """
     if trace.version != net.version:
         raise RuntimeError("stale trace: parameters changed since forward")
@@ -262,51 +270,30 @@ def backward(
         d = d[None, :]
     grads: dict[str, np.ndarray] = {}
     layers = net.layers()
-
-    def put(i, layer, dw_or_pair, db):
-        tag = f"layer{i}"
+    for i in range(len(layers) - 1, -1, -1):
+        layer, z = layers[i], trace.zs[i]
+        inputs = _layer_inputs(net, i, z)
+        us = tuple(d.T @ u for u in inputs)
         if extra is not None and i in extra:
-            if isinstance(layer, PairLinear):
-                dw_or_pair = (dw_or_pair[0] + extra[i][0], dw_or_pair[1] + extra[i][1])
-            else:
-                dw_or_pair = dw_or_pair + extra[i]
-        if isinstance(layer, PairLinear):
-            dvp, dvm, dg = pair_backward(
-                layer.raw_plus, layer.raw_minus, layer.g, layer.mode, *dw_or_pair
-            )
-            grads[f"{tag}.raw_plus"] = dvp
-            grads[f"{tag}.raw_minus"] = dvm
-        else:
-            dv, dg = rows_backward(layer.raw, layer.g, layer.mode, dw_or_pair)
-            grads[f"{tag}.raw"] = dv
+            us = tuple(u + e for u, e in zip(us, extra[i]))
+        dvs, dg = layer.backward(us)
+        tag = f"layer{i}"
+        grads.update((f"{tag}.{name}", dv) for name, dv in zip(layer.raw_names, dvs))
         if not net.freeze_lengths:
             grads[f"{tag}.g"] = dg
         if layer.bias is not None:
-            grads[f"{tag}.bias"] = db
-
-    if net.kind == "mlp":
-        for i in range(len(layers) - 1, -1, -1):
-            layer = layers[i]
-            z_in = trace.inputs[i]
-            put(i, layer, d.T @ z_in, d.sum(axis=0))
-            if i > 0:
-                dz = d @ trace.effs[i]
-                d = _act_backward(trace.pres[i - 1], dz, net.activation)
-    else:
-        # final paired map on crelu(z)
-        z_in = trace.inputs[-1]
-        zp, zm = np.maximum(z_in, 0.0), np.minimum(z_in, 0.0)
-        wp, wm = trace.effs[-1]
-        put(len(layers) - 1, net.last, (d.T @ zp, d.T @ zm), d.sum(axis=0))
-        d = (d @ wp) * (z_in > 0.0) + (d @ wm) * (z_in < 0.0)
-        for i in range(len(net.hidden) - 1, -1, -1):
-            block = net.hidden[i]
-            z_in = trace.inputs[i + 1]
-            zp, zm = np.maximum(z_in, 0.0), np.minimum(z_in, 0.0)
-            wp, wm = trace.effs[i + 1]
-            put(i + 1, block, (d.T @ zp, d.T @ zm), d.sum(axis=0))
-            d = d + (d @ wp) * (z_in > 0.0) + (d @ wm) * (z_in < 0.0)
-        put(0, net.first, d.T @ trace.x, d.sum(axis=0))
+            grads[f"{tag}.bias"] = d.sum(axis=0)
+        if i > 0:
+            # every input is z where it is nonzero and 0 elsewhere, so its
+            # slope in z is its nonzero mask; a CReLU input holds two such
+            # copies of z side by side
+            h = z.shape[1]
+            dz = d if _is_block(net, i) else None
+            for u, w in zip(inputs, trace.effs[i]):
+                du = (d @ w) * (u != 0.0)
+                for j in range(0, du.shape[1], h):
+                    dz = du[:, j : j + h] if dz is None else dz + du[:, j : j + h]
+            d = dz
     return grads
 
 
@@ -330,16 +317,18 @@ class NetSpec:
 
     def __post_init__(self):
         if self.kind not in ("mlp", "crelu_resnet"):
-            raise ValueError(f"unknown network kind {self.kind!r}")
+            raise ConfigError(f"unknown network kind {self.kind!r}")
+        if not isinstance(self.hidden, (list, tuple)) or not all(is_count(h, 1) for h in self.hidden):
+            raise ConfigError(f"model.hidden must be a list of integers >= 1, got {self.hidden!r}")
         if self.kind == "crelu_resnet":
             if len(set(self.hidden)) > 1:
-                raise ValueError("residual blocks need a single common width")
+                raise ConfigError("residual blocks need a single common width")
             if not self.hidden:
-                raise ValueError("residual network needs at least one hidden width")
+                raise ConfigError("residual network needs at least one hidden width")
         if self.activation not in ("relu", "crelu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.out_nonlinearity not in ("identity", "sigmoid"):
-            raise ValueError(f"unknown output nonlinearity {self.out_nonlinearity!r}")
+            raise ConfigError(f"unknown output nonlinearity {self.out_nonlinearity!r}")
 
 
 def _lengths(n_rows: int, shared: bool, value: float) -> np.ndarray:
@@ -420,6 +409,12 @@ def init_network(spec: NetSpec, rng: np.random.Generator) -> Network:
     return net
 
 
+def layer_weights(net: Network) -> list[tuple]:
+    """Each layer's materialized post-normalization weights as a tuple:
+    (W,) for a dense layer, (W+, W-) for a pair."""
+    return [layer.weights() for layer in net.layers()]
+
+
 def effective_weights(net: Network) -> list[np.ndarray]:
     """Materialized post-normalization matrices, flat.
 
@@ -428,14 +423,7 @@ def effective_weights(net: Network) -> list[np.ndarray]:
     pair); these are the matrices whose rows the sparsity metrics and path
     norms consume.
     """
-    out = []
-    for layer in net.layers():
-        if isinstance(layer, PairLinear):
-            wp, wm = layer.effective()
-            out.extend([wp, wm])
-        else:
-            out.append(layer.effective())
-    return out
+    return [w for ws in layer_weights(net) for w in ws]
 
 
 def resnet_effective_parts(net: Network):

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linalg import DimensionError, as_matrix, op_inf_norm, op_inf_one_norm
-from .nets import Network, predict
+from .nets import Network, layer_weights, predict
 from .reparam import row_source
 
 __all__ = [
@@ -295,9 +295,8 @@ def closed_form_g_grads(net: Network) -> dict[str, np.ndarray]:
     }
 
 
-def _signs(e, owners=None) -> tuple:
+def _signs(ws: tuple, owners=None) -> tuple:
     # sign(W) of each matrix of a layer, zeroed where W does not own the max
-    ws = e if isinstance(e, tuple) else (e,)
     if owners is None:
         return tuple(np.sign(w) for w in ws)
     return tuple(np.where(o, np.sign(w), 0.0) for w, o in zip(ws, owners))
@@ -307,7 +306,8 @@ def _bound_chain(net: Network, kind: str, effs: list):
     """The nonnegative factor matrices A_k of a path bound, one per layer,
     whose value 1^T A_K ... A_1 1 is the bound, and per layer a tuple with
     the elementwise derivative of A_k with respect to each of the layer's
-    effective weights `effs` (laid out as in `forward`'s trace):
+    effective weights `effs` (`nets.layer_weights`: (W,) per dense layer,
+    (W+, W-) per pair):
 
       * MLP: A_k = |W_k|, derivative sign(W_k).  A CReLU layer after the
         first reads both activation copies: A_k = |W_k[:, :h]| + |W_k[:, h:]|.
@@ -319,11 +319,11 @@ def _bound_chain(net: Network, kind: str, effs: list):
     The derivatives are a generator, computed as they are read;
     `analyze_network` reads the matrices only.
     """
-    first = effs[0]
+    (first,) = effs[0]
     mats, owners = [np.abs(first)], [None] * len(effs)
     if net.kind == "mlp":
         crelu = net.activation == "crelu"
-        for w in effs[1:]:
+        for (w,) in effs[1:]:
             h = w.shape[1] // 2
             mats.append(np.abs(w[:, :h]) + np.abs(w[:, h:]) if crelu else np.abs(w))
     elif kind == "path_naive":
@@ -357,8 +357,7 @@ def bound_value_and_grad(net: Network, kind: str, effs: list) -> tuple[float, li
     for k, ds in enumerate(derivs):
         # a CReLU MLP layer reads each unit twice, once per activation copy
         outer = np.outer(b[k], np.tile(a[k], ds[0].shape[1] // a[k].size))
-        gs = tuple(dk * outer for dk in ds)
-        grads.append(gs if isinstance(effs[k], tuple) else gs[0])
+        grads.append(tuple(dk * outer for dk in ds))
     return float(np.sum(a[-1])), grads
 
 
@@ -369,12 +368,11 @@ def analyze_network(
     lipschitz_pairs: int = 0,
     input_box: float = 1.0,
     rng: np.random.Generator | None = None,
-    exact_dim_limit: int = 16,
 ) -> tuple[PathNormReport, list[str]]:
     """All applicable bounds for a network, plus any warnings raised along
     the way (oracle guard trips produce a null oracle field, not a failure)."""
     warnings: list[str] = []
-    effs = [layer.effective() for layer in net.layers()]
+    effs = layer_weights(net)
     mats = _bound_chain(net, "path_naive", effs)[0]
     naive = path_norm_mlp(mats)
     improved = None
@@ -383,8 +381,8 @@ def analyze_network(
         improved = path_norm_mlp(_bound_chain(net, "path_improved", effs)[0])
     elif net.activation == "relu" or len(effs) == 1:
         # the (inf,1) factor of an output map with no CReLU collapse keeps its signs
-        final = effs[-1]
-    prod, exact = product_bound([*mats[:-1], final], exact_dim_limit)
+        final = effs[-1][0]
+    prod, exact = product_bound([*mats[:-1], final])
 
     oracle_val = None
     if oracle:

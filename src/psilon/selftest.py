@@ -29,7 +29,7 @@ from .pathnorm import (
     psilon_closed_form_mlp,
     psilon_closed_form_resnet,
 )
-from .reparam import L1WN, L2WN, NONE, blend, proj_l1_sphere
+from .reparam import L1WN, L2WN, NONE, blend, proj_l1_sphere, row_source
 from .training import Regularizer, Splits, TrainPlan, regularized_loss, rows_to_csv, train
 
 L1_MODES = ("l1wn", "l1proj", "blend")
@@ -51,7 +51,7 @@ def kink_free_input(net, x, rng):
     1e-3 from the ReLU kink, so finite differences see a smooth function."""
     for _ in range(100):
         _, tr = forward(net, x)
-        if all(np.all(np.abs(a) > 1e-3) for a in tr.pres):
+        if all(np.all(np.abs(a) > 1e-3) for a in tr.zs[1:]):
             break
         x = x + 0.02 * rng.standard_normal(x.shape)
     return x
@@ -86,10 +86,7 @@ def row_constraint_problems(net) -> list[str]:
         if layer.mode.tag not in L1_MODES:
             problems.append(f"layer {i}: mode {layer.mode.encode()} is not an L1 mode")
             continue
-        w = layer.effective()
-        if isinstance(w, tuple):
-            w = np.maximum(np.abs(w[0]), np.abs(w[1]))
-        norms = np.sum(np.abs(w), axis=1)
+        norms = row_source(layer.weights())[0].sum(axis=1)
         g = np.abs(np.broadcast_to(layer.g, norms.shape))
         excess = np.abs(norms - g) / np.maximum(1.0, g)
         if not np.all(excess <= ROW_TOL):

@@ -18,7 +18,6 @@ blend(0), which the reparameterization computes with the L1WN kernel alone.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +25,17 @@ import numpy as np
 
 from .data import Dataset
 from .metrics import network_sparsity
-from .nets import ConfigError, NetSpec, Network, backward, forward, init_network, sigmoid
+from .nets import (
+    ConfigError,
+    NetSpec,
+    Network,
+    backward,
+    forward,
+    init_network,
+    is_count,
+    layer_weights,
+    sigmoid,
+)
 from .pathnorm import bound_value_and_grad, closed_form_for, closed_form_g_grads
 from .reparam import blend, row_source, rows_threshold
 
@@ -154,14 +163,20 @@ class TrainPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) or self.steps < 0:
+        if not is_count(self.steps, 0):
             raise ConfigError("train.steps must be an integer >= 0")
+        if not is_count(self.batches_per_epoch, 1):
+            raise ConfigError("train.batches_per_epoch must be an integer >= 1")
+        if self.batch_size is not None and not is_count(self.batch_size, 1):
+            raise ConfigError("train.batch_size must be null or an integer >= 1")
         if self.loss not in ("mse", "cross_entropy"):
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.prune_window is not None:
-            start, end = self.prune_window
-            if not (0 <= start < end <= self.steps):
-                raise ConfigError("prune window must sit inside [0, steps]")
+        w = self.prune_window
+        if w is not None and not (
+            isinstance(w, (list, tuple)) and len(w) == 2 and all(is_count(v, 0) for v in w)
+            and w[0] < w[1] <= self.steps
+        ):
+            raise ConfigError("train.prune_window must be two integers 0 <= start < end <= train.steps")
 
 
 @dataclass
@@ -248,22 +263,21 @@ def _check_reg(net: Network, reg: Regularizer) -> None:
 
 def reg_value(net: Network, reg: Regularizer, effs: list | None = None) -> float:
     """The regularizer's value.  `effs` are the per-layer effective weights
-    in the layout of `forward`'s trace (a matrix per dense layer, a (W+, W-)
-    tuple per pair); without them each layer is materialized once."""
+    as in `forward`'s trace (`nets.layer_weights`: (W,) per dense layer,
+    (W+, W-) per pair); without them each layer is materialized once."""
     if reg.kind == "none":
         return 0.0
     if reg.kind == "path_closed_form":
         return closed_form_for(net)
     if effs is None:
-        effs = [layer.effective() for layer in net.layers()]
+        effs = layer_weights(net)
     if reg.kind == "l2wr":
-        flat = [w for e in effs for w in (e if isinstance(e, tuple) else (e,))]
-        return float(sum(np.sum(w * w) for w in flat))
+        return float(sum(np.sum(w * w) for ws in effs for w in ws))
     return bound_value_and_grad(net, reg.kind, effs)[0]
 
 
 def _l2wr_weight_grads(effs: list) -> list:
-    return [tuple(2.0 * w for w in e) if isinstance(e, tuple) else 2.0 * e for e in effs]
+    return [tuple(2.0 * w for w in ws) for ws in effs]
 
 
 def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
@@ -286,10 +300,7 @@ def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
             rval, wgrads = reg_value(net, reg, trace.effs), _l2wr_weight_grads(trace.effs)
         else:
             rval, wgrads = bound_value_and_grad(net, reg.kind, trace.effs)
-        extra = {
-            i: (reg.lam * gw[0], reg.lam * gw[1]) if isinstance(gw, tuple) else reg.lam * gw
-            for i, gw in enumerate(wgrads)
-        }
+        extra = {i: tuple(reg.lam * w for w in gw) for i, gw in enumerate(wgrads)}
 
     grads = backward(net, trace, dlogits, extra=extra)
     if reg.kind == "path_closed_form" and reg.lam > 0.0 and not net.freeze_lengths:

@@ -4,13 +4,15 @@ Training-backed criteria (7, 8, 9) run real optimization and take a few
 minutes combined; everything else is fast.  Criteria 1-6 and 10 call the
 invariant functions in `psilon.selftest` with their acceptance sizes and
 seeds.  Run with `pytest -v tests/test_acceptance.py` (add -s to watch the
-PASS lines stream).
+PASS lines stream); criteria 7-9 carry the `slow` marker, so
+`pytest -m "not slow"` skips them.
 """
 
 import json
 import time
 
 import numpy as np
+import pytest
 
 from psilon import selftest
 from psilon.cli import main as cli_main
@@ -80,6 +82,7 @@ def test_criterion_06_projection_correctness():
                "unit norm to 1e-12; idempotent; worked value reproduced")
 
 
+@pytest.mark.slow
 def test_criterion_07_pruning_pipeline():
     t0 = time.time()
     splits = make_splits("sparse_teacher", 2600, 20, 0.05, seed=3, train_n=2000, k_active=2)
@@ -107,6 +110,7 @@ def test_criterion_07_pruning_pipeline():
                f"test mse ratio {mse_pruned / mse_plain:.3f} <= 1.1 ({time.time() - t0:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_08_near_sparsity_ordering():
     t0 = time.time()
     splits = make_splits("sparse_teacher", 2600, 20, 0.05, seed=3, train_n=2000, k_active=2)
@@ -129,6 +133,7 @@ def test_criterion_08_near_sparsity_ordering():
                f"unregularized PSiLON {ns_unreg:.3f} > S-Net ({time.time() - t0:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_09_capacity_control_benefit():
     t0 = time.time()
     dim = 10

@@ -161,20 +161,43 @@ def test_non_finite_lambda_rejected(tmp_path, capsys, argv):
 
 
 STEPS_MESSAGE = "train.steps must be an integer >= 0"
+BATCHES_MESSAGE = "train.batches_per_epoch must be an integer >= 1"
+BATCH_SIZE_MESSAGE = "train.batch_size must be null or an integer >= 1"
+WINDOW_MESSAGE = "train.prune_window must be two integers 0 <= start < end <= train.steps"
 
 
-@pytest.mark.parametrize("argv, train_overrides, message", [
+@pytest.mark.parametrize("argv, overrides, message", [
     (["train", "--lam", "nan"], {}, "lambda must be a finite number >= 0"),
     (["gridsearch", "--lambdas", "0.1", "nan"], {}, "lambda must be a finite number >= 0"),
     (["train", "--steps", "-1"], {}, STEPS_MESSAGE),
-    (["train"], {"steps": -1}, STEPS_MESSAGE),
-    (["train"], {"steps": 1.5}, STEPS_MESSAGE),
-    (["train"], {"steps": True}, STEPS_MESSAGE),
-    (["gridsearch", "--lambdas", "0.1"], {"steps": 1.5}, STEPS_MESSAGE),
+    (["train"], {"train.steps": -1}, STEPS_MESSAGE),
+    (["train"], {"train.steps": 1.5}, STEPS_MESSAGE),
+    (["train"], {"train.steps": True}, STEPS_MESSAGE),
+    (["gridsearch", "--lambdas", "0.1"], {"train.steps": 1.5}, STEPS_MESSAGE),
+    (["train"], {"train.batches_per_epoch": 0}, BATCHES_MESSAGE),
+    (["train"], {"train.batches_per_epoch": 1.5}, BATCHES_MESSAGE),
+    (["train"], {"train.batches_per_epoch": -2}, BATCHES_MESSAGE),
+    (["train"], {"train.batch_size": 1.5}, BATCH_SIZE_MESSAGE),
+    (["train"], {"train.batch_size": 0}, BATCH_SIZE_MESSAGE),
+    (["train"], {"train.prune_window": [10.7, 19.2]}, WINDOW_MESSAGE),
+    (["train"], {"train.prune_window": [False, True]}, WINDOW_MESSAGE),
+    (["train"], {"train.prune_window": "ab"}, WINDOW_MESSAGE),
+    (["train"], {"model.hidden": [0]}, "model.hidden must be a list of integers >= 1, got [0]"),
+    (["train"], {"model.hidden": "x"}, "model.hidden must be a list of integers >= 1, got 'x'"),
+    (["train"], {"model.kind": "bogus"}, "unknown network kind 'bogus'"),
+    (["train"], {"model.activation": "tanh"}, "unknown activation 'tanh'"),
+    (["train"], {"model.out_nonlinearity": "softmax"}, "unknown output nonlinearity 'softmax'"),
 ], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
-        "steps_fractional", "steps_bool", "grid_steps_fractional"])
-def test_rejected_config_leaves_no_output(tmp_path, capsys, argv, train_overrides, message):
-    cfg = write_config(tmp_path, base_config(tmp_path / "run", **train_overrides))
+        "steps_fractional", "steps_bool", "grid_steps_fractional", "batches_zero",
+        "batches_fractional", "batches_negative", "batch_size_fractional", "batch_size_zero",
+        "window_fractional", "window_bool", "window_string", "hidden_zero", "hidden_string",
+        "kind_unknown", "activation_unknown", "out_nonlinearity_unknown"])
+def test_rejected_config_leaves_no_output(tmp_path, capsys, argv, overrides, message):
+    doc = base_config(tmp_path / "run")
+    for key, value in overrides.items():
+        section, name = key.split(".")
+        doc[section][name] = value
+    cfg = write_config(tmp_path, doc)
     command, *flags = argv
     assert main([command, "--config", cfg, *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -385,7 +408,20 @@ class TestEvalCommand:
          "missing keys ['feature_sd']"),
         ({"feature_mean": [0.0] * 3, "feature_sd": [1.0] * 3, "target_median": 0.0,
           "target_qd": 1.0}, "feature_mean must list 4 values, one per dataset feature"),
-    ], ids=["missing_key", "wrong_feature_count"])
+        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0, 0.0, 1.0, 1.0], "target_median": 0.0,
+          "target_qd": 1.0}, "feature_sd has a value <= 0"),
+        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0, "a", 1.0, 1.0], "target_median": 0.0,
+          "target_qd": 1.0}, "feature_sd has a value that is not a finite number"),
+        ({"feature_mean": [0.0, None, 0.0, 0.0], "feature_sd": [1.0] * 4, "target_median": 0.0,
+          "target_qd": 1.0}, "feature_mean has a value that is not a finite number"),
+        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": None,
+          "target_qd": 1.0}, "target_median has a value that is not a finite number"),
+        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": 0.0,
+          "target_qd": 0.0}, "target_qd has a value <= 0"),
+        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": 0.0,
+          "target_qd": "1"}, "target_qd has a value that is not a finite number"),
+    ], ids=["missing_key", "wrong_feature_count", "zero_sd", "string_sd", "null_mean",
+            "null_median", "zero_qd", "string_qd"])
     def test_bad_stats_file_rejected(self, tmp_path, capsys, stats, reason):
         ds = synth_task("sparse_teacher", 30, 4, 0.2, seed=11)
         csv_path = tmp_path / "d.csv"

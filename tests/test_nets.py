@@ -31,7 +31,7 @@ def jittered_input(net, rng, batch=3, margin=1e-3):
     for _ in range(300):
         x = rng.standard_normal((batch, net.d_in))
         _, tr = forward(net, x)
-        if all(np.all(np.abs(a) >= margin) for a in tr.pres):
+        if all(np.all(np.abs(a) >= margin) for a in tr.zs[1:]):
             return x
     raise RuntimeError("could not find kink-free inputs")
 
@@ -130,16 +130,29 @@ class TestForward:
         np.testing.assert_allclose(p, 1.0 / (1.0 + np.exp(-logits)))
 
 
+# NetSpec fields per network the backward check covers: both kinds, a CReLU
+# MLP, a linear MLP, no biases, a one-block ResNet and frozen lengths
+BACKWARD_NETS = {
+    "mlp": {"kind": "mlp"},
+    "crelu_resnet": {"kind": "crelu_resnet"},
+    "mlp_crelu": {"kind": "mlp", "activation": "crelu"},
+    "mlp_linear": {"kind": "mlp", "hidden": []},
+    "crelu_resnet_no_bias": {"kind": "crelu_resnet", "bias": False},
+    "crelu_resnet_one_block": {"kind": "crelu_resnet", "hidden": [4]},
+    "mlp_frozen_lengths": {"kind": "mlp", "freeze_lengths": True},
+}
+
+
 class TestBackward:
-    @pytest.mark.parametrize("kind", ["mlp", "crelu_resnet"])
+    @pytest.mark.parametrize("arch", list(BACKWARD_NETS))
     @pytest.mark.parametrize(
         "mode",
         [L1WN, L2WN, L1PROJ, NONE, blend(0.3)],
         ids=["l1wn", "l2wn", "l1proj", "none", "blend"],
     )
-    def test_matches_finite_differences(self, kind, mode):
+    def test_matches_finite_differences(self, arch, mode):
         rng = make_rng(12)
-        spec = NetSpec(kind=kind, d_in=3, d_out=2, hidden=[4, 4], mode=mode)
+        spec = NetSpec(d_in=3, d_out=2, mode=mode, **{"hidden": [4, 4], **BACKWARD_NETS[arch]})
         net = init_network(spec, rng)
         jitter(net, rng, 0.4)
         x = jittered_input(net, rng)

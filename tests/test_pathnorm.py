@@ -24,7 +24,7 @@ from psilon.pathnorm import (
     psilon_closed_form_resnet,
 )
 from psilon.reparam import L1WN, NONE
-from psilon.nets import effective_weights, resnet_effective_parts
+from psilon.nets import effective_weights, layer_weights, resnet_effective_parts
 from psilon.selftest import jitter, theorem1_chain, theorem2_chain
 
 
@@ -105,7 +105,7 @@ class TestPathNormEnumerate:
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=2, hidden=[4, 4, 4], mode=NONE)
         net = init_network(spec, make_rng(41))
         jitter(net, make_rng(42), 0.4)
-        mats, _ = _bound_chain(net, "path_naive", [layer.effective() for layer in net.layers()])
+        mats, _ = _bound_chain(net, "path_naive", layer_weights(net))
         assert path_norm_enumerate(mats) == walk_reference(mats)
 
     def test_equals_the_walk_across_chunk_boundaries(self):
@@ -389,7 +389,7 @@ class TestAnalyzeNetwork:
         spec = NetSpec(kind="crelu_resnet", d_in=2, d_out=1, hidden=[3], mode=NONE)
         net = init_network(spec, make_rng(24))
         jitter(net, make_rng(25), 0.4)
-        mats, _ = _bound_chain(net, "path_naive", [layer.effective() for layer in net.layers()])
+        mats, _ = _bound_chain(net, "path_naive", layer_weights(net))
         assert path_norm_enumerate(mats) == pytest.approx(
             naive_crelu_path_norm(*resnet_effective_parts(net)), rel=1e-10
         )
@@ -411,7 +411,7 @@ class TestBoundEngine:
                 # fold the plus/minus feature copies each later layer reads
                 ws = [ws[0], *(np.abs(w[:, : w.shape[1] // 2]) + np.abs(w[:, w.shape[1] // 2 :])
                                for w in ws[1:])]
-            effs = [layer.effective() for layer in net.layers()]
+            effs = layer_weights(net)
             assert bound_value_and_grad(net, "path_naive", effs)[0] == path_norm_mlp(ws)
 
     def test_resnet_values_match_the_formulas(self):
@@ -421,7 +421,7 @@ class TestBoundEngine:
                            hidden=[4] * (1 + trial % 3), mode=L1WN)
             net = init_network(spec, rng)
             jitter(net, rng)
-            effs = [layer.effective() for layer in net.layers()]
+            effs = layer_weights(net)
             parts = resnet_effective_parts(net)
             for kind, formula in [("path_naive", naive_crelu_path_norm),
                                   ("path_improved", improved_bound_crelu)]:

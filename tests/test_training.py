@@ -7,7 +7,7 @@ import psilon.training
 from psilon.data import SplitSpec, apply_stats, split, standardize, synth_task
 from psilon.linalg import make_rng
 from psilon.metrics import network_sparsity
-from psilon.nets import NetSpec, PairLinear, backward, forward, init_network
+from psilon.nets import NetSpec, backward, forward, init_network, layer_weights
 from psilon.pathnorm import bound_value_and_grad
 from psilon.reparam import L1WN, NONE, rows_threshold
 from psilon.selftest import row_constraint_problems
@@ -218,11 +218,10 @@ class TestRegularizedLoss:
 
         # reference: reg_value and every kernel run afresh
         ref_loss = data_loss(net, splits.train, plan.loss) + reg.lam * reg_value(net, reg)
-        fresh = [layer.effective() for layer in net.layers()]
+        fresh = layer_weights(net)
         wgrads = (_l2wr_weight_grads(fresh) if regk == "l2wr"
                   else bound_value_and_grad(net, regk, fresh)[1])
-        extra = {i: tuple(reg.lam * w for w in gw) if isinstance(gw, tuple) else reg.lam * gw
-                 for i, gw in enumerate(wgrads)}
+        extra = {i: tuple(reg.lam * w for w in gw) for i, gw in enumerate(wgrads)}
         logits, trace = forward(net, splits.train.features)
         ref_grads = backward(net, trace, _loss_and_grad(logits, splits.train, plan.loss)[1], extra)
 
@@ -237,7 +236,7 @@ class TestRegularizedLoss:
         loss, grads = regularized_loss(net, splits.train, plan)
         monkeypatch.undo()
 
-        n_pairs = sum(isinstance(layer, PairLinear) for layer in net.layers())
+        n_pairs = sum(len(ws) == 2 for ws in fresh)
         assert calls == {"rows_effective": len(net.layers()) - n_pairs, "pair_effective": n_pairs,
                          "row_source": n_pairs if regk == "path_improved" else 0}
         assert np.array_equal(loss, ref_loss)
