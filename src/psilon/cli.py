@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from .data import (
     SplitSpec,
     apply_stats,
     load_csv,
-    split,
     standardize,
     synth_task,
 )
@@ -39,6 +38,7 @@ from .nets import (
     init_network,
     load_network,
     network_to_json,
+    read_json,
     save_network,
     write_atomic,
     write_json,
@@ -55,6 +55,7 @@ from .training import (
     TrainPlan,
     WarmHoldDecay,
     adam_state_to_json,
+    check_regularizer,
     evaluate,
     grid_search,
     rows_to_csv,
@@ -121,12 +122,12 @@ def _merge_checked(defaults, given, path="config"):
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     out = {}
     for key, default in defaults.items():
-        if key in given and isinstance(default, dict) and isinstance(given[key], dict):
-            out[key] = _merge_checked(default, given[key], f"{path}.{key}")
-        elif key in given:
-            out[key] = given[key]
+        if isinstance(default, dict):
+            # a fresh dict even when the key is absent, so that overrides
+            # never write into the schema
+            out[key] = _merge_checked(default, given.get(key, {}), f"{path}.{key}")
         else:
-            out[key] = default
+            out[key] = given.get(key, default)
     return out
 
 
@@ -162,51 +163,37 @@ def _build_dataset(cfg: dict):
     raise ConfigError(f"unknown data kind {d['kind']!r}")
 
 
-def _build_splits(cfg: dict):
-    ds = _build_dataset(cfg)
-    spec = SplitSpec(
-        train_n=cfg["split"]["train_n"],
-        val_frac_of_rest=cfg["split"]["val_frac_of_rest"],
-        seed=cfg["seed"],
-    )
-    tr, va, te = split(ds, spec)
-    trs = standardize(tr)
-    return Splits(trs, apply_stats(va, trs), apply_stats(te, trs))
+def _build_splits(cfg: dict) -> Splits:
+    return Splits.standardized(_build_dataset(cfg), SplitSpec(**cfg["split"], seed=cfg["seed"]))
 
 
 def _build_net_spec(cfg: dict, train: Dataset) -> NetSpec:
     m = cfg["model"]
-    return NetSpec(
-        kind=m["kind"],
-        d_in=train.dim,
-        d_out=train.n_classes if train.task == "multiclass" else 1,
-        hidden=m["hidden"],
-        activation=m["activation"],
-        mode=NormMode.decode(m["mode"]),
-        shared_lengths=m["shared_lengths"],
-        out_nonlinearity=m["out_nonlinearity"],
-        bias=m["bias"],
-        freeze_lengths=m["freeze_lengths"],
-    )
+    try:
+        mode = NormMode.decode(m["mode"])
+    except (AttributeError, ValueError):
+        raise ConfigError(
+            f"model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [0, 1]>, got {m['mode']!r}"
+        ) from None
+    d_out = train.n_classes if train.task == "multiclass" else 1
+    return NetSpec(**{**m, "mode": mode}, d_in=train.dim, d_out=d_out)
+
+
+_SCHEDULES = {"warm_hold_decay": WarmHoldDecay, "one_cycle": OneCycle}
 
 
 def _build_plan(cfg: dict) -> TrainPlan:
     t = cfg["train"]
     s = t["lr_schedule"]
-    if s["kind"] == "warm_hold_decay":
-        sched = WarmHoldDecay(s["lo"], s["hi"], s["warm_frac"], s["hold_frac"])
-    elif s["kind"] == "one_cycle":
-        sched = OneCycle(s["init"], s["max_lr"], s["final"], s["peak_frac"])
-    else:
+    schedule = _SCHEDULES.get(s["kind"]) if isinstance(s["kind"], str) else None
+    if schedule is None:
         raise ConfigError(f"unknown lr schedule {s['kind']!r}")
     return TrainPlan(
-        steps=t["steps"],
-        batches_per_epoch=t["batches_per_epoch"],
-        batch_size=t["batch_size"],
-        lr_schedule=sched,
-        regularizer=Regularizer(t["regularizer"]["kind"], t["regularizer"]["lam"]),
-        loss=t["loss"],
-        prune_window=t["prune_window"],
+        **{
+            **t,
+            "lr_schedule": schedule(**{f.name: s[f.name] for f in fields(schedule)}),
+            "regularizer": Regularizer(**t["regularizer"]),
+        },
         seed=cfg["seed"],
     )
 
@@ -231,13 +218,14 @@ def _dump_json(obj, path) -> None:
 
 
 def cmd_train(args, require_window: bool = False) -> int:
-    with open(args.config) as f:
-        cfg = resolve_config(json.load(f), args)
+    cfg = resolve_config(read_json(args.config), args)
     if require_window and cfg["train"]["prune_window"] is None:
         raise ConfigError("prune requires train.prune_window in the config")
     splits = _build_splits(cfg)
     net_spec = _build_net_spec(cfg, splits.train)
     plan = _build_plan(cfg)
+    net = init_network(net_spec, np.random.default_rng(cfg["seed"]))
+    check_regularizer(net, plan.regularizer)
     # only a run whose config checked out gets an output directory
     out = _prepare_out_dir(
         cfg["out_dir"], args.overwrite,
@@ -247,7 +235,6 @@ def cmd_train(args, require_window: bool = False) -> int:
     _dump_json(cfg, out / "config_resolved.json")
     _dump_json(splits.train.stats_json(), out / "dataset_stats.json")
 
-    net = init_network(net_spec, np.random.default_rng(cfg["seed"]))
     try:
         net, rows, opt_state = train_with_state(net, splits, plan)
     except TrainingDiverged as e:
@@ -273,12 +260,12 @@ def cmd_train(args, require_window: bool = False) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    with open(args.config) as f:
-        cfg = resolve_config(json.load(f), args)
+    cfg = resolve_config(read_json(args.config), args)
     lambdas = args.lambdas if args.lambdas else DEFAULT_LAMBDA_GRID
     splits = _build_splits(cfg)
     net_spec = _build_net_spec(cfg, splits.train)
     plan = _build_plan(cfg)
+    check_regularizer(init_network(net_spec, np.random.default_rng(plan.seed)), plan.regularizer)
     for lam in lambdas:
         Regularizer(plan.regularizer.kind, lam)  # checks each lambda before anything is written
     cell_dirs = [f"lam_{lam:g}" for lam in lambdas]
@@ -353,8 +340,7 @@ def _load_stats(path, ds: Dataset) -> Dataset:
     standardization `apply_stats` gives `ds`, checked against it: the keys
     eval reads, one mean and sd per feature, finite numbers and positive
     scales."""
-    with open(path) as f:
-        stats = json.load(f)
+    stats = read_json(path)
     keys = ["feature_mean", "feature_sd"]
     if ds.task == "regression":
         keys += ["target_median", "target_qd"]
@@ -457,12 +443,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (ConfigError, DataError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except TrainingDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return RUNTIME_ERROR
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return RUNTIME_ERROR

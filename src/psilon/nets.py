@@ -54,6 +54,7 @@ __all__ = [
     "network_from_json",
     "save_network",
     "load_network",
+    "read_json",
     "write_atomic",
     "write_json",
 ]
@@ -329,84 +330,50 @@ class NetSpec:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.out_nonlinearity not in ("identity", "sigmoid"):
             raise ConfigError(f"unknown output nonlinearity {self.out_nonlinearity!r}")
-
-
-def _lengths(n_rows: int, shared: bool, value: float) -> np.ndarray:
-    return np.full(1 if shared else n_rows, value, dtype=np.float64)
+        for name in ("bias", "shared_lengths", "freeze_lengths"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"model.{name} must be true or false, got {value!r}")
 
 
 def init_network(spec: NetSpec, rng: np.random.Generator) -> Network:
-    """Orthogonal raw directions, zero biases.
+    """Orthogonal raw directions, zero biases, one layer per (fan-in, width)
+    pair of `[d_in, *hidden, d_out]`; a residual net puts its first layer
+    in front of the blocks, `[d_in, width, *hidden, d_out]`.
 
-    MLP lengths start at 1 everywhere.  Residual nets get the
-    "looks linear" start: the minus matrices copy the plus matrices, first
-    and last lengths start at 1, interior block lengths at 0 so every
-    block is an identity at initialization.
+    Every layer after a residual net's first is a plus/minus pair with the
+    "looks linear" start: the minus matrix copies the plus matrix, and the
+    lengths of the residual blocks start at 0 so that every block is an
+    identity at initialization.  All other lengths start at 1.  The last
+    layer has one length per row; every other layer has one shared length
+    when `spec.shared_lengths`, else one per row.
     """
-    bias = lambda h: np.zeros(h) if spec.bias else None
-    if spec.kind == "mlp":
-        widths = [spec.d_in, *spec.hidden, spec.d_out]
-        fan_mult = 2 if spec.activation == "crelu" else 1
-        layers = []
-        for i in range(len(widths) - 1):
-            d = widths[i] * (fan_mult if i > 0 else 1)
-            h = widths[i + 1]
-            shared = spec.shared_lengths and i < len(widths) - 2
-            layers.append(
-                NormalizedLinear(
-                    raw=orthogonal_init(h, d, rng),
-                    g=_lengths(h, shared, 1.0),
-                    bias=bias(h),
-                    mode=spec.mode,
-                )
-            )
-        net = Network(
-            kind="mlp",
-            first=layers[0],
-            hidden=layers[1:-1],
-            last=layers[-1],
-            activation=spec.activation,
-            out_nonlinearity=spec.out_nonlinearity,
-            freeze_lengths=spec.freeze_lengths,
-        )
-    else:
-        width = spec.hidden[0]
-        first = NormalizedLinear(
-            raw=orthogonal_init(width, spec.d_in, rng),
-            g=_lengths(width, spec.shared_lengths, 1.0),
-            bias=bias(width),
-            mode=spec.mode,
-        )
-        blocks = []
-        for _ in range(len(spec.hidden)):
-            raw_p = orthogonal_init(width, width, rng)
-            blocks.append(
-                PairLinear(
-                    raw_plus=raw_p,
-                    raw_minus=raw_p.copy(),
-                    g=_lengths(width, spec.shared_lengths, 0.0),
-                    bias=bias(width),
-                    mode=spec.mode,
-                )
-            )
-        raw_p = orthogonal_init(spec.d_out, width, rng)
-        last = PairLinear(
-            raw_plus=raw_p,
-            raw_minus=raw_p.copy(),
-            g=np.ones(spec.d_out),
-            bias=bias(spec.d_out),
-            mode=spec.mode,
-        )
-        net = Network(
-            kind="crelu_resnet",
-            first=first,
-            hidden=blocks,
-            last=last,
-            activation="crelu",
-            out_nonlinearity=spec.out_nonlinearity,
-            freeze_lengths=spec.freeze_lengths,
-        )
-    return net
+    resnet = spec.kind == "crelu_resnet"
+    widths = [spec.d_in, *spec.hidden, spec.d_out]
+    if resnet:
+        widths.insert(1, spec.hidden[0])
+    last = len(widths) - 2
+    layers = []
+    for i, (d, h) in enumerate(zip(widths, widths[1:])):
+        if i > 0 and not resnet and spec.activation == "crelu":
+            d *= 2  # a CReLU MLP layer reads both halves of the previous output
+        raw = orthogonal_init(h, d, rng)
+        shared = spec.shared_lengths and i < last
+        g = np.full(1 if shared else h, 0.0 if resnet and 0 < i < last else 1.0)
+        bias = np.zeros(h) if spec.bias else None
+        if resnet and i > 0:
+            layers.append(PairLinear(raw, raw.copy(), g, bias, spec.mode))
+        else:
+            layers.append(NormalizedLinear(raw, g, bias, spec.mode))
+    return Network(
+        kind=spec.kind,
+        first=layers[0],
+        hidden=layers[1:-1],
+        last=layers[-1],
+        activation="crelu" if resnet else spec.activation,
+        out_nonlinearity=spec.out_nonlinearity,
+        freeze_lengths=spec.freeze_lengths,
+    )
 
 
 def layer_weights(net: Network) -> list[tuple]:
@@ -542,9 +509,14 @@ def _lookup(doc, path: str, where: str):
 def _finite(doc, path: str, where: str) -> np.ndarray:
     value = _lookup(doc, path, where)
     try:
-        a = np.asarray(value, dtype=np.float64)
-    except (OverflowError, TypeError, ValueError):
-        raise ConfigError(f"{where}{path} is not an array of numbers") from None
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting of lists
+        a = None
+    # JSON numbers only: strings, nulls and integers too large for any
+    # integer dtype do not give an integer or float array
+    if a is None or a.dtype.kind not in "iuf":
+        raise ConfigError(f"{where}{path} is not an array of numbers")
+    a = a.astype(np.float64, copy=False)
     if not np.isfinite(a).all():
         raise ConfigError(f"{where}{path} has a non-finite value")
     return a
@@ -628,6 +600,9 @@ def network_from_json(doc: dict) -> Network:
     _check_layers(kind, activation, layers)
     if out_nonlinearity not in ("identity", "sigmoid"):
         raise ConfigError(f"unknown output nonlinearity {out_nonlinearity!r}")
+    freeze_lengths = doc.get("freeze_lengths", False)
+    if not isinstance(freeze_lengths, bool):
+        raise ConfigError(f"freeze_lengths must be true or false, got {freeze_lengths!r}")
     return Network(
         kind=kind,
         first=layers[0],
@@ -635,7 +610,7 @@ def network_from_json(doc: dict) -> Network:
         last=layers[-1],
         activation=activation,
         out_nonlinearity=out_nonlinearity,
-        freeze_lengths=doc.get("freeze_lengths", False),
+        freeze_lengths=freeze_lengths,
     )
 
 
@@ -643,11 +618,23 @@ def save_network(net: Network, path) -> None:
     write_json(network_to_json(net), path)
 
 
+def read_json(path):
+    """The JSON document in the file `path`; a file that cannot be read or
+    is not JSON raises a one-line ConfigError naming the file."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror or e}") from None
+    except ValueError as e:  # not JSON, or not text
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def load_network(path) -> Network:
     """A network from a `model.json`; a file that is not one raises a
     one-line ConfigError naming the file."""
+    doc = read_json(path)
     try:
-        with open(path) as f:
-            return network_from_json(json.load(f))
-    except (ConfigError, json.JSONDecodeError) as e:
+        return network_from_json(doc)
+    except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import SplitSpec, apply_stats, split, standardize, synth_task
+from .data import SplitSpec, standardize, synth_task
 from .linalg import make_rng
 from .metrics import near_sparsity
 from .nets import NetSpec, effective_weights, forward, init_network, resnet_effective_parts
@@ -297,10 +297,8 @@ def metric_definitions():
 
 def training_determinism():
     """Two runs of one seeded config log byte-identical metrics."""
-    ds = synth_task("two_gaussians", 120, 4, 0.4, seed=6)
-    tr, va, te = split(ds, SplitSpec(train_n=80, seed=7))
-    trs = standardize(tr)
-    splits = Splits(trs, apply_stats(va, trs), apply_stats(te, trs))
+    splits = Splits.standardized(synth_task("two_gaussians", 120, 4, 0.4, seed=6),
+                                 SplitSpec(train_n=80, seed=7))
     logs = []
     for _ in range(2):
         spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[6], mode=L1WN)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, SplitSpec, apply_stats, split, standardize
 from .metrics import network_sparsity
 from .nets import (
     ConfigError,
@@ -54,6 +54,7 @@ __all__ = [
     "prune_alpha",
     "adam_step",
     "adam_state_to_json",
+    "check_regularizer",
     "regularized_loss",
     "data_loss",
     "reg_value",
@@ -218,6 +219,14 @@ class Splits:
     val: Dataset
     test: Dataset | None = None
 
+    @staticmethod
+    def standardized(ds: Dataset, spec: SplitSpec) -> Splits:
+        """`ds` split by `spec`, with the training split standardized and its
+        statistics applied to the validation and test splits."""
+        tr, va, te = split(ds, spec)
+        trs = standardize(tr)
+        return Splits(trs, apply_stats(va, trs), apply_stats(te, trs))
+
 
 # --- losses -------------------------------------------------------------------
 
@@ -252,7 +261,8 @@ def data_loss(net: Network, ds: Dataset, loss: str) -> float:
 # --- regularizers ---------------------------------------------------------------
 
 
-def _check_reg(net: Network, reg: Regularizer) -> None:
+def check_regularizer(net: Network, reg: Regularizer) -> None:
+    """Reject a regularizer that `net` cannot use."""
     if reg.kind == "path_improved" and net.kind != "crelu_resnet":
         raise ConfigError("the improved residual bound only applies to CReLU residual nets")
     if reg.kind == "path_closed_form" and closed_form_for(net) is None:
@@ -286,7 +296,7 @@ def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
     if batch.n == 0:
         raise ValueError("empty batch")
     reg = plan.regularizer
-    _check_reg(net, reg)
+    check_regularizer(net, reg)
     logits, trace = forward(net, batch.features)
     dval, dlogits = _loss_and_grad(logits, batch, plan.loss)
 

@@ -16,7 +16,7 @@ import pytest
 
 from psilon import selftest
 from psilon.cli import main as cli_main
-from psilon.data import SplitSpec, apply_stats, split, standardize, synth_task
+from psilon.data import SplitSpec, synth_task
 from psilon.linalg import make_rng
 from psilon.metrics import network_sparsity
 from psilon.nets import NetSpec, init_network
@@ -30,9 +30,7 @@ def _report(n, msg):
 
 def make_splits(kind, n, d, noise, seed, train_n, **kw):
     ds = synth_task(kind, n, d, noise, seed=seed, **kw)
-    tr, va, te = split(ds, SplitSpec(train_n=train_n, seed=seed + 1))
-    trs = standardize(tr)
-    return Splits(trs, apply_stats(va, trs), apply_stats(te, trs))
+    return Splits.standardized(ds, SplitSpec(train_n=train_n, seed=seed + 1))
 
 
 def test_criterion_01_oracle_equivalence():
@@ -138,9 +136,7 @@ def test_criterion_09_capacity_control_benefit():
     t0 = time.time()
     dim = 10
     ds = synth_task("two_gaussians", 2500, dim, 2.0, seed=2024)
-    tr, va, te = split(ds, SplitSpec(train_n=500, seed=2025))
-    trs = standardize(tr)
-    splits = Splits(trs, apply_stats(va, trs), apply_stats(te, trs))
+    splits = Splits.standardized(ds, SplitSpec(train_n=500, seed=2025))
     spec = NetSpec(kind="mlp", d_in=dim, d_out=1, hidden=[500] * 3, mode=L1WN)
     lams = [1e-3, 5e-3, 2.5e-2]
     diffs = []

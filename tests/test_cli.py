@@ -106,6 +106,20 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg]) == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,reason", [
+        ('{"seed": ', "Expecting value: line 1 column 10 (char 9)"),
+        (None, "Is a directory"),
+    ], ids=["not_json", "directory"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, text, reason):
+        cfg = tmp_path / "cfg.json"
+        if text is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(text)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_prune_config_reaches_exact_sparsity(self, tmp_path):
         doc = base_config(
             tmp_path / "run",
@@ -164,6 +178,9 @@ STEPS_MESSAGE = "train.steps must be an integer >= 0"
 BATCHES_MESSAGE = "train.batches_per_epoch must be an integer >= 1"
 BATCH_SIZE_MESSAGE = "train.batch_size must be null or an integer >= 1"
 WINDOW_MESSAGE = "train.prune_window must be two integers 0 <= start < end <= train.steps"
+IMPROVED_MESSAGE = "the improved residual bound only applies to CReLU residual nets"
+CLOSED_FORM_MESSAGE = "closed-form regularization needs shared lengths and an L1 normalization mode"
+MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [0, 1]>, got "
 
 
 @pytest.mark.parametrize("argv, overrides, message", [
@@ -187,16 +204,36 @@ WINDOW_MESSAGE = "train.prune_window must be two integers 0 <= start < end <= tr
     (["train"], {"model.kind": "bogus"}, "unknown network kind 'bogus'"),
     (["train"], {"model.activation": "tanh"}, "unknown activation 'tanh'"),
     (["train"], {"model.out_nonlinearity": "softmax"}, "unknown output nonlinearity 'softmax'"),
+    (["train"], {"train.regularizer": {"kind": "path_improved", "lam": 1e-3}}, IMPROVED_MESSAGE),
+    (["train"], {"model.shared_lengths": False}, CLOSED_FORM_MESSAGE),
+    (["train"], {"model.mode": "l2wn"}, CLOSED_FORM_MESSAGE),
+    (["gridsearch", "--lambdas", "0.1"], {"model.mode": "l2wn"}, CLOSED_FORM_MESSAGE),
+    (["train"], {"model": 5}, "config.model: expected an object"),
+    (["train"], {"train.regularizer": "x"}, "config.train.regularizer: expected an object"),
+    (["train"], {"train.lr_schedule": [1]}, "config.train.lr_schedule: expected an object"),
+    (["train"], {"model.mode": 5}, MODE_MESSAGE + "5"),
+    (["train"], {"model.mode": "bogus"}, MODE_MESSAGE + "'bogus'"),
+    (["train"], {"model.mode": "blend:x"}, MODE_MESSAGE + "'blend:x'"),
+    (["train"], {"model.bias": "yes"}, "model.bias must be true or false, got 'yes'"),
+    (["train"], {"model.shared_lengths": "no"}, "model.shared_lengths must be true or false, got 'no'"),
+    (["train"], {"model.freeze_lengths": 0}, "model.freeze_lengths must be true or false, got 0"),
 ], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
         "steps_fractional", "steps_bool", "grid_steps_fractional", "batches_zero",
         "batches_fractional", "batches_negative", "batch_size_fractional", "batch_size_zero",
         "window_fractional", "window_bool", "window_string", "hidden_zero", "hidden_string",
-        "kind_unknown", "activation_unknown", "out_nonlinearity_unknown"])
+        "kind_unknown", "activation_unknown", "out_nonlinearity_unknown", "improved_on_mlp",
+        "closed_form_per_row_lengths", "closed_form_l2wn", "grid_closed_form_l2wn",
+        "model_not_object", "regularizer_not_object", "schedule_not_object", "mode_number",
+        "mode_unknown", "mode_undecodable_blend", "bias_string", "shared_lengths_string",
+        "freeze_lengths_number"])
 def test_rejected_config_leaves_no_output(tmp_path, capsys, argv, overrides, message):
     doc = base_config(tmp_path / "run")
     for key, value in overrides.items():
-        section, name = key.split(".")
-        doc[section][name] = value
+        *sections, name = key.split(".")
+        section = doc
+        for s in sections:
+            section = section[s]
+        section[name] = value
     cfg = write_config(tmp_path, doc)
     command, *flags = argv
     assert main([command, "--config", cfg, *flags]) == 1
@@ -301,12 +338,22 @@ class TestAnalyzeCommand:
         (lambda doc: doc.update(activation="tanh"), "unknown activation 'tanh'"),
         (lambda doc: doc.update(out_nonlinearity="softmax"),
          "unknown output nonlinearity 'softmax'"),
+        (lambda doc: doc["layers"][0].update(bias=["0", True, "2", "3"]),
+         "layer 0: bias is not an array of numbers"),
+        (lambda doc: doc["layers"][1]["lengths"].update(values=["1.0"]),
+         "layer 1: lengths.values is not an array of numbers"),
+        (lambda doc: doc["layers"][0]["raw"][0].__setitem__(1, None),
+         "layer 0: raw is not an array of numbers"),
+        (lambda doc: doc["layers"][2]["raw"].update(plus=[[True] * 4]),
+         "layer 2: raw.plus is not an array of numbers"),
+        (lambda doc: doc.update(freeze_lengths="no"), "freeze_lengths must be true or false, got 'no'"),
     ], ids=["no_layers", "shapes_do_not_chain", "lengths_shape", "bias_shape", "raw_not_2d",
             "pair_shapes_differ", "block_not_square", "layer_type", "no_final_pair",
             "unknown_kind", "missing_layers_key", "missing_bias", "missing_pair_minus",
             "missing_length_values", "unknown_mode", "undecodable_blend", "nan_raw",
             "inf_raw_plus", "inf_lengths", "nan_bias", "huge_int_bias", "unknown_activation",
-            "unknown_out_nonlinearity"])
+            "unknown_out_nonlinearity", "string_bias", "string_lengths", "null_raw", "bool_raw_plus",
+            "string_freeze_lengths"])
     def test_malformed_model_rejected(self, tmp_path, capsys, mutate, reason):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=1, hidden=[4], mode=L1WN)
         model = tmp_path / "m.json"
@@ -420,8 +467,9 @@ class TestEvalCommand:
           "target_qd": 0.0}, "target_qd has a value <= 0"),
         ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": 0.0,
           "target_qd": "1"}, "target_qd has a value that is not a finite number"),
+        ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ], ids=["missing_key", "wrong_feature_count", "zero_sd", "string_sd", "null_mean",
-            "null_median", "zero_qd", "string_qd"])
+            "null_median", "zero_qd", "string_qd", "not_json"])
     def test_bad_stats_file_rejected(self, tmp_path, capsys, stats, reason):
         ds = synth_task("sparse_teacher", 30, 4, 0.2, seed=11)
         csv_path = tmp_path / "d.csv"
@@ -430,7 +478,7 @@ class TestEvalCommand:
         model = tmp_path / "m.json"
         save_network(init_network(spec, np.random.default_rng(12)), model)
         stats_path = tmp_path / "stats.json"
-        stats_path.write_text(json.dumps(stats))
+        stats_path.write_text(stats if isinstance(stats, str) else json.dumps(stats))
         assert main(["eval", str(model), "--data", str(csv_path), "--target", "target",
                      "--task", "regression", "--stats", str(stats_path)]) == 1
         assert capsys.readouterr().err == f"error: {stats_path}: {reason}\n"

@@ -10,6 +10,8 @@ import pytest
 from psilon.linalg import make_rng
 from psilon.nets import (
     NetSpec,
+    NormalizedLinear,
+    PairLinear,
     backward,
     block_forward,
     crelu,
@@ -221,7 +223,51 @@ class TestBackward:
             backward(net, tr, np.ones((2, 1)))
 
 
+# (kind, activation, hidden, raw shape per layer) for d_in 3 and d_out 2; a
+# CReLU MLP layer after the first reads twice its predecessor's width, and a
+# residual net has a first layer, one square block per hidden width and a
+# final pair
+LAYOUTS = {
+    "relu_mlp": ("mlp", "relu", [5, 6], [(5, 3), (6, 5), (2, 6)]),
+    "crelu_mlp": ("mlp", "crelu", [5, 6], [(5, 3), (6, 10), (2, 12)]),
+    "linear_mlp": ("mlp", "relu", [], [(2, 3)]),
+    "resnet_1_block": ("crelu_resnet", "relu", [5], [(5, 3), (5, 5), (2, 5)]),
+    "resnet_3_blocks": ("crelu_resnet", "relu", [5, 5, 5],
+                        [(5, 3), (5, 5), (5, 5), (5, 5), (2, 5)]),
+}
+
+
 class TestInitNetwork:
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_row"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layout_per_architecture(self, layout, shared, bias):
+        kind, activation, hidden, shapes = LAYOUTS[layout]
+        spec = NetSpec(kind=kind, d_in=3, d_out=2, hidden=hidden, activation=activation,
+                       mode=L1WN, shared_lengths=shared, bias=bias)
+        net = init_network(spec, make_rng(16))
+        layers = net.layers()
+        assert [layer.shape() for layer in layers] == shapes
+        assert net.activation == ("crelu" if kind == "crelu_resnet" else activation)
+        last = len(layers) - 1
+        for i, layer in enumerate(layers):
+            rows = shapes[i][0]
+            if kind == "crelu_resnet" and i > 0:
+                assert isinstance(layer, PairLinear)
+                assert layer.raw_minus is not layer.raw_plus
+                np.testing.assert_array_equal(layer.raw_minus, layer.raw_plus)
+            else:
+                assert isinstance(layer, NormalizedLinear)
+            # one length per row in the last layer; residual blocks start at 0
+            assert layer.g.shape == ((1,) if shared and i < last else (rows,))
+            block = kind == "crelu_resnet" and 0 < i < last
+            np.testing.assert_array_equal(layer.g, 0.0 if block else 1.0)
+            if bias:
+                np.testing.assert_array_equal(layer.bias, np.zeros(rows))
+            else:
+                assert layer.bias is None
+        network_from_json(network_to_json(net))
+
     def test_deterministic(self):
         spec = NetSpec(kind="crelu_resnet", d_in=4, d_out=3, hidden=[5, 5], mode=L1WN)
         a = init_network(spec, make_rng(17))

@@ -4,7 +4,7 @@ import pytest
 import psilon.nets
 import psilon.pathnorm
 import psilon.training
-from psilon.data import SplitSpec, apply_stats, split, standardize, synth_task
+from psilon.data import SplitSpec, standardize, synth_task
 from psilon.linalg import make_rng
 from psilon.metrics import network_sparsity
 from psilon.nets import NetSpec, backward, forward, init_network, layer_weights
@@ -37,9 +37,7 @@ from psilon.training import _l2wr_weight_grads, _loss_and_grad
 
 def make_splits(kind="two_gaussians", n=300, d=4, noise=0.4, seed=0, train_n=200):
     ds = synth_task(kind, n, d, noise, seed=seed)
-    tr, va, te = split(ds, SplitSpec(train_n=train_n, seed=seed + 1))
-    trs = standardize(tr)
-    return Splits(trs, apply_stats(va, trs), apply_stats(te, trs))
+    return Splits.standardized(ds, SplitSpec(train_n=train_n, seed=seed + 1))
 
 
 class TestLrSchedules:
