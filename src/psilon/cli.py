@@ -23,6 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    SYNTH_TASKS,
+    TASKS,
     CsvSchema,
     DataError,
     Dataset,
@@ -35,7 +37,10 @@ from .data import (
 from .metrics import network_sparsity
 from .nets import (
     NetSpec,
+    _finite,
     init_network,
+    is_count,
+    is_number,
     load_network,
     network_to_json,
     read_json,
@@ -114,6 +119,12 @@ _SCHEMA = {
 }
 
 
+def _require(ok: bool, key: str, need: str, value) -> None:
+    """A one-line ConfigError naming `key`, a config key or a flag, unless `ok`."""
+    if not ok:
+        raise ConfigError(f"{key} must be {need}, got {value!r}")
+
+
 def _merge_checked(defaults, given, path="config"):
     if not isinstance(given, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -142,8 +153,10 @@ def resolve_config(doc: dict, overrides: argparse.Namespace | None = None) -> di
             cfg["train"]["steps"] = overrides.steps
         if getattr(overrides, "lam", None) is not None:
             cfg["train"]["regularizer"]["lam"] = overrides.lam
+    _require(is_count(cfg["seed"], 0), "seed", "an integer >= 0", cfg["seed"])
     if cfg["out_dir"] is None:
         raise ConfigError("out_dir must be set (config key or --out)")
+    _require(isinstance(cfg["out_dir"], str), "out_dir", "a string", cfg["out_dir"])
     if cfg["train"]["loss"] is None:
         task = cfg["data"]["task"]
         cfg["train"]["loss"] = "mse" if task in ("sparse_teacher", "regression") else "cross_entropy"
@@ -152,14 +165,23 @@ def resolve_config(doc: dict, overrides: argparse.Namespace | None = None) -> di
 
 def _build_dataset(cfg: dict):
     d = cfg["data"]
+    task = d["task"]
     if d["kind"] == "synth":
-        return synth_task(
-            d["task"], d["n"], d["dim"], d["noise"], seed=cfg["seed"], k_active=d["k_active"]
-        )
+        n, dim, noise, k = d["n"], d["dim"], d["noise"], d["k_active"]
+        tasks = ", ".join(SYNTH_TASKS)
+        _require(task in SYNTH_TASKS, "data.task", f"one of {tasks} for synth data", task)
+        _require(is_count(n, 1), "data.n", "an integer >= 1", n)
+        low = 2 if task == "xor_rings" else 1
+        _require(is_count(dim, low), "data.dim", f"an integer >= {low} for {task}", dim)
+        _require(is_number(noise) and noise >= 0, "data.noise", "a finite number >= 0", noise)
+        if task == "sparse_teacher":
+            _require(is_count(k, 1) and k <= dim, "data.k_active", "an integer in [1, data.dim]", k)
+        return synth_task(task, n, dim, noise, seed=cfg["seed"], k_active=k)
     if d["kind"] == "csv":
-        if not d["path"]:
-            raise ConfigError("data.path is required for csv data")
-        return load_csv(d["path"], CsvSchema(target=d["target"], task=d["task"]))
+        path = d["path"]
+        _require(isinstance(path, str) and path, "data.path", "a file path for csv data", path)
+        _require(task in TASKS, "data.task", f"one of {', '.join(TASKS)} for csv data", task)
+        return load_csv(path, CsvSchema(target=d["target"], task=task))
     raise ConfigError(f"unknown data kind {d['kind']!r}")
 
 
@@ -214,6 +236,13 @@ def _dump_json(obj, path) -> None:
     write_json(obj, path, indent=2, end="\n")
 
 
+def _write_log(out: Path, rows, args) -> None:
+    """metrics.csv, and metrics.jsonl with --jsonl, in the directory `out`."""
+    write_atomic(out / "metrics.csv", [rows_to_csv(rows, include_wall=args.timings)])
+    if args.jsonl:
+        write_atomic(out / "metrics.jsonl", [rows_to_jsonl(rows, include_wall=args.timings)])
+
+
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -238,13 +267,11 @@ def cmd_train(args, require_window: bool = False) -> int:
     try:
         net, rows, opt_state = train_with_state(net, splits, plan)
     except TrainingDiverged as e:
-        write_atomic(out / "metrics.csv", [rows_to_csv(e.rows, include_wall=args.timings)])
+        _write_log(out, e.rows, args)
         print(f"training diverged at step {e.step}; partial metrics written", file=sys.stderr)
         return RUNTIME_ERROR
 
-    write_atomic(out / "metrics.csv", [rows_to_csv(rows, include_wall=args.timings)])
-    if args.jsonl:
-        write_atomic(out / "metrics.jsonl", [rows_to_jsonl(rows, include_wall=args.timings)])
+    _write_log(out, rows, args)
     model = network_to_json(net)
     write_json(model, out / "model.json")
     _dump_json({"model": model, "optimizer": adam_state_to_json(opt_state)}, out / "checkpoint.json")
@@ -279,9 +306,7 @@ def cmd_gridsearch(args) -> int:
     for cell, name in zip(cells, cell_dirs):
         sub = out / name
         sub.mkdir(exist_ok=True)
-        write_atomic(sub / "metrics.csv", [rows_to_csv(cell.rows, include_wall=args.timings)])
-        if args.jsonl:
-            write_atomic(sub / "metrics.jsonl", [rows_to_jsonl(cell.rows, include_wall=args.timings)])
+        _write_log(sub, cell.rows, args)
         save_network(cell.net, sub / "model.json")
         curves.extend(f"{r.step},{cell.lam:g},{r.val_loss!r}" for r in cell.rows)
     write_atomic(out / "curves.csv", ["\n".join(curves), "\n"])
@@ -305,8 +330,7 @@ def cmd_analyze(args) -> int:
         ("--seed", args.seed, args.seed >= 0, ">= 0"),
         ("--oracle-guard", args.oracle_guard, args.oracle_guard >= 1, ">= 1"),
     ]:
-        if not ok:
-            raise ConfigError(f"{flag} must be {need}, got {value}")
+        _require(ok, flag, need, value)
     net = load_network(args.model)
     report, warnings = analyze_network(
         net,
@@ -327,14 +351,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _finite_numbers(values) -> bool:
-    # JSON numbers only: a bool, a string or null is not one
-    try:
-        return all(type(v) in (int, float) and math.isfinite(v) for v in values)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 def _load_stats(path, ds: Dataset) -> Dataset:
     """A training run's dataset_stats.json as the fitted dataset whose
     standardization `apply_stats` gives `ds`, checked against it: the keys
@@ -347,19 +363,17 @@ def _load_stats(path, ds: Dataset) -> Dataset:
     missing = [k for k in keys if not isinstance(stats, dict) or k not in stats]
     if missing:
         raise ConfigError(f"{path}: missing keys {missing}")
+    values = {key: _finite(stats, key, f"{path}: ") for key in keys}
     for key in ("feature_mean", "feature_sd"):
-        if not isinstance(stats[key], list) or len(stats[key]) != ds.dim:
+        if values[key].shape != (ds.dim,):
             raise ConfigError(f"{path}: {key} must list {ds.dim} values, one per dataset feature")
-    for key in keys:
-        values = stats[key] if isinstance(stats[key], list) else [stats[key]]
-        if not _finite_numbers(values):
-            raise ConfigError(f"{path}: {key} has a value that is not a finite number")
-        if key in ("feature_sd", "target_qd") and min(values) <= 0:
+    for key in ("feature_sd", "target_qd"):
+        if key in values and (values[key] <= 0).any():
             raise ConfigError(f"{path}: {key} has a value <= 0")
-    fitted = replace(ds, feature_mean=np.asarray(stats["feature_mean"]),
-                     feature_sd=np.asarray(stats["feature_sd"]))
+    fitted = replace(ds, feature_mean=values["feature_mean"], feature_sd=values["feature_sd"])
     if ds.task == "regression":
-        fitted.target_median, fitted.target_qd = stats["target_median"], stats["target_qd"]
+        fitted.target_median = float(values["target_median"])
+        fitted.target_qd = float(values["target_qd"])
     return fitted
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .nets import ConfigError, is_count, is_number
+
 __all__ = [
     "DataError",
     "Dataset",
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 TASKS = ("regression", "binary", "multiclass")
+SYNTH_TASKS = ("two_gaussians", "xor_rings", "sparse_teacher")  # see `synth_task`
 
 
 class DataError(ValueError):
@@ -81,8 +84,11 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.val_frac_of_rest < 1.0:
-            raise ValueError("val_frac_of_rest must lie in (0, 1)")
+        if not is_count(self.train_n, 1):
+            raise ConfigError(f"split.train_n must be an integer >= 1, got {self.train_n!r}")
+        v = self.val_frac_of_rest
+        if not (is_number(v) and 0.0 < v < 1.0):
+            raise ConfigError(f"split.val_frac_of_rest must be a number in (0, 1), got {v!r}")
 
 
 @dataclass

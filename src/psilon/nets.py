@@ -1,8 +1,9 @@
 """Network construction, forward/backward, and serialization.
 
-Two families:
+A `Network` is one list of layers, input to output, that is checked when
+it is built (`_check_layers`).  Two families:
 
-  * MLP: first/hidden/last dense layers with ReLU or CReLU activations.
+  * MLP: dense layers with ReLU or CReLU activations.
   * CReLU residual net: a first linear map, square residual blocks
     z -> z + W+ relu(z) + W- (-relu(-z)), then CReLU into a final paired
     linear map.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -60,6 +62,9 @@ __all__ = [
 ]
 
 
+ACTIVATIONS = ("relu", "crelu")
+
+
 class ConfigError(ValueError):
     """A run config or model document that does not describe a valid run or
     network."""
@@ -68,6 +73,14 @@ class ConfigError(ValueError):
 def is_count(value, low: int) -> bool:
     """Whether `value` is an integer (not a bool) >= `low`."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def is_number(value) -> bool:
+    """Whether `value` is a finite real number (not a bool)."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _halves(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,28 +155,32 @@ class PairLinear:
 
 @dataclass
 class Network:
+    """One stack of layers, input to output, checked when it is built."""
+
     kind: str  # "mlp" | "crelu_resnet"
-    first: NormalizedLinear
-    hidden: list  # NormalizedLinear for mlp, PairLinear blocks for resnet
-    last: NormalizedLinear | PairLinear
+    stack: list  # NormalizedLinear layers; a resnet's layers after the first are PairLinear
     activation: str  # "relu" | "crelu"
     out_nonlinearity: str  # "identity" | "sigmoid"
     freeze_lengths: bool = False
     version: int = 0  # bumped on parameter mutation; traces check it
 
+    def __post_init__(self):
+        _check_layers(self.kind, self.activation, self.stack)
+        if self.out_nonlinearity not in ("identity", "sigmoid"):
+            raise ConfigError(f"unknown output nonlinearity {self.out_nonlinearity!r}")
+        if not isinstance(self.freeze_lengths, bool):
+            raise ConfigError(f"freeze_lengths must be true or false, got {self.freeze_lengths!r}")
+
     @property
     def d_in(self) -> int:
-        return self.first.shape()[1]
+        return self.stack[0].shape()[1]
 
     @property
     def d_out(self) -> int:
-        return self.last.shape()[0]
+        return self.stack[-1].shape()[0]
 
     def layers(self) -> list:
-        # a purely linear model stores its one layer as both first and last
-        if self.first is self.last:
-            return [self.first]
-        return [self.first, *self.hidden, self.last]
+        return self.stack
 
     def touch(self) -> None:
         self.version += 1
@@ -317,8 +334,8 @@ class NetSpec:
     freeze_lengths: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("mlp", "crelu_resnet"):
-            raise ConfigError(f"unknown network kind {self.kind!r}")
+        # kind, activation and output nonlinearity are checked by the Network
+        # that `init_network` builds
         if not isinstance(self.hidden, (list, tuple)) or not all(is_count(h, 1) for h in self.hidden):
             raise ConfigError(f"model.hidden must be a list of integers >= 1, got {self.hidden!r}")
         if self.kind == "crelu_resnet":
@@ -326,10 +343,6 @@ class NetSpec:
                 raise ConfigError("residual blocks need a single common width")
             if not self.hidden:
                 raise ConfigError("residual network needs at least one hidden width")
-        if self.activation not in ("relu", "crelu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.out_nonlinearity not in ("identity", "sigmoid"):
-            raise ConfigError(f"unknown output nonlinearity {self.out_nonlinearity!r}")
         for name in ("bias", "shared_lengths", "freeze_lengths"):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -365,15 +378,10 @@ def init_network(spec: NetSpec, rng: np.random.Generator) -> Network:
             layers.append(PairLinear(raw, raw.copy(), g, bias, spec.mode))
         else:
             layers.append(NormalizedLinear(raw, g, bias, spec.mode))
-    return Network(
-        kind=spec.kind,
-        first=layers[0],
-        hidden=layers[1:-1],
-        last=layers[-1],
-        activation="crelu" if resnet else spec.activation,
-        out_nonlinearity=spec.out_nonlinearity,
-        freeze_lengths=spec.freeze_lengths,
-    )
+    # a residual net always runs CReLU; a value outside ACTIVATIONS is passed
+    # on for the Network check to reject
+    activation = "crelu" if resnet and spec.activation in ACTIVATIONS else spec.activation
+    return Network(spec.kind, layers, activation, spec.out_nonlinearity, spec.freeze_lengths)
 
 
 def layer_weights(net: Network) -> list[tuple]:
@@ -397,7 +405,8 @@ def resnet_effective_parts(net: Network):
     """(first, [(W+, W-) per block], (W+_K, W-_K)) for bound computations."""
     if net.kind != "crelu_resnet":
         raise ValueError("not a residual network")
-    return net.first.effective(), [b.effective() for b in net.hidden], net.last.effective()
+    (first,), *blocks, last = layer_weights(net)
+    return first, blocks, last
 
 
 # --- serialization --------------------------------------------------------------
@@ -506,14 +515,25 @@ def _lookup(doc, path: str, where: str):
     return doc
 
 
+def _json_numbers(value) -> bool:
+    """Whether `value` is a JSON number or nested lists whose innermost
+    lists hold only JSON numbers (a bool is not one)."""
+    if not isinstance(value, list):
+        return type(value) in (int, float)
+    if value and isinstance(value[0], list):
+        return all(map(_json_numbers, value))
+    return set(map(type, value)) <= {int, float}
+
+
 def _finite(doc, path: str, where: str) -> np.ndarray:
+    """doc's number or array of numbers at `path` as float64, or a
+    ConfigError naming the key."""
     value = _lookup(doc, path, where)
     try:
-        a = np.asarray(value)
+        a = np.asarray(value) if _json_numbers(value) else None
     except ValueError:  # a ragged nesting of lists
         a = None
-    # JSON numbers only: strings, nulls and integers too large for any
-    # integer dtype do not give an integer or float array
+    # integers too large for any integer dtype give an object array
     if a is None or a.dtype.kind not in "iuf":
         raise ConfigError(f"{where}{path} is not an array of numbers")
     a = a.astype(np.float64, copy=False)
@@ -543,7 +563,7 @@ def _layer_from_json(d, i: int):
 
 
 def network_to_json(net: Network) -> dict:
-    hidden_widths = [layer.shape()[0] for layer in net.hidden]
+    hidden_widths = [layer.shape()[0] for layer in net.layers()[1:-1]]
     return {
         "kind": net.kind,
         "dims": {"d_in": net.d_in, "d_out": net.d_out, "hidden": hidden_widths},
@@ -560,7 +580,7 @@ def _check_layers(kind: str, activation: str, layers: list) -> None:
     block that is not square), and lengths or biases of the wrong shape."""
     if kind not in ("mlp", "crelu_resnet"):
         raise ConfigError(f"unknown network kind {kind!r}")
-    if activation not in ("relu", "crelu"):
+    if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
     if not layers:
         raise ConfigError("model has no layers")
@@ -597,21 +617,7 @@ def network_from_json(doc: dict) -> Network:
     if not isinstance(layer_docs, list):
         raise ConfigError("'layers' is not a list")
     layers = [_layer_from_json(d, i) for i, d in enumerate(layer_docs)]
-    _check_layers(kind, activation, layers)
-    if out_nonlinearity not in ("identity", "sigmoid"):
-        raise ConfigError(f"unknown output nonlinearity {out_nonlinearity!r}")
-    freeze_lengths = doc.get("freeze_lengths", False)
-    if not isinstance(freeze_lengths, bool):
-        raise ConfigError(f"freeze_lengths must be true or false, got {freeze_lengths!r}")
-    return Network(
-        kind=kind,
-        first=layers[0],
-        hidden=layers[1:-1],
-        last=layers[-1],
-        activation=activation,
-        out_nonlinearity=out_nonlinearity,
-        freeze_lengths=freeze_lengths,
-    )
+    return Network(kind, layers, activation, out_nonlinearity, doc.get("freeze_lengths", False))
 
 
 def save_network(net: Network, path) -> None:

@@ -264,11 +264,11 @@ def _net_length_factors(net: Network) -> list[float] | None:
     # None unless every layer is row-L1 and interior lengths are shared
     if any(layer.mode.tag not in ("l1wn", "l1proj", "blend") for layer in net.layers()):
         return None
-    interior = net.layers()[:-1]
+    *interior, last = net.layers()
     if any(layer.g.shape != (1,) for layer in interior):
         return None
     return _length_factors(
-        net.last.g, [layer.g[0] for layer in interior], residual=net.kind == "crelu_resnet"
+        last.g, [layer.g[0] for layer in interior], residual=net.kind == "crelu_resnet"
     )
 
 

@@ -179,7 +179,7 @@ def closed_form_collapse(n, seed):
         net = init_network(spec, rng)
         jitter(net, rng, 0.8)
         got = path_norm_mlp(effective_weights(net))
-        want = psilon_closed_form_mlp([l.g[0] for l in net.layers()[:-1]], net.last.g)
+        want = psilon_closed_form_mlp([l.g[0] for l in net.layers()[:-1]], net.layers()[-1].g)
         if abs(got - want) > 1e-10 * max(1.0, abs(want)):
             problems.append(f"mlp {trial}: path norm {got} vs closed form {want}")
     for trial in range(n):
@@ -194,7 +194,8 @@ def closed_form_collapse(n, seed):
         net = init_network(spec, rng)
         jitter(net, rng, 0.8)
         got = improved_bound_crelu(*resnet_effective_parts(net))
-        want = psilon_closed_form_resnet(net.first.g[0], [b.g[0] for b in net.hidden], net.last.g)
+        first, *blocks, last = net.layers()
+        want = psilon_closed_form_resnet(first.g[0], [b.g[0] for b in blocks], last.g)
         if abs(got - want) > 1e-10 * max(1.0, abs(want)):
             problems.append(f"resnet {trial}: improved bound {got} vs closed form {want}")
     return problems

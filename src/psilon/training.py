@@ -17,7 +17,6 @@ blend(0), which the reparameterization computes with the L1WN kernel alone.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -33,6 +32,7 @@ from .nets import (
     forward,
     init_network,
     is_count,
+    is_number,
     layer_weights,
     sigmoid,
 )
@@ -84,12 +84,27 @@ class TrainingDiverged(RuntimeError):
 # --- schedules ----------------------------------------------------------------
 
 
+def _check_schedule(schedule) -> None:
+    """Every rate and fraction of a schedule is a finite number >= 0."""
+    for name, value in vars(schedule).items():
+        if not (is_number(value) and value >= 0):
+            raise ConfigError(f"train.lr_schedule.{name} must be a finite number >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WarmHoldDecay:
     lo: float = 1e-4
     hi: float = 2e-3
     warm_frac: float = 0.05
     hold_frac: float = 0.45
+
+    def __post_init__(self):
+        _check_schedule(self)
+        if not 1.0 - self.warm_frac - self.hold_frac > 0:  # the decay span `lr_at` divides by
+            raise ConfigError(
+                "train.lr_schedule.warm_frac + hold_frac must be < 1, "
+                f"got {self.warm_frac!r} + {self.hold_frac!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,11 @@ class OneCycle:
     max_lr: float = 2e-2
     final: float = 1e-5
     peak_frac: float = 0.2
+
+    def __post_init__(self):
+        _check_schedule(self)
+        if not self.peak_frac < 1:
+            raise ConfigError(f"train.lr_schedule.peak_frac must be < 1, got {self.peak_frac!r}")
 
 
 def lr_at(schedule, step: int, total: int) -> float:
@@ -148,7 +168,7 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("none", "l2wr", "path_closed_form", "path_naive", "path_improved"):
             raise ConfigError(f"unknown regularizer {self.kind!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
+        if not (is_number(self.lam) and self.lam >= 0):
             raise ConfigError("lambda must be a finite number >= 0")
 
 

@@ -154,8 +154,9 @@ class TestTrainCommand:
             "kind": "warm_hold_decay", "lo": 1e280, "hi": 1e280, "warm_frac": 0.05, "hold_frac": 0.45,
         }
         cfg = write_config(tmp_path, doc)
-        assert main(["train", "--config", cfg]) == 2
+        assert main(["train", "--config", cfg, "--jsonl"]) == 2
         assert (tmp_path / "run" / "metrics.csv").exists()
+        assert (tmp_path / "run" / "metrics.jsonl").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,6 +218,34 @@ MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [
     (["train"], {"model.bias": "yes"}, "model.bias must be true or false, got 'yes'"),
     (["train"], {"model.shared_lengths": "no"}, "model.shared_lengths must be true or false, got 'no'"),
     (["train"], {"model.freeze_lengths": 0}, "model.freeze_lengths must be true or false, got 0"),
+    (["train"], {"train.lr_schedule": {"kind": "warm_hold_decay", "hi": "NaN"}},
+     "train.lr_schedule.hi must be a finite number >= 0, got 'NaN'"),
+    (["train"], {"train.lr_schedule": {"kind": "warm_hold_decay", "hi": -1}},
+     "train.lr_schedule.hi must be a finite number >= 0, got -1"),
+    (["train"], {"train.lr_schedule": {"kind": "one_cycle", "max_lr": True}},
+     "train.lr_schedule.max_lr must be a finite number >= 0, got True"),
+    (["train"], {"train.lr_schedule": {"kind": "warm_hold_decay", "warm_frac": 0.5, "hold_frac": 0.5}},
+     "train.lr_schedule.warm_frac + hold_frac must be < 1, got 0.5 + 0.5"),
+    (["train"], {"train.lr_schedule": {"kind": "one_cycle", "peak_frac": 1}},
+     "train.lr_schedule.peak_frac must be < 1, got 1"),
+    (["train"], {"train.regularizer.lam": "x"}, "lambda must be a finite number >= 0"),
+    (["train"], {"seed": "a"}, "seed must be an integer >= 0, got 'a'"),
+    (["gridsearch", "--lambdas", "0.1"], {"seed": "a"}, "seed must be an integer >= 0, got 'a'"),
+    (["train"], {"out_dir": 5}, "out_dir must be a string, got 5"),
+    (["train"], {"split.val_frac_of_rest": "x"},
+     "split.val_frac_of_rest must be a number in (0, 1), got 'x'"),
+    (["train"], {"split.val_frac_of_rest": 2.0},
+     "split.val_frac_of_rest must be a number in (0, 1), got 2.0"),
+    (["train"], {"split.train_n": "x"}, "split.train_n must be an integer >= 1, got 'x'"),
+    (["train"], {"data.n": "x"}, "data.n must be an integer >= 1, got 'x'"),
+    (["train"], {"data.n": 0}, "data.n must be an integer >= 1, got 0"),
+    (["train"], {"data.noise": "x"}, "data.noise must be a finite number >= 0, got 'x'"),
+    (["train"], {"data.task": "sparse_teacher", "data.k_active": "x"},
+     "data.k_active must be an integer in [1, data.dim], got 'x'"),
+    (["train"], {"data.task": "bogus"},
+     "data.task must be one of two_gaussians, xor_rings, sparse_teacher for synth data, got 'bogus'"),
+    (["train"], {"data": {"kind": "csv", "path": "d.csv", "task": "bogus"}},
+     "data.task must be one of regression, binary, multiclass for csv data, got 'bogus'"),
 ], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
         "steps_fractional", "steps_bool", "grid_steps_fractional", "batches_zero",
         "batches_fractional", "batches_negative", "batch_size_fractional", "batch_size_zero",
@@ -225,7 +254,11 @@ MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [
         "closed_form_per_row_lengths", "closed_form_l2wn", "grid_closed_form_l2wn",
         "model_not_object", "regularizer_not_object", "schedule_not_object", "mode_number",
         "mode_unknown", "mode_undecodable_blend", "bias_string", "shared_lengths_string",
-        "freeze_lengths_number"])
+        "freeze_lengths_number", "schedule_rate_string", "schedule_rate_negative",
+        "schedule_rate_bool", "schedule_no_decay_span", "schedule_peak_at_end", "lam_string",
+        "seed_string", "grid_seed_string", "out_dir_number", "val_frac_string", "val_frac_above_1",
+        "train_n_string", "data_n_string", "data_n_zero", "noise_string", "k_active_string",
+        "synth_task_unknown", "csv_task_unknown"])
 def test_rejected_config_leaves_no_output(tmp_path, capsys, argv, overrides, message):
     doc = base_config(tmp_path / "run")
     for key, value in overrides.items():
@@ -347,13 +380,15 @@ class TestAnalyzeCommand:
         (lambda doc: doc["layers"][2]["raw"].update(plus=[[True] * 4]),
          "layer 2: raw.plus is not an array of numbers"),
         (lambda doc: doc.update(freeze_lengths="no"), "freeze_lengths must be true or false, got 'no'"),
+        (lambda doc: doc["layers"][0].update(bias=[0.0, True, 0.0, 0.0]),
+         "layer 0: bias is not an array of numbers"),
     ], ids=["no_layers", "shapes_do_not_chain", "lengths_shape", "bias_shape", "raw_not_2d",
             "pair_shapes_differ", "block_not_square", "layer_type", "no_final_pair",
             "unknown_kind", "missing_layers_key", "missing_bias", "missing_pair_minus",
             "missing_length_values", "unknown_mode", "undecodable_blend", "nan_raw",
             "inf_raw_plus", "inf_lengths", "nan_bias", "huge_int_bias", "unknown_activation",
             "unknown_out_nonlinearity", "string_bias", "string_lengths", "null_raw", "bool_raw_plus",
-            "string_freeze_lengths"])
+            "string_freeze_lengths", "bool_in_bias"])
     def test_malformed_model_rejected(self, tmp_path, capsys, mutate, reason):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=1, hidden=[4], mode=L1WN)
         model = tmp_path / "m.json"
@@ -458,18 +493,20 @@ class TestEvalCommand:
         ({"feature_mean": [0.0] * 4, "feature_sd": [1.0, 0.0, 1.0, 1.0], "target_median": 0.0,
           "target_qd": 1.0}, "feature_sd has a value <= 0"),
         ({"feature_mean": [0.0] * 4, "feature_sd": [1.0, "a", 1.0, 1.0], "target_median": 0.0,
-          "target_qd": 1.0}, "feature_sd has a value that is not a finite number"),
+          "target_qd": 1.0}, "feature_sd is not an array of numbers"),
         ({"feature_mean": [0.0, None, 0.0, 0.0], "feature_sd": [1.0] * 4, "target_median": 0.0,
-          "target_qd": 1.0}, "feature_mean has a value that is not a finite number"),
+          "target_qd": 1.0}, "feature_mean is not an array of numbers"),
         ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": None,
-          "target_qd": 1.0}, "target_median has a value that is not a finite number"),
+          "target_qd": 1.0}, "target_median is not an array of numbers"),
         ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": 0.0,
           "target_qd": 0.0}, "target_qd has a value <= 0"),
         ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": 0.0,
-          "target_qd": "1"}, "target_qd has a value that is not a finite number"),
+          "target_qd": "1"}, "target_qd is not an array of numbers"),
+        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0, float("nan"), 1.0, 1.0],
+          "target_median": 0.0, "target_qd": 1.0}, "feature_sd has a non-finite value"),
         ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ], ids=["missing_key", "wrong_feature_count", "zero_sd", "string_sd", "null_mean",
-            "null_median", "zero_qd", "string_qd", "not_json"])
+            "null_median", "zero_qd", "string_qd", "nan_sd", "not_json"])
     def test_bad_stats_file_rejected(self, tmp_path, capsys, stats, reason):
         ds = synth_task("sparse_teacher", 30, 4, 0.2, seed=11)
         csv_path = tmp_path / "d.csv"

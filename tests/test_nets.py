@@ -9,6 +9,8 @@ import pytest
 
 from psilon.linalg import make_rng
 from psilon.nets import (
+    ConfigError,
+    Network,
     NetSpec,
     NormalizedLinear,
     PairLinear,
@@ -64,7 +66,7 @@ class TestBlockForward:
     def make_block(self, seed, mode=NONE, d=3):
         spec = NetSpec(kind="crelu_resnet", d_in=d, d_out=2, hidden=[d], mode=mode)
         net = init_network(spec, make_rng(seed))
-        return net.hidden[0]
+        return net.layers()[1]
 
     def test_zero_weights_identity(self):
         block = self.make_block(2)  # interior lengths start at 0 under NONE? raw is orthogonal
@@ -97,19 +99,19 @@ class TestForward:
     def test_linear_layer_plus_bias(self):
         spec = NetSpec(kind="mlp", d_in=3, d_out=2, hidden=[], mode=NONE)
         net = init_network(spec, make_rng(6))
-        net.last.bias[:] = [1.0, -1.0]
+        net.layers()[-1].bias[:] = [1.0, -1.0]
         net.touch()
         x = np.array([0.5, 1.0, -2.0])
         out, _ = forward(net, x)
-        np.testing.assert_allclose(out, net.last.effective() @ x + net.last.bias)
+        np.testing.assert_allclose(out, net.layers()[-1].effective() @ x + net.layers()[-1].bias)
 
     def test_resnet_zero_interior_passthrough(self):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=2, hidden=[4, 4], mode=L1WN)
         net = init_network(spec, make_rng(7))  # interior lengths start at 0
         x = make_rng(8).standard_normal(3)
         out, _ = forward(net, x)
-        wp, wm = net.last.effective()
-        z = net.first.effective() @ x
+        wp, wm = net.layers()[-1].effective()
+        z = net.layers()[0].effective() @ x
         expected = wp @ np.maximum(z, 0.0) + wm @ np.minimum(z, 0.0)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -191,14 +193,14 @@ class TestBackward:
         spec = NetSpec(kind="mlp", d_in=5, d_out=1, hidden=[], mode=L1WN, bias=False)
         net = init_network(spec, make_rng(30))
         rng = make_rng(31)
-        net.last.raw[:] = rng.standard_normal((1, 5))
-        net.last.g[:] = rng.standard_normal(1)
+        net.layers()[-1].raw[:] = rng.standard_normal((1, 5))
+        net.layers()[-1].g[:] = rng.standard_normal(1)
         net.touch()
         x = rng.standard_normal(5)
         upstream = rng.standard_normal()
         _, tr = forward(net, x)
         grads = backward(net, tr, np.array([upstream]))
-        p = ReparamVector(net.last.raw[0], float(net.last.g[0]))
+        p = ReparamVector(net.layers()[-1].raw[0], float(net.layers()[-1].g[0]))
         np.testing.assert_allclose(
             grads["layer0.raw"][0], upstream * l1wn_subgradient(p, x), atol=1e-12
         )
@@ -217,7 +219,7 @@ class TestBackward:
         net = init_network(spec, make_rng(15))
         x = make_rng(16).standard_normal((2, 3))
         _, tr = forward(net, x)
-        net.first.raw += 0.1
+        net.layers()[0].raw += 0.1
         net.touch()
         with pytest.raises(RuntimeError, match="stale"):
             backward(net, tr, np.ones((2, 1)))
@@ -318,6 +320,37 @@ class TestInitNetwork:
         net = init_network(spec, make_rng(25))
         for layer, w in zip(net.layers(), effective_weights(net)):
             np.testing.assert_array_equal(w, layer.raw)
+
+
+def dense(rows, cols):
+    return NormalizedLinear(np.ones((rows, cols)), np.ones(1), None, L1WN)
+
+
+def pair(rows, cols):
+    return PairLinear(np.ones((rows, cols)), np.ones((rows, cols)), np.ones(1), None, L1WN)
+
+
+class TestNetworkRecord:
+    def test_stores_one_list(self):
+        layers = [dense(4, 3), dense(2, 4)]
+        net = Network("mlp", layers, "relu", "identity")
+        assert net.layers() is layers
+        assert (net.d_in, net.d_out) == (3, 2)
+        linear = Network("mlp", [dense(2, 3)], "relu", "identity")
+        assert len(linear.layers()) == 1 and (linear.d_in, linear.d_out) == (3, 2)
+
+    @pytest.mark.parametrize("kind, layers, out_nonlinearity, message", [
+        ("mlp", [dense(4, 3), dense(2, 5)], "identity",
+         "layer 1 takes 5 inputs but layer 0 gives 4"),
+        ("crelu_resnet", [dense(4, 3), pair(5, 4), pair(2, 5)], "identity",
+         "residual block 1 is 5x4, not square"),
+        ("mlp", [dense(4, 3), pair(2, 4)], "identity", "layer 1 must be one matrix"),
+        ("mlp", [dense(2, 3)], "softmax", "unknown output nonlinearity 'softmax'"),
+    ], ids=["no_chain", "block_not_square", "pair_for_matrix", "unknown_out_nonlinearity"])
+    def test_bad_layer_list_rejected(self, kind, layers, out_nonlinearity, message):
+        with pytest.raises(ConfigError) as e:
+            Network(kind, layers, "relu", out_nonlinearity)
+        assert str(e.value) == message
 
 
 class TestSerialization:

@@ -240,7 +240,7 @@ class TestClosedForms:
                 p += 0.7 * rng.standard_normal(p.shape)
             ws = effective_weights(net)
             expected = psilon_closed_form_mlp(
-                [l.g[0] for l in [net.first, *net.hidden]], net.last.g
+                [l.g[0] for l in net.layers()[:-1]], net.layers()[-1].g
             )
             assert path_norm_mlp(ws) == pytest.approx(expected, rel=1e-10)
 
@@ -253,7 +253,7 @@ class TestClosedForms:
                 p += 0.7 * rng.standard_normal(p.shape)
             first, blocks, last = resnet_effective_parts(net)
             expected = psilon_closed_form_resnet(
-                net.first.g[0], [b.g[0] for b in net.hidden], net.last.g
+                net.layers()[0].g[0], [b.g[0] for b in net.layers()[1:-1]], net.layers()[-1].g
             )
             assert improved_bound_crelu(first, blocks, last) == pytest.approx(expected, rel=1e-10)
 
@@ -311,7 +311,7 @@ class TestEmpiricalLipschitz:
         w = rng.standard_normal((3, 4))
         spec = NetSpec(kind="mlp", d_in=4, d_out=3, hidden=[], mode=NONE, bias=False)
         net = init_network(spec, rng)
-        net.last.raw[:] = w
+        net.layers()[-1].raw[:] = w
         net.touch()
         exact, flag = op_inf_one_norm(w)
         assert flag
@@ -322,9 +322,9 @@ class TestEmpiricalLipschitz:
     def test_constant_net_zero(self):
         spec = NetSpec(kind="mlp", d_in=3, d_out=2, hidden=[4], mode=NONE)
         net = init_network(spec, make_rng(13))
-        net.first.raw[:] = 0.0
-        net.last.raw[:] = 0.0
-        net.last.bias[:] = 5.0
+        net.layers()[0].raw[:] = 0.0
+        net.layers()[-1].raw[:] = 0.0
+        net.layers()[-1].bias[:] = 5.0
         net.touch()
         assert empirical_lipschitz(net, 1000, 1.0, make_rng(14)) == 0.0
 
@@ -437,17 +437,17 @@ class TestBoundEngine:
             layers = net.layers()
             gs = [layer.g[0] for layer in layers[:-1]]
             if kind == "mlp":
-                want = psilon_closed_form_mlp(gs, net.last.g)
+                want = psilon_closed_form_mlp(gs, net.layers()[-1].g)
                 factors = [abs(g) for g in gs]
             else:
-                want = psilon_closed_form_resnet(gs[0], gs[1:], net.last.g)
+                want = psilon_closed_form_resnet(gs[0], gs[1:], net.layers()[-1].g)
                 factors = [abs(gs[0]), *(1.0 + abs(g) for g in gs[1:])]
             assert closed_form_for(net) == want
             grads = closed_form_g_grads(net)
             assert sorted(grads) == sorted(f"layer{i}.g" for i in range(len(layers)))
             for i in range(len(factors)):
-                rest = np.sum(np.abs(net.last.g)) * np.prod(factors[:i] + factors[i + 1:])
+                rest = np.sum(np.abs(net.layers()[-1].g)) * np.prod(factors[:i] + factors[i + 1:])
                 assert grads[f"layer{i}.g"] == pytest.approx(np.sign(gs[i]) * rest, rel=1e-14)
             assert grads[f"layer{len(layers) - 1}.g"] == pytest.approx(
-                np.sign(net.last.g) * np.prod(factors), rel=1e-14
+                np.sign(net.layers()[-1].g) * np.prod(factors), rel=1e-14
             )

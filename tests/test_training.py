@@ -277,7 +277,7 @@ class TestTrain:
         splits = make_splits()
         spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[5], mode=NONE)
         net = init_network(spec, make_rng(12))
-        net.first.raw *= 1e200  # overflow the forward pass
+        net.layers()[0].raw *= 1e200  # overflow the forward pass
         net.touch()
         with pytest.raises(TrainingDiverged) as exc:
             train(net, splits, TrainPlan(steps=20, batches_per_epoch=5, loss="mse"))
@@ -439,8 +439,8 @@ class TestEvaluate:
         splits = make_splits(noise=0.3)
         spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[5], mode=NONE)
         net = init_network(spec, make_rng(17))
-        net.first.raw[:] = 0.0
-        net.last.raw[:] = 0.0
+        net.layers()[0].raw[:] = 0.0
+        net.layers()[-1].raw[:] = 0.0
         net.touch()
         # balanced classes, zero logit -> cross-entropy = ln 2
         out = evaluate(net, splits.train)
