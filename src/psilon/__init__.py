@@ -8,26 +8,20 @@ operator product bound) with enumeration and sampling oracles, sparsity
 metrics, and a small training/grid-search harness with a CLI.
 """
 
-from .linalg import make_rng, matmul, op_inf_norm, op_inf_one_norm, orthogonal_init
+from .linalg import make_rng, op_inf_norm, op_inf_one_norm, orthogonal_init
 from .reparam import (
     L1PROJ,
     L1WN,
     L2WN,
     NONE,
     NormMode,
-    ReparamVector,
     blend,
-    effective_weight,
-    find_threshold,
-    l1wn_subgradient,
-    proj_l1_crelu_pair,
     proj_l1_sphere,
 )
 from .nets import (
     NetSpec,
     Network,
     backward,
-    block_forward,
     crelu,
     effective_weights,
     forward,
@@ -44,7 +38,6 @@ from .pathnorm import (
     naive_crelu_path_norm,
     path_norm_enumerate,
     path_norm_mlp,
-    path_norm_with_bias,
     product_bound,
     psilon_closed_form_mlp,
     psilon_closed_form_resnet,

@@ -292,6 +292,8 @@ def cmd_gridsearch(args) -> int:
     splits = _build_splits(cfg)
     net_spec = _build_net_spec(cfg, splits.train)
     plan = _build_plan(cfg)
+    # a cell with no steps logs no validation loss to rank by
+    _require(plan.steps >= 1, "train.steps", "an integer >= 1 for gridsearch", plan.steps)
     check_regularizer(init_network(net_spec, np.random.default_rng(plan.seed)), plan.regularizer)
     for lam in lambdas:
         Regularizer(plan.regularizer.kind, lam)  # checks each lambda before anything is written

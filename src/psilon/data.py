@@ -25,7 +25,6 @@ __all__ = [
     "save_csv",
     "standardize",
     "apply_stats",
-    "inverse_targets",
     "split",
     "synth_task",
 ]
@@ -175,16 +174,15 @@ def _quartile_deviation(y: np.ndarray) -> float:
     return float((q3 - q1) / 2.0)
 
 
-def standardize(ds: Dataset, fit_on: np.ndarray | None = None) -> Dataset:
+def standardize(ds: Dataset) -> Dataset:
     """Standardize features (and regression targets) with statistics fit on
-    the `fit_on` row subset (all rows by default).  Constant columns are
-    flagged and passed through unscaled.  Statistics are stored so the
-    transform can be inverted or applied to held-out data."""
-    rows = np.arange(ds.n) if fit_on is None else np.asarray(fit_on)
-    if rows.size == 0:
-        raise DataError("fit_on must be nonempty")
-    mean = ds.features[rows].mean(axis=0)
-    sd = ds.features[rows].std(axis=0)
+    all rows of `ds`.  Constant columns are flagged and passed through
+    unscaled.  Statistics are stored so the transform can be applied to
+    held-out data (`apply_stats`)."""
+    if ds.n == 0:
+        raise DataError("cannot standardize a dataset with no rows")
+    mean = ds.features.mean(axis=0)
+    sd = ds.features.std(axis=0)
     constant = sd == 0.0
     safe_sd = np.where(constant, 1.0, sd)
     feats = (ds.features - np.where(constant, 0.0, mean)) / safe_sd
@@ -197,8 +195,8 @@ def standardize(ds: Dataset, fit_on: np.ndarray | None = None) -> Dataset:
         constant_features=constant,
     )
     if ds.task == "regression":
-        med = float(np.median(ds.targets[rows]))
-        qd = _quartile_deviation(ds.targets[rows])
+        med = float(np.median(ds.targets))
+        qd = _quartile_deviation(ds.targets)
         if qd == 0.0:
             out.meta = {**ds.meta, "constant_target": True}
             out.target_median, out.target_qd = 0.0, 1.0
@@ -228,21 +226,21 @@ def apply_stats(ds: Dataset, fitted: Dataset) -> Dataset:
     return out
 
 
-def inverse_targets(ds: Dataset, y: np.ndarray) -> np.ndarray:
-    if ds.target_qd is None:
-        return np.asarray(y)
-    return np.asarray(y) * ds.target_qd + ds.target_median
-
-
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded shuffle; first train_n rows to train, the remainder divided
-    between validation and test by val_frac_of_rest."""
+    between validation and test by val_frac_of_rest.  Each of the three
+    splits gets at least one row."""
     if spec.train_n > ds.n:
         raise DataError(f"train_n={spec.train_n} exceeds dataset size {ds.n}")
     perm = np.random.default_rng(spec.seed).permutation(ds.n)
     train_idx = perm[: spec.train_n]
     rest = perm[spec.train_n :]
     n_val = int(round(rest.size * spec.val_frac_of_rest))
+    if not 0 < n_val < rest.size:
+        raise DataError(
+            f"split.train_n={spec.train_n} and split.val_frac_of_rest={spec.val_frac_of_rest!r} "
+            f"leave {n_val} validation and {rest.size - n_val} test rows of {ds.n}; each needs at least 1"
+        )
     val_idx, test_idx = rest[:n_val], rest[n_val:]
 
     def take(idx):

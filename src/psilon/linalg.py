@@ -13,7 +13,6 @@ __all__ = [
     "DimensionError",
     "as_matrix",
     "make_rng",
-    "matmul",
     "op_inf_norm",
     "op_inf_one_norm",
     "orthogonal_init",
@@ -36,16 +35,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
 
 
 def op_inf_norm(w: np.ndarray) -> float:

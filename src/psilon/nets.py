@@ -45,7 +45,6 @@ __all__ = [
     "Network",
     "NetSpec",
     "crelu",
-    "block_forward",
     "forward",
     "backward",
     "predict",
@@ -230,15 +229,6 @@ def _affine(skip, inputs: tuple, ws: tuple, bias) -> np.ndarray:
     for u, w in zip(inputs, ws):
         out = u @ w.T if out is None else out + u @ w.T
     return out if bias is None else out + bias
-
-
-def block_forward(block: PairLinear, z: np.ndarray) -> np.ndarray:
-    """Residual block output z + W+ relu(z) + W- (-relu(-z)).
-
-    Algebraically identical to applying the stacked matrix
-    [(I+W+) (I+W-)] to the CReLU features of z.
-    """
-    return _affine(z, _halves(z), block.weights(), block.bias)
 
 
 def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, Trace]:

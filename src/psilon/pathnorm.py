@@ -38,7 +38,6 @@ __all__ = [
     "PathNormReport",
     "path_norm_mlp",
     "path_norm_enumerate",
-    "path_norm_with_bias",
     "improved_bound_crelu",
     "naive_crelu_path_norm",
     "psilon_closed_form_mlp",
@@ -118,27 +117,6 @@ def path_norm_enumerate(weights, max_paths: int = 10_000_000) -> float:
             terms[0] += total
             total = np.add.accumulate(terms)[-1]
     return float(total)
-
-
-def path_norm_with_bias(weights, biases) -> float:
-    """Path norm with each bias treated as a weight from a constant unit
-    neuron chained layer to layer.  The input's bias neuron cannot vary, so
-    the extra paths carry no mass and the value matches the plain path norm
-    of the weights; this is what justifies leaving biases unregularized."""
-    ws = _check_chain(weights)
-    if len(biases) != len(ws):
-        raise DimensionError("need one bias vector per layer")
-    bs = [np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=np.float64) for w, b in zip(ws, biases)]
-    for w, b in zip(ws, bs):
-        if b.shape != (w.shape[0],):
-            raise DimensionError("bias length must match layer output width")
-    a = np.concatenate([[0.0], np.ones(ws[0].shape[1])])
-    for w, b in zip(ws[:-1], bs[:-1]):
-        top = np.concatenate([[1.0], np.zeros(w.shape[1])])
-        aug = np.vstack([top, np.column_stack([b, w])])
-        a = np.abs(aug) @ a
-    aug_last = np.column_stack([bs[-1], ws[-1]])
-    return float(np.sum(np.abs(aug_last) @ a))
 
 
 def _check_resnet_parts(first, blocks, last):

@@ -37,12 +37,7 @@ __all__ = [
     "L1PROJ",
     "NONE",
     "blend",
-    "ReparamVector",
-    "effective_weight",
-    "l1wn_subgradient",
-    "find_threshold",
     "proj_l1_sphere",
-    "proj_l1_crelu_pair",
     "rows_threshold",
     "row_source",
     "rows_effective",
@@ -89,61 +84,9 @@ def blend(alpha: float) -> NormMode:
     return NormMode("blend", float(alpha))
 
 
-@dataclass
-class ReparamVector:
-    v: np.ndarray
-    g: float
-
-
-# --- vector-level operations -------------------------------------------------
-
-
-def effective_weight(p: ReparamVector, mode: NormMode) -> np.ndarray:
-    """Materialize the weight vector from its (direction, length) form."""
-    w = rows_effective(p.v[None, :], np.array([p.g]), mode)
-    return w[0]
-
-
-def l1wn_subgradient(p: ReparamVector, x: np.ndarray) -> np.ndarray:
-    """Subgradient of <w, x> in the raw direction v under L1 normalization.
-
-    Equals (g/||v||_1) M_w x with M_w = I - sign(w) w^T / ||w||_1, the
-    oblique projector that annihilates w; the output is orthogonal to the
-    effective weight.
-    """
-    v = np.asarray(p.v, dtype=np.float64)
-    n = np.sum(np.abs(v))
-    if n == 0.0:
-        raise DegenerateInputError("zero direction vector under L1 weight normalization")
-    return (p.g / n) * (x - (np.dot(v, x) / n) * np.sign(v))
-
-
-def find_threshold(w: np.ndarray) -> float:
-    """Shift that projects w onto the L1 unit sphere.
-
-    Descending sort of |w|, running (cumsum - 1)/k, largest index where the
-    running value still sits below the sorted magnitude.  Negative when w
-    lies inside the unit ball (the projection then inflates onto the
-    sphere).
-    """
-    return float(rows_threshold(np.asarray(w, dtype=np.float64)[None, :])[0])
-
-
 def proj_l1_sphere(w: np.ndarray) -> np.ndarray:
     """Euclidean projection of w onto the unit L1 sphere."""
     return rows_effective(np.asarray(w, dtype=np.float64)[None, :], np.ones(1), L1PROJ)[0]
-
-
-def proj_l1_crelu_pair(wp: np.ndarray, wm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Paired projection for CReLU residual weights.
-
-    The threshold comes from the elementwise max of the two magnitude
-    vectors, so max(|p+|, |p-|) lands exactly on the L1 sphere while each
-    projected vector individually lies inside the ball.
-    """
-    pair = (np.asarray(wp, dtype=np.float64)[None, :], np.asarray(wm, dtype=np.float64)[None, :])
-    pp, pm = _effective(pair, np.ones(1), L1PROJ)
-    return pp[0], pm[0]
 
 
 # --- the row-normalizer kernel used by the network layers ----------------------
@@ -156,7 +99,12 @@ def proj_l1_crelu_pair(wp: np.ndarray, wm: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def rows_threshold(v: np.ndarray) -> np.ndarray:
-    """Per-row L1-sphere projection thresholds."""
+    """Per-row shifts that project each row onto the unit L1 sphere.
+
+    Per row: descending sort of |v|, running (cumsum - 1)/k, taken at the
+    largest k where it still sits below the k-th magnitude.  Negative for a
+    row inside the unit ball (the projection then inflates onto the sphere).
+    """
     u = -np.sort(-np.abs(v), axis=1)
     d = v.shape[1]
     c = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, d + 1)

@@ -181,6 +181,9 @@ BATCH_SIZE_MESSAGE = "train.batch_size must be null or an integer >= 1"
 WINDOW_MESSAGE = "train.prune_window must be two integers 0 <= start < end <= train.steps"
 IMPROVED_MESSAGE = "the improved residual bound only applies to CReLU residual nets"
 CLOSED_FORM_MESSAGE = "closed-form regularization needs shared lengths and an L1 normalization mode"
+GRID_STEPS_MESSAGE = "train.steps must be an integer >= 1 for gridsearch, got 0"
+SPLIT_MESSAGE = ("split.train_n={} and split.val_frac_of_rest={} leave {} validation and {} test "
+                 "rows of {}; each needs at least 1")
 MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [0, 1]>, got "
 
 
@@ -192,6 +195,8 @@ MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [
     (["train"], {"train.steps": 1.5}, STEPS_MESSAGE),
     (["train"], {"train.steps": True}, STEPS_MESSAGE),
     (["gridsearch", "--lambdas", "0.1"], {"train.steps": 1.5}, STEPS_MESSAGE),
+    (["gridsearch", "--lambdas", "0.1"], {"train.steps": 0}, GRID_STEPS_MESSAGE),
+    (["gridsearch", "--lambdas", "0.1", "--steps", "0"], {}, GRID_STEPS_MESSAGE),
     (["train"], {"train.batches_per_epoch": 0}, BATCHES_MESSAGE),
     (["train"], {"train.batches_per_epoch": 1.5}, BATCHES_MESSAGE),
     (["train"], {"train.batches_per_epoch": -2}, BATCHES_MESSAGE),
@@ -239,6 +244,12 @@ MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [
     (["train"], {"split.train_n": "x"}, "split.train_n must be an integer >= 1, got 'x'"),
     (["train"], {"data.n": "x"}, "data.n must be an integer >= 1, got 'x'"),
     (["train"], {"data.n": 0}, "data.n must be an integer >= 1, got 0"),
+    (["train"], {"split.train_n": 200}, SPLIT_MESSAGE.format(200, 0.5, 0, 0, 200)),
+    (["prune"], {"data.n": 201, "split.train_n": 200, "split.val_frac_of_rest": 0.4,
+                 "train.prune_window": [30, 60]}, SPLIT_MESSAGE.format(200, 0.4, 0, 1, 201)),
+    (["gridsearch", "--lambdas", "0.1"], {"data.n": 201, "split.train_n": 200,
+                                          "split.val_frac_of_rest": 0.6},
+     SPLIT_MESSAGE.format(200, 0.6, 1, 0, 201)),
     (["train"], {"data.noise": "x"}, "data.noise must be a finite number >= 0, got 'x'"),
     (["train"], {"data.task": "sparse_teacher", "data.k_active": "x"},
      "data.k_active must be an integer in [1, data.dim], got 'x'"),
@@ -247,7 +258,8 @@ MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [
     (["train"], {"data": {"kind": "csv", "path": "d.csv", "task": "bogus"}},
      "data.task must be one of regression, binary, multiclass for csv data, got 'bogus'"),
 ], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
-        "steps_fractional", "steps_bool", "grid_steps_fractional", "batches_zero",
+        "steps_fractional", "steps_bool", "grid_steps_fractional", "grid_steps_zero",
+        "grid_steps_flag_zero", "batches_zero",
         "batches_fractional", "batches_negative", "batch_size_fractional", "batch_size_zero",
         "window_fractional", "window_bool", "window_string", "hidden_zero", "hidden_string",
         "kind_unknown", "activation_unknown", "out_nonlinearity_unknown", "improved_on_mlp",
@@ -257,7 +269,8 @@ MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [
         "freeze_lengths_number", "schedule_rate_string", "schedule_rate_negative",
         "schedule_rate_bool", "schedule_no_decay_span", "schedule_peak_at_end", "lam_string",
         "seed_string", "grid_seed_string", "out_dir_number", "val_frac_string", "val_frac_above_1",
-        "train_n_string", "data_n_string", "data_n_zero", "noise_string", "k_active_string",
+        "train_n_string", "data_n_string", "data_n_zero", "split_no_rest",
+        "prune_split_no_val", "grid_split_no_test", "noise_string", "k_active_string",
         "synth_task_unknown", "csv_task_unknown"])
 def test_rejected_config_leaves_no_output(tmp_path, capsys, argv, overrides, message):
     doc = base_config(tmp_path / "run")
@@ -291,7 +304,7 @@ class TestGridsearchCommand:
         assert len(curves) > 2
 
     def test_default_grid_is_thirteen_values(self, tmp_path):
-        doc = base_config(tmp_path / "grid", steps=0)
+        doc = base_config(tmp_path / "grid", steps=1)
         cfg = write_config(tmp_path, doc)
         assert main(["gridsearch", "--config", cfg]) == 0
         summary = json.loads((tmp_path / "grid" / "summary.json").read_text())

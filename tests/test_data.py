@@ -6,7 +6,6 @@ from psilon.data import (
     DataError,
     SplitSpec,
     apply_stats,
-    inverse_targets,
     load_csv,
     save_csv,
     split,
@@ -14,6 +13,7 @@ from psilon.data import (
     synth_task,
 )
 from psilon.metrics import near_sparsity
+from psilon.training import Splits
 
 
 class TestLoadCsv:
@@ -85,11 +85,6 @@ class TestStandardize:
         np.testing.assert_allclose(twice.features, once.features, atol=1e-12)
         np.testing.assert_allclose(twice.targets, once.targets, atol=1e-12)
 
-    def test_inverse_round_trip(self):
-        ds = synth_task("sparse_teacher", 100, 4, 0.2, seed=3)
-        out = standardize(ds)
-        np.testing.assert_allclose(inverse_targets(out, out.targets), ds.targets, atol=1e-12)
-
     def test_constant_feature_passthrough(self):
         ds = synth_task("sparse_teacher", 50, 3, 0.1, seed=4)
         ds.features[:, 1] = 7.0
@@ -98,17 +93,23 @@ class TestStandardize:
         np.testing.assert_array_equal(out.features[:, 1], ds.features[:, 1])
 
     def test_no_leakage_from_heldout_rows(self):
+        # corrupting the validation and test rows moves no statistic
         ds = synth_task("sparse_teacher", 100, 4, 0.2, seed=5)
-        fit_rows = np.arange(60)
-        a = standardize(ds, fit_on=fit_rows)
+        spec = SplitSpec(train_n=60, seed=6)
+        a = Splits.standardized(ds, spec)
+        train_rows = np.isin(ds.features[:, 0], split(ds, spec)[0].features[:, 0])
+        assert train_rows.sum() == 60
         corrupted = synth_task("sparse_teacher", 100, 4, 0.2, seed=5)
-        corrupted.features[60:] += 100.0
-        corrupted.targets[60:] -= 50.0
-        b = standardize(corrupted, fit_on=fit_rows)
-        np.testing.assert_array_equal(a.feature_mean, b.feature_mean)
-        np.testing.assert_array_equal(a.feature_sd, b.feature_sd)
-        assert a.target_median == b.target_median
-        assert a.target_qd == b.target_qd
+        corrupted.features[~train_rows] += 100.0
+        corrupted.targets[~train_rows] -= 50.0
+        b = Splits.standardized(corrupted, spec)
+        for part in ("train", "val", "test"):
+            pa, pb = getattr(a, part), getattr(b, part)
+            np.testing.assert_array_equal(pa.feature_mean, pb.feature_mean)
+            np.testing.assert_array_equal(pa.feature_sd, pb.feature_sd)
+            assert pa.target_median == pb.target_median
+            assert pa.target_qd == pb.target_qd
+        np.testing.assert_array_equal(a.train.features, b.train.features)
 
     def test_apply_stats_uses_source_transform(self):
         ds = synth_task("sparse_teacher", 80, 4, 0.2, seed=6)

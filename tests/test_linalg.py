@@ -5,48 +5,11 @@ import numpy as np
 import pytest
 
 from psilon.linalg import (
-    DimensionError,
     make_rng,
-    matmul,
     op_inf_norm,
     op_inf_one_norm,
     orthogonal_init,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out, np.array([[3.0], [7.0]]))
-
-    def test_against_triple_loop(self):
-        rng = make_rng(0)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        naive = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(7):
-                    naive[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(matmul(a, b), naive, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = make_rng(1)
-        for _ in range(20):
-            a = rng.standard_normal((4, 5))
-            b = rng.standard_normal((5, 6))
-            c = rng.standard_normal((6, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-9)
 
 
 class TestOpInfNorm:

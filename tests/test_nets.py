@@ -15,7 +15,6 @@ from psilon.nets import (
     NormalizedLinear,
     PairLinear,
     backward,
-    block_forward,
     crelu,
     effective_weights,
     forward,
@@ -63,36 +62,48 @@ class TestCrelu:
 
 
 class TestBlockForward:
-    def make_block(self, seed, mode=NONE, d=3):
-        spec = NetSpec(kind="crelu_resnet", d_in=d, d_out=2, hidden=[d], mode=mode)
-        net = init_network(spec, make_rng(seed))
-        return net.layers()[1]
+    # a one-block residual net: forward's trace holds the block's input z
+    # (zs[1]) and its output z + W+ relu(z) + W- (-relu(-z)) (zs[2])
+    def make_net(self, seed, mode=NONE, d=3):
+        spec = NetSpec(kind="crelu_resnet", d_in=d, d_out=2, hidden=[d], mode=mode, bias=False)
+        return init_network(spec, make_rng(seed))
+
+    def block_io(self, net, x):
+        _, tr = forward(net, x)
+        return tr.zs[1], tr.zs[2]
 
     def test_zero_weights_identity(self):
-        block = self.make_block(2)  # interior lengths start at 0 under NONE? raw is orthogonal
+        net = self.make_net(2)
+        block = net.layers()[1]
         block.raw_plus[:] = 0.0
         block.raw_minus[:] = 0.0
-        z = np.array([1.5, -2.0, 0.5])
-        np.testing.assert_array_equal(block_forward(block, z), z)
+        net.touch()
+        z, out = self.block_io(net, make_rng(20).standard_normal((4, 3)))
+        np.testing.assert_array_equal(out, z)
 
     def test_identity_weights_double(self):
-        block = self.make_block(3)
+        net = self.make_net(3)
+        block = net.layers()[1]
         block.raw_plus[:] = np.eye(3)
         block.raw_minus[:] = np.eye(3)
-        z = np.array([1.0, -1.0, 2.0])
-        np.testing.assert_allclose(block_forward(block, z), 2.0 * z)
+        net.touch()
+        z, out = self.block_io(net, make_rng(21).standard_normal((4, 3)))
+        np.testing.assert_allclose(out, 2.0 * z)
 
     def test_stacked_form_agrees(self):
+        # the block is the stacked matrix [(I+W+) (I+W-)] applied to crelu(z)
         rng = make_rng(4)
         for _ in range(20):
-            block = self.make_block(5, mode=L1WN)
+            net = self.make_net(5, mode=L1WN)
+            block = net.layers()[1]
             block.raw_plus[:] = rng.standard_normal((3, 3))
             block.raw_minus[:] = rng.standard_normal((3, 3))
             block.g[:] = rng.standard_normal(block.g.shape)
-            z = rng.standard_normal(3)
+            net.touch()
+            z, out = self.block_io(net, rng.standard_normal((2, 3)))
             wp, wm = block.effective()
             stacked = np.hstack([np.eye(3) + wp, np.eye(3) + wm])
-            np.testing.assert_allclose(block_forward(block, z), stacked @ crelu(z), atol=1e-12)
+            np.testing.assert_allclose(out, crelu(z) @ stacked.T, atol=1e-12)
 
 
 class TestForward:
@@ -187,9 +198,8 @@ class TestBackward:
 
     def test_single_neuron_matches_reparam_subgradient(self):
         # one L1-normalized neuron: backward must reproduce the oblique
-        # projection subgradient times the upstream loss gradient
-        from psilon.reparam import ReparamVector, l1wn_subgradient
-
+        # projection subgradient (g/||v||_1) M_w x, M_w = I - sign(w) w^T / ||w||_1,
+        # times the upstream loss gradient
         spec = NetSpec(kind="mlp", d_in=5, d_out=1, hidden=[], mode=L1WN, bias=False)
         net = init_network(spec, make_rng(30))
         rng = make_rng(31)
@@ -200,10 +210,10 @@ class TestBackward:
         upstream = rng.standard_normal()
         _, tr = forward(net, x)
         grads = backward(net, tr, np.array([upstream]))
-        p = ReparamVector(net.layers()[-1].raw[0], float(net.layers()[-1].g[0]))
-        np.testing.assert_allclose(
-            grads["layer0.raw"][0], upstream * l1wn_subgradient(p, x), atol=1e-12
-        )
+        v, g = net.layers()[-1].raw[0], net.layers()[-1].g[0]
+        n = np.sum(np.abs(v))
+        subgradient = (g / n) * (x - (np.dot(v, x) / n) * np.sign(v))
+        np.testing.assert_allclose(grads["layer0.raw"][0], upstream * subgradient, atol=1e-12)
 
     def test_zero_loss_grad_gives_zero_grads(self):
         spec = NetSpec(kind="mlp", d_in=3, d_out=2, hidden=[4], mode=L1WN)

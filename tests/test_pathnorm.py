@@ -18,7 +18,6 @@ from psilon.pathnorm import (
     naive_crelu_path_norm,
     path_norm_enumerate,
     path_norm_mlp,
-    path_norm_with_bias,
     product_bound,
     psilon_closed_form_mlp,
     psilon_closed_form_resnet,
@@ -141,25 +140,6 @@ class TestPathNormEnumerate:
         ws = [np.ones((50, 50))] * 5
         with pytest.raises(PathBudgetError):
             path_norm_enumerate(ws, max_paths=10_000)
-
-
-class TestPathNormWithBias:
-    def test_zero_biases_match_plain(self):
-        rng = make_rng(2)
-        for _ in range(10):
-            ws = random_mlp_weights(rng)
-            bs = [np.zeros(w.shape[0]) for w in ws]
-            assert path_norm_with_bias(ws, bs) == pytest.approx(path_norm_mlp(ws), rel=1e-12)
-
-    def test_input_bias_paths_carry_nothing(self):
-        assert path_norm_with_bias([np.array([[1.0]])], [np.array([2.0])]) == 1.0
-
-    def test_never_below_plain_path_norm(self):
-        rng = make_rng(3)
-        for _ in range(10):
-            ws = random_mlp_weights(rng, n_layers=2)
-            bs = [rng.standard_normal(w.shape[0]) for w in ws]
-            assert path_norm_with_bias(ws, bs) >= path_norm_mlp(ws) - 1e-12
 
 
 class TestCreluBounds:

@@ -12,34 +12,31 @@ from psilon.reparam import (
     NONE,
     DegenerateInputError,
     NormMode,
-    ReparamVector,
     blend,
-    effective_weight,
-    find_threshold,
-    l1wn_subgradient,
     pair_backward,
     pair_effective,
-    proj_l1_crelu_pair,
     proj_l1_sphere,
     row_source,
     rows_backward,
     rows_effective,
+    rows_threshold,
 )
 from psilon.reparam import _effective, _vjp
 from psilon.selftest import brute_force_l1_sphere_projection
 
 
 class TestFindThreshold:
+    # rows_threshold on one-row matrices
     def test_worked_example(self):
-        assert find_threshold(np.array([3.0, 1.0])) == pytest.approx(2.0)
+        assert rows_threshold(np.array([[3.0, 1.0]]))[0] == pytest.approx(2.0)
 
     def test_single_active_coordinate(self):
-        w = np.zeros(5)
-        w[0] = 4.0
-        assert find_threshold(w) == pytest.approx(3.0)
+        w = np.zeros((1, 5))
+        w[0, 0] = 4.0
+        assert rows_threshold(w)[0] == pytest.approx(3.0)
 
     def test_interior_point_negative_threshold(self):
-        assert find_threshold(np.array([0.25, 0.25])) == pytest.approx(-0.25)
+        assert rows_threshold(np.array([[0.25, 0.25]]))[0] == pytest.approx(-0.25)
 
 
 class TestProjL1Sphere:
@@ -76,77 +73,77 @@ class TestProjL1Sphere:
 
 
 class TestProjCreluPair:
+    # the L1PROJ pair kernel with unit length, on one-row matrices
+    def project(self, wp, wm):
+        return pair_effective(np.array([wp]), np.array([wm]), np.ones(1), L1PROJ)
+
     def test_worked_example(self):
-        pp, pm = proj_l1_crelu_pair(np.array([3.0, 0.0]), np.array([0.0, 3.0]))
-        np.testing.assert_allclose(pp, [0.5, 0.0])
-        np.testing.assert_allclose(pm, [0.0, 0.5])
+        pp, pm = self.project([3.0, 0.0], [0.0, 3.0])
+        np.testing.assert_allclose(pp, [[0.5, 0.0]])
+        np.testing.assert_allclose(pm, [[0.0, 0.5]])
 
     def test_equal_pair_reduces_to_single_projection(self):
-        w = np.array([3.0, 1.0])
-        pp, pm = proj_l1_crelu_pair(w, w)
-        np.testing.assert_allclose(pp, [1.0, 0.0])
-        np.testing.assert_allclose(pm, [1.0, 0.0])
+        pp, pm = self.project([3.0, 1.0], [3.0, 1.0])
+        np.testing.assert_allclose(pp, [[1.0, 0.0]])
+        np.testing.assert_allclose(pm, [[1.0, 0.0]])
 
     def test_already_on_sphere_unchanged(self):
-        wp = np.array([0.5, 0.0])
-        wm = np.array([0.0, -0.5])
-        pp, pm = proj_l1_crelu_pair(wp, wm)
-        np.testing.assert_allclose(pp, wp)
-        np.testing.assert_allclose(pm, wm)
+        wp, wm = [0.5, 0.0], [0.0, -0.5]
+        pp, pm = self.project(wp, wm)
+        np.testing.assert_allclose(pp, [wp])
+        np.testing.assert_allclose(pm, [wm])
 
     def test_max_magnitude_lands_on_sphere(self):
         rng = make_rng(3)
         for _ in range(50):
-            wp = rng.standard_normal(7)
-            wm = rng.standard_normal(7)
-            pp, pm = proj_l1_crelu_pair(wp, wm)
+            pp, pm = self.project(rng.standard_normal(7), rng.standard_normal(7))
             assert np.sum(np.maximum(np.abs(pp), np.abs(pm))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEffectiveWeight:
+    # rows_effective on one-row matrices: a direction v with one length g
     def test_l1wn(self):
-        p = ReparamVector(np.array([2.0, -2.0]), 1.0)
-        np.testing.assert_allclose(effective_weight(p, L1WN), [0.5, -0.5])
+        w = rows_effective(np.array([[2.0, -2.0]]), np.ones(1), L1WN)
+        np.testing.assert_allclose(w, [[0.5, -0.5]])
 
     def test_l1proj(self):
-        p = ReparamVector(np.array([3.0, 1.0]), 1.0)
-        np.testing.assert_allclose(effective_weight(p, L1PROJ), [1.0, 0.0])
+        w = rows_effective(np.array([[3.0, 1.0]]), np.ones(1), L1PROJ)
+        np.testing.assert_allclose(w, [[1.0, 0.0]])
 
     def test_blend_halfway(self):
-        p = ReparamVector(np.array([3.0, 1.0]), 1.0)
-        np.testing.assert_allclose(effective_weight(p, blend(0.5)), [0.875, 0.125])
+        w = rows_effective(np.array([[3.0, 1.0]]), np.ones(1), blend(0.5))
+        np.testing.assert_allclose(w, [[0.875, 0.125]])
 
     def test_none_passthrough(self):
-        p = ReparamVector(np.array([3.0, 1.0]), 5.0)
-        np.testing.assert_allclose(effective_weight(p, NONE), [3.0, 1.0])
+        w = rows_effective(np.array([[3.0, 1.0]]), np.array([5.0]), NONE)
+        np.testing.assert_allclose(w, [[3.0, 1.0]])
 
     def test_l2wn(self):
-        p = ReparamVector(np.array([3.0, 4.0]), 10.0)
-        np.testing.assert_allclose(effective_weight(p, L2WN), [6.0, 8.0])
+        w = rows_effective(np.array([[3.0, 4.0]]), np.array([10.0]), L2WN)
+        np.testing.assert_allclose(w, [[6.0, 8.0]])
 
     def test_scale_invariance_in_direction(self):
         rng = make_rng(4)
         for _ in range(20):
-            v = rng.standard_normal(5)
-            g = rng.standard_normal()
-            base = effective_weight(ReparamVector(v, g), L1WN)
+            v = rng.standard_normal((1, 5))
+            g = rng.standard_normal(1)
+            base = rows_effective(v, g, L1WN)
             for c in [0.1, 3.0, 250.0]:
-                scaled = effective_weight(ReparamVector(c * v, g), L1WN)
-                np.testing.assert_allclose(scaled, base, rtol=1e-12)
+                np.testing.assert_allclose(rows_effective(c * v, g, L1WN), base, rtol=1e-12)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(DegenerateInputError):
-            effective_weight(ReparamVector(np.zeros(3), 1.0), L1WN)
+            rows_effective(np.zeros((1, 3)), np.ones(1), L1WN)
 
     def test_blend_endpoints_exact(self):
         rng = make_rng(5)
         for _ in range(20):
-            p = ReparamVector(rng.standard_normal(6), rng.standard_normal())
+            v, g = rng.standard_normal((1, 6)), rng.standard_normal(1)
             np.testing.assert_array_equal(
-                effective_weight(p, blend(0.0)), effective_weight(p, L1WN)
+                rows_effective(v, g, blend(0.0)), rows_effective(v, g, L1WN)
             )
             np.testing.assert_array_equal(
-                effective_weight(p, blend(1.0)), effective_weight(p, L1PROJ)
+                rows_effective(v, g, blend(1.0)), rows_effective(v, g, L1PROJ)
             )
 
     def test_blend_alpha_validated(self):
@@ -155,25 +152,34 @@ class TestEffectiveWeight:
 
 
 class TestL1wnSubgradient:
+    # rows_backward under L1WN for f(w) = <w, x>, on one-row matrices:
+    # the gradient in the raw direction v
+    def subgradient(self, v, g, x):
+        dv, _ = rows_backward(np.array([v]), np.array([g]), L1WN, np.array([x]))
+        return dv[0]
+
     def test_orthogonal_input_passes_through(self):
         # x already orthogonal to w (in both senses for this symmetric w)
-        p = ReparamVector(np.array([1.0, 1.0]), 2.0)
         x = np.array([1.0, -1.0])
-        np.testing.assert_allclose(l1wn_subgradient(p, x), x)
+        np.testing.assert_allclose(self.subgradient([1.0, 1.0], 2.0, x), x)
 
     def test_hand_value(self):
-        p = ReparamVector(np.array([1.0, 1.0]), 2.0)
-        np.testing.assert_allclose(l1wn_subgradient(p, np.array([1.0, 0.0])), [0.5, -0.5])
+        np.testing.assert_allclose(self.subgradient([1.0, 1.0], 2.0, [1.0, 0.0]), [0.5, -0.5])
 
     def test_orthogonal_to_effective_weight(self):
+        # the subgradient is (g/||v||_1) M_w x with M_w = I - sign(w) w^T / ||w||_1,
+        # the oblique projector that annihilates w
         rng = make_rng(6)
         for _ in range(100):
             v = rng.standard_normal(6)
             g = rng.standard_normal()
             x = rng.standard_normal(6)
-            p = ReparamVector(v, g)
-            grad = l1wn_subgradient(p, x)
-            w = effective_weight(p, L1WN)
+            grad = self.subgradient(v, g, x)
+            n = np.sum(np.abs(v))
+            np.testing.assert_allclose(
+                grad, (g / n) * (x - (np.dot(v, x) / n) * np.sign(v)), rtol=1e-12, atol=1e-15
+            )
+            w = rows_effective(v[None, :], np.array([g]), L1WN)[0]
             bound = 1e-10 * np.linalg.norm(w) * np.linalg.norm(grad)
             assert abs(np.dot(grad, w)) <= bound + 1e-300
 
@@ -185,19 +191,18 @@ class TestL1wnSubgradient:
             v[np.abs(v) < 0.05] = 0.1  # stay away from the sign kink
             g = rng.uniform(0.5, 2.0) * np.sign(rng.standard_normal())
             x = rng.standard_normal(5)
-            grad = l1wn_subgradient(ReparamVector(v, g), x)
+            grad = self.subgradient(v, g, x)
             for i in range(5):
-                vp, vm = v.copy(), v.copy()
-                vp[i] += h
-                vm[i] -= h
-                fp = np.dot(effective_weight(ReparamVector(vp, g), L1WN), x)
-                fm = np.dot(effective_weight(ReparamVector(vm, g), L1WN), x)
+                vs = np.array([v, v])
+                vs[0, i] += h
+                vs[1, i] -= h
+                fp, fm = rows_effective(vs, np.array([g]), L1WN) @ x
                 fd = (fp - fm) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(DegenerateInputError):
-            l1wn_subgradient(ReparamVector(np.zeros(2), 1.0), np.ones(2))
+            self.subgradient(np.zeros(2), 1.0, np.ones(2))
 
     def test_sign_boundary_jump(self):
         # crossing w_i = 0 flips the projection term: the two one-sided
@@ -211,8 +216,8 @@ class TestL1wnSubgradient:
             vp[0], vm[0] = 1e-9, -1e-9
             g_p, g_m = np.sum(np.abs(vp)), np.sum(np.abs(vm))
             # with g = ||v||_1 the subgradient is exactly M_w x
-            hi = l1wn_subgradient(ReparamVector(vp, g_p), x)[0]
-            lo = l1wn_subgradient(ReparamVector(vm, g_m), x)[0]
+            hi = self.subgradient(vp, g_p, x)[0]
+            lo = self.subgradient(vm, g_m, x)[0]
             w = vp / g_p
             expected = 2.0 * np.dot(w, x) / np.sum(np.abs(w))
             assert lo - hi == pytest.approx(expected, rel=1e-5, abs=1e-7)
