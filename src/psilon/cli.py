@@ -7,6 +7,8 @@ error, 2 runtime failure.
 Runs are driven by a single JSON config document; a few common flags
 (--seed, --out, --steps, --lam) override config keys, and the fully
 resolved config is echoed into the output directory next to the artifacts.
+The split, model and train sections' keys and defaults are the fields of
+the records they build; only the CLI's own defaults are written here.
 Outputs are deterministic in (config, seed); wall-clock timings only enter
 the metrics CSV with --timings.
 """
@@ -51,7 +53,6 @@ from .nets import (
 from .pathnorm import analyze_network
 from .reparam import NormMode
 from .training import (
-    DEFAULT_LAMBDA_GRID,
     ConfigError,
     OneCycle,
     Regularizer,
@@ -62,6 +63,7 @@ from .training import (
     adam_state_to_json,
     check_regularizer,
     evaluate,
+    grid_plans,
     grid_search,
     rows_to_csv,
     rows_to_jsonl,
@@ -72,6 +74,14 @@ USAGE_ERROR, RUNTIME_ERROR = 1, 2
 
 
 # --- config schema -------------------------------------------------------------
+
+def _defaults(*records, omit=(), **cli) -> dict:
+    """One config key per field of `records`, in field order, except the
+    `omit`ted fields that the CLI fills from elsewhere; a key's default is
+    the field's, unless `cli` gives the CLI's own."""
+    return {f.name: cli.get(f.name, f.default) for record in records for f in fields(record)
+            if f.name not in omit}
+
 
 _SCHEMA = {
     "seed": 0,
@@ -86,36 +96,11 @@ _SCHEMA = {
         "path": None,
         "target": "target",
     },
-    "split": {"train_n": 500, "val_frac_of_rest": 0.5},
-    "model": {
-        "kind": "mlp",
-        "hidden": [64, 64],
-        "activation": "relu",
-        "mode": "l1wn",
-        "shared_lengths": True,
-        "out_nonlinearity": "identity",
-        "bias": True,
-        "freeze_lengths": False,
-    },
-    "train": {
-        "steps": 1000,
-        "batches_per_epoch": 5,
-        "batch_size": None,
-        "lr_schedule": {
-            "kind": "warm_hold_decay",
-            "lo": 1e-4,
-            "hi": 2e-3,
-            "warm_frac": 0.05,
-            "hold_frac": 0.45,
-            "init": 1e-4,
-            "max_lr": 2e-2,
-            "final": 1e-5,
-            "peak_frac": 0.2,
-        },
-        "regularizer": {"kind": "path_closed_form", "lam": 0.0},
-        "loss": None,
-        "prune_window": None,
-    },
+    "split": _defaults(SplitSpec, omit={"seed"}, train_n=500),
+    "model": _defaults(NetSpec, omit={"d_in", "d_out"}, kind="mlp", hidden=[64, 64], mode="l1wn"),
+    "train": _defaults(TrainPlan, omit={"seed"}, steps=1000, loss=None,  # loss: see resolve_config
+                       lr_schedule={"kind": "warm_hold_decay", **_defaults(WarmHoldDecay, OneCycle)},
+                       regularizer=_defaults(Regularizer, kind="path_closed_form")),
 }
 
 
@@ -288,22 +273,18 @@ def cmd_train(args, require_window: bool = False) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = resolve_config(read_json(args.config), args)
-    lambdas = args.lambdas if args.lambdas else DEFAULT_LAMBDA_GRID
     splits = _build_splits(cfg)
     net_spec = _build_net_spec(cfg, splits.train)
     plan = _build_plan(cfg)
-    # a cell with no steps logs no validation loss to rank by
-    _require(plan.steps >= 1, "train.steps", "an integer >= 1 for gridsearch", plan.steps)
+    # `grid_plans` checks the steps and every lambda before anything is written
+    cell_dirs = [f"lam_{p.regularizer.lam:g}" for p in grid_plans(plan, args.lambdas)]
     check_regularizer(init_network(net_spec, np.random.default_rng(plan.seed)), plan.regularizer)
-    for lam in lambdas:
-        Regularizer(plan.regularizer.kind, lam)  # checks each lambda before anything is written
-    cell_dirs = [f"lam_{lam:g}" for lam in lambdas]
     out = _prepare_out_dir(
         cfg["out_dir"], args.overwrite, ["summary.json", "curves.csv", "config_resolved.json", *cell_dirs]
     )
     _dump_json(cfg, out / "config_resolved.json")
 
-    best_lam, cells = grid_search(net_spec, splits, plan, lambdas, jobs=args.jobs)
+    best_lam, cells = grid_search(net_spec, splits, plan, args.lambdas, jobs=args.jobs)
     curves = ["step,lambda,val_loss"]
     for cell, name in zip(cells, cell_dirs):
         sub = out / name
@@ -331,6 +312,8 @@ def cmd_analyze(args) -> int:
         ("--pairs", args.pairs, args.pairs >= 0, ">= 0"),
         ("--seed", args.seed, args.seed >= 0, ">= 0"),
         ("--oracle-guard", args.oracle_guard, args.oracle_guard >= 1, ">= 1"),
+        ("--out", args.out, not args.out or (Path(args.out).parent.is_dir() and not Path(args.out).is_dir()),
+         "a file path in an existing directory"),
     ]:
         _require(ok, flag, need, value)
     net = load_network(args.model)

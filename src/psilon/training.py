@@ -7,12 +7,15 @@ metrics log is reproducible byte for byte.  Wall-clock timings are kept in
 the in-memory rows but stay out of the CSV unless explicitly requested, so
 rerunning a config reproduces identical files.
 
-Bounds and their gradients come from `pathnorm.bound_value_and_grad` (the
-path bounds) and `pathnorm.closed_form_g_grads` (the length products).  A
-training step materializes each layer's effective weights once: the
-regularizer's value and its weight gradient reuse the matrices that
-`forward` keeps in its trace.  Before the pruning window every layer runs
-blend(0), which the reparameterization computes with the L1WN kernel alone.
+Each schedule class owns its formula (`rate`), and each regularizer kind
+is dispatched once, in `_reg_terms`, for both `reg_value` and
+`regularized_loss`.  Bounds and their gradients come from
+`pathnorm.bound_value_and_grad` (the path bounds) and
+`pathnorm.closed_form_g_grads` (the length products).  A training step
+materializes each layer's effective weights once: the regularizer's value
+and its weight gradient reuse the matrices that `forward` keeps in its
+trace.  Before the pruning window every layer runs blend(0), which the
+reparameterization computes with the L1WN kernel alone.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "reg_value",
     "train",
     "train_with_state",
+    "grid_plans",
     "grid_search",
     "evaluate",
     "rows_to_csv",
@@ -100,11 +104,20 @@ class WarmHoldDecay:
 
     def __post_init__(self):
         _check_schedule(self)
-        if not 1.0 - self.warm_frac - self.hold_frac > 0:  # the decay span `lr_at` divides by
+        if not 1.0 - self.warm_frac - self.hold_frac > 0:  # the decay span `rate` divides by
             raise ConfigError(
                 "train.lr_schedule.warm_frac + hold_frac must be < 1, "
                 f"got {self.warm_frac!r} + {self.hold_frac!r}"
             )
+
+    def rate(self, t: float) -> float:
+        """Linear warm-up lo -> hi, a hold at hi, then linear decay back to lo."""
+        if t < self.warm_frac:
+            return self.lo + (self.hi - self.lo) * t / self.warm_frac
+        if t < self.warm_frac + self.hold_frac:
+            return self.hi
+        span = 1.0 - self.warm_frac - self.hold_frac
+        return self.hi + (self.lo - self.hi) * (t - self.warm_frac - self.hold_frac) / span
 
 
 @dataclass(frozen=True)
@@ -119,6 +132,12 @@ class OneCycle:
         if not self.peak_frac < 1:
             raise ConfigError(f"train.lr_schedule.peak_frac must be < 1, got {self.peak_frac!r}")
 
+    def rate(self, t: float) -> float:
+        """Linear ramp init -> max_lr up to the peak, then linear decay to final."""
+        if t < self.peak_frac:
+            return self.init + (self.max_lr - self.init) * t / self.peak_frac
+        return self.max_lr + (self.final - self.max_lr) * (t - self.peak_frac) / (1.0 - self.peak_frac)
+
 
 def lr_at(schedule, step: int, total: int) -> float:
     """Learning rate at a step; `step == total` gives the terminal value.
@@ -128,21 +147,7 @@ def lr_at(schedule, step: int, total: int) -> float:
     """
     if not 0 <= step <= total:
         raise ValueError("step out of range")
-    t = step / total if total > 0 else 0.0
-    if isinstance(schedule, WarmHoldDecay):
-        s = schedule
-        if t < s.warm_frac:
-            return s.lo + (s.hi - s.lo) * t / s.warm_frac
-        if t < s.warm_frac + s.hold_frac:
-            return s.hi
-        span = 1.0 - s.warm_frac - s.hold_frac
-        return s.hi + (s.lo - s.hi) * (t - s.warm_frac - s.hold_frac) / span
-    if isinstance(schedule, OneCycle):
-        s = schedule
-        if t < s.peak_frac:
-            return s.init + (s.max_lr - s.init) * t / s.peak_frac
-        return s.max_lr + (s.final - s.max_lr) * (t - s.peak_frac) / (1.0 - s.peak_frac)
-    raise ConfigError(f"unknown schedule {schedule!r}")
+    return schedule.rate(step / total if total > 0 else 0.0)
 
 
 def prune_alpha(step: int, window: tuple[int, int]) -> float:
@@ -177,7 +182,7 @@ class TrainPlan:
     steps: int
     batches_per_epoch: int = 5
     batch_size: int | None = None  # derived from the split when None
-    lr_schedule: object = field(default_factory=WarmHoldDecay)
+    lr_schedule: WarmHoldDecay | OneCycle = field(default_factory=WarmHoldDecay)
     regularizer: Regularizer = field(default_factory=Regularizer)
     loss: str = "cross_entropy"  # mse | cross_entropy
     prune_window: tuple[int, int] | None = None
@@ -190,6 +195,8 @@ class TrainPlan:
             raise ConfigError("train.batches_per_epoch must be an integer >= 1")
         if self.batch_size is not None and not is_count(self.batch_size, 1):
             raise ConfigError("train.batch_size must be null or an integer >= 1")
+        if not isinstance(self.lr_schedule, (WarmHoldDecay, OneCycle)):
+            raise ConfigError(f"train.lr_schedule must be WarmHoldDecay or OneCycle, got {self.lr_schedule!r}")
         if self.loss not in ("mse", "cross_entropy"):
             raise ConfigError(f"unknown loss {self.loss!r}")
         w = self.prune_window
@@ -291,23 +298,29 @@ def check_regularizer(net: Network, reg: Regularizer) -> None:
         )
 
 
-def reg_value(net: Network, reg: Regularizer, effs: list | None = None) -> float:
-    """The regularizer's value.  `effs` are the per-layer effective weights
-    as in `forward`'s trace (`nets.layer_weights`: (W,) per dense layer,
-    (W+, W-) per pair); without them each layer is materialized once."""
+def _reg_terms(net: Network, reg: Regularizer, effs: list | None = None, grads: bool = True):
+    """(value, dR/dW, dR/dg) of the regularizer, the gradients empty without
+    `grads`.  dR/dW is per layer in the layout of `effs`, the effective
+    weights as in `forward`'s trace (`nets.layer_weights`: (W,) per dense
+    layer, (W+, W-) per pair; without them each layer is materialized once).
+    dR/dg, the closed form's, is keyed like `nets.backward`'s gradients."""
     if reg.kind == "none":
-        return 0.0
+        return 0.0, [], {}
     if reg.kind == "path_closed_form":
-        return closed_form_for(net)
+        # the length product depends on the lengths only
+        ggrads = closed_form_g_grads(net) if grads and not net.freeze_lengths else {}
+        return closed_form_for(net), [], ggrads
     if effs is None:
         effs = layer_weights(net)
     if reg.kind == "l2wr":
-        return float(sum(np.sum(w * w) for ws in effs for w in ws))
-    return bound_value_and_grad(net, reg.kind, effs)[0]
+        wgrads = [tuple(2.0 * w for w in ws) for ws in effs] if grads else []
+        return float(sum(np.sum(w * w) for ws in effs for w in ws)), wgrads, {}
+    return (*bound_value_and_grad(net, reg.kind, effs), {})
 
 
-def _l2wr_weight_grads(effs: list) -> list:
-    return [tuple(2.0 * w for w in ws) for ws in effs]
+def reg_value(net: Network, reg: Regularizer, effs: list | None = None) -> float:
+    """The regularizer's value (see `_reg_terms` for `effs`)."""
+    return _reg_terms(net, reg, effs, grads=False)[0]
 
 
 def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
@@ -320,22 +333,15 @@ def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
     logits, trace = forward(net, batch.features)
     dval, dlogits = _loss_and_grad(logits, batch, plan.loss)
 
-    extra = None
-    rval = 0.0
-    if reg.kind != "none" and reg.lam > 0.0:
+    extra, rval, ggrads = None, 0.0, {}
+    if reg.lam > 0.0:
         # the bound and its gradient use the weights forward materialized
-        if reg.kind == "path_closed_form":
-            rval, wgrads = closed_form_for(net), []
-        elif reg.kind == "l2wr":
-            rval, wgrads = reg_value(net, reg, trace.effs), _l2wr_weight_grads(trace.effs)
-        else:
-            rval, wgrads = bound_value_and_grad(net, reg.kind, trace.effs)
+        rval, wgrads, ggrads = _reg_terms(net, reg, trace.effs)
         extra = {i: tuple(reg.lam * w for w in gw) for i, gw in enumerate(wgrads)}
 
     grads = backward(net, trace, dlogits, extra=extra)
-    if reg.kind == "path_closed_form" and reg.lam > 0.0 and not net.freeze_lengths:
-        for key, gg in closed_form_g_grads(net).items():
-            grads[key] = grads[key] + reg.lam * gg
+    for key, gg in ggrads.items():
+        grads[key] = grads[key] + reg.lam * gg
     return dval + reg.lam * rval, grads
 
 
@@ -498,13 +504,20 @@ def _run_cell(args) -> GridCell:
     net = init_network(net_spec, np.random.default_rng(plan.seed))
     net, rows = train(net, splits, plan)
     vals = [r.val_loss for r in rows]
-    return GridCell(
-        lam=plan.regularizer.lam,
-        final_val_loss=vals[-1] if vals else float("nan"),
-        best_val_loss=min(vals) if vals else float("nan"),
-        rows=rows,
-        net=net,
-    )
+    return GridCell(lam=plan.regularizer.lam, final_val_loss=vals[-1], best_val_loss=min(vals),
+                    rows=rows, net=net)
+
+
+def grid_plans(plan: TrainPlan, lambdas: list[float] | None = None) -> list[TrainPlan]:
+    """The plan of each grid cell, one per lambda (the default grid when
+    None), checked before any cell trains: each cell's Regularizer checks its
+    lambda, and a cell needs a step to log the validation loss it is ranked by."""
+    if not is_count(plan.steps, 1):
+        raise ConfigError(f"train.steps must be an integer >= 1 for gridsearch, got {plan.steps!r}")
+    lams = list(DEFAULT_LAMBDA_GRID if lambdas is None else lambdas)
+    if not lams:
+        raise ConfigError("need at least one lambda")
+    return [replace(plan, regularizer=replace(plan.regularizer, lam=lam)) for lam in lams]
 
 
 def grid_search(
@@ -517,14 +530,7 @@ def grid_search(
     """One training run per lambda, all from the same seeded initialization;
     the winner has the lowest final validation loss (no early stopping,
     though the trajectory minimum is recorded alongside)."""
-    lams = list(DEFAULT_LAMBDA_GRID if lambdas is None else lambdas)
-    if not lams:
-        raise ConfigError("need at least one lambda")
-    # each cell's Regularizer checks its lambda here, before any cell trains
-    tasks = [
-        (net_spec, splits, replace(plan, regularizer=replace(plan.regularizer, lam=lam)))
-        for lam in lams
-    ]
+    tasks = [(net_spec, splits, cell) for cell in grid_plans(plan, lambdas)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

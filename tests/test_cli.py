@@ -1,10 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 from psilon import selftest
-from psilon.cli import main
+from psilon.cli import _dump_json, main, resolve_config
 from psilon.data import save_csv, synth_task
 from psilon.nets import NetSpec, init_network, save_network
 from psilon.reparam import L1WN
@@ -185,6 +186,71 @@ GRID_STEPS_MESSAGE = "train.steps must be an integer >= 1 for gridsearch, got 0"
 SPLIT_MESSAGE = ("split.train_n={} and split.val_frac_of_rest={} leave {} validation and {} test "
                  "rows of {}; each needs at least 1")
 MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [0, 1]>, got "
+
+
+# the resolved config of a run that sets only out_dir: every default, in
+# key order, as `config_resolved.json` holds it
+RESOLVED_DEFAULTS = """\
+{
+  "seed": 0,
+  "out_dir": "run",
+  "data": {
+    "kind": "synth",
+    "task": "two_gaussians",
+    "n": 1000,
+    "dim": 10,
+    "noise": 0.5,
+    "k_active": 2,
+    "path": null,
+    "target": "target"
+  },
+  "split": {
+    "train_n": 500,
+    "val_frac_of_rest": 0.5
+  },
+  "model": {
+    "kind": "mlp",
+    "hidden": [
+      64,
+      64
+    ],
+    "activation": "relu",
+    "mode": "l1wn",
+    "shared_lengths": true,
+    "out_nonlinearity": "identity",
+    "bias": true,
+    "freeze_lengths": false
+  },
+  "train": {
+    "steps": 1000,
+    "batches_per_epoch": 5,
+    "batch_size": null,
+    "lr_schedule": {
+      "kind": "warm_hold_decay",
+      "lo": 0.0001,
+      "hi": 0.002,
+      "warm_frac": 0.05,
+      "hold_frac": 0.45,
+      "init": 0.0001,
+      "max_lr": 0.02,
+      "final": 1e-05,
+      "peak_frac": 0.2
+    },
+    "regularizer": {
+      "kind": "path_closed_form",
+      "lam": 0.0
+    },
+    "loss": "cross_entropy",
+    "prune_window": null
+  }
+}
+"""
+
+
+def test_resolved_defaults_are_unchanged():
+    text = io.StringIO()
+    _dump_json(resolve_config({"out_dir": "run"}), text)
+    assert text.getvalue() == RESOLVED_DEFAULTS
 
 
 @pytest.mark.parametrize("argv, overrides, message", [
@@ -424,6 +490,18 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} must be ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", ["missing_dir/x.json", "."], ids=["missing_dir", "a_directory"])
+    def test_unwritable_out_rejected_before_analysis(self, tmp_path, capsys, monkeypatch, out):
+        spec = NetSpec(kind="mlp", d_in=3, d_out=1, hidden=[4], mode=L1WN)
+        model = tmp_path / "m.json"
+        save_network(init_network(spec, np.random.default_rng(0)), model)
+        monkeypatch.setattr("psilon.cli.analyze_network", lambda *a, **k: pytest.fail("analysis ran"))
+        path = str(tmp_path / out)
+        assert main(["analyze", str(model), "--out", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out must be a file path in an existing directory, got {path!r}\n"
 
     def test_not_json_rejected(self, tmp_path, capsys):
         model = tmp_path / "m.json"

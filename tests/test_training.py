@@ -32,7 +32,7 @@ from psilon.training import (
     rows_to_csv,
     train,
 )
-from psilon.training import _l2wr_weight_grads, _loss_and_grad
+from psilon.training import _loss_and_grad
 
 
 def make_splits(kind="two_gaussians", n=300, d=4, noise=0.4, seed=0, train_n=200):
@@ -63,6 +63,11 @@ class TestLrSchedules:
         assert lr_at(s, 200, total) == pytest.approx(2e-2)
         assert lr_at(s, 600, total) == pytest.approx((2e-2 + 1e-5) / 2)
         assert lr_at(s, total, total) == pytest.approx(1e-5)
+
+    def test_plan_rejects_an_unknown_schedule(self):
+        message = "^train.lr_schedule must be WarmHoldDecay or OneCycle, got 'x'$"
+        with pytest.raises(ConfigError, match=message):
+            TrainPlan(steps=1, lr_schedule="x")
 
 
 class TestPruneAlpha:
@@ -217,7 +222,7 @@ class TestRegularizedLoss:
         # reference: reg_value and every kernel run afresh
         ref_loss = data_loss(net, splits.train, plan.loss) + reg.lam * reg_value(net, reg)
         fresh = layer_weights(net)
-        wgrads = (_l2wr_weight_grads(fresh) if regk == "l2wr"
+        wgrads = ([tuple(2.0 * w for w in ws) for ws in fresh] if regk == "l2wr"
                   else bound_value_and_grad(net, regk, fresh)[1])
         extra = {i: tuple(reg.lam * w for w in gw) for i, gw in enumerate(wgrads)}
         logits, trace = forward(net, splits.train.features)
@@ -425,13 +430,22 @@ class TestGridSearch:
     def test_cells_share_initialization(self):
         splits = make_splits()
         spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[5], mode=L1WN)
-        plan = TrainPlan(steps=0, batches_per_epoch=5,
+        # one step at learning rate 0 leaves each cell at its initialization
+        plan = TrainPlan(steps=1, batches_per_epoch=5, lr_schedule=WarmHoldDecay(lo=0, hi=0),
                          regularizer=Regularizer("path_closed_form", 0.0), seed=8)
         _, cells = grid_search(spec, splits, plan, [1e-4, 1e-2])
         a = {n: p for n, p in cells[0].net.slots()}
         b = {n: p for n, p in cells[1].net.slots()}
         for n in a:
             np.testing.assert_array_equal(a[n], b[n])
+
+    def test_zero_steps_rejected(self):
+        # a cell with no steps logs no validation loss to rank by
+        splits = make_splits()
+        spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[5], mode=L1WN)
+        plan = TrainPlan(steps=0, regularizer=Regularizer("path_closed_form", 0.0))
+        with pytest.raises(ConfigError, match="^train.steps must be an integer >= 1 for gridsearch, got 0$"):
+            grid_search(spec, splits, plan, [1e-4, 1e-2])
 
 
 class TestEvaluate:
