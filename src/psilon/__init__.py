@@ -59,7 +59,7 @@ from .training import (
     lr_at,
     prune_alpha,
     regularized_loss,
-    train,
+    train_with_state,
 )
 
 __version__ = "0.1.0"

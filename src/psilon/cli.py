@@ -9,8 +9,8 @@ Runs are driven by a single JSON config document; a few common flags
 resolved config is echoed into the output directory next to the artifacts.
 The split, model and train sections' keys and defaults are the fields of
 the records they build; only the CLI's own defaults are written here.
-Outputs are deterministic in (config, seed); wall-clock timings only enter
-the metrics CSV with --timings.
+`train`, `prune` and `gridsearch` are set up one way (`_set_up`), and
+their outputs are deterministic in (config, seed).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .training import (
     Regularizer,
     Splits,
     TrainingDiverged,
+    Run,
     TrainPlan,
     WarmHoldDecay,
     adam_state_to_json,
@@ -205,102 +206,104 @@ def _build_plan(cfg: dict) -> TrainPlan:
     )
 
 
-def _prepare_out_dir(path: str, overwrite: bool, expected: list[str]) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    clashes = [name for name in expected if (out / name).exists()]
-    if clashes and not overwrite:
-        raise ConfigError(
-            f"output files already exist in {out} ({', '.join(clashes)}); pass --overwrite to replace"
-        )
-    return out
-
-
 def _dump_json(obj, path) -> None:
     # a file path or an open text stream
     write_json(obj, path, indent=2, end="\n")
 
 
-def _write_log(out: Path, rows, args) -> None:
+def _write_log(out: Path, run: Run, args) -> None:
     """metrics.csv, and metrics.jsonl with --jsonl, in the directory `out`."""
-    write_atomic(out / "metrics.csv", [rows_to_csv(rows, include_wall=args.timings)])
+    write_atomic(out / "metrics.csv", [rows_to_csv(run.rows)])
     if args.jsonl:
-        write_atomic(out / "metrics.jsonl", [rows_to_jsonl(rows, include_wall=args.timings)])
+        write_atomic(out / "metrics.jsonl", [rows_to_jsonl(run.rows)])
+
+
+def _set_up(args, outputs):
+    """The config, splits, spec, plan and initial network of a `train`,
+    `prune` or `gridsearch` run, and its output directory, which is made
+    (and `config_resolved.json` written into it) only after every check
+    passed.  `outputs(plan)` names every file the command writes, checking
+    what the command itself needs."""
+    cfg = resolve_config(read_json(args.config), args)
+    if args.command == "prune" and cfg["train"]["prune_window"] is None:
+        raise ConfigError("prune requires train.prune_window in the config")
+    splits = _build_splits(cfg)
+    net_spec = _build_net_spec(cfg, splits.train)
+    plan = _build_plan(cfg)
+    expected = outputs(plan)
+    net = init_network(net_spec, np.random.default_rng(plan.seed))
+    check_regularizer(net, plan.regularizer)
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    clashes = [name for name in expected if (out / name).exists()]
+    if clashes and not args.overwrite:
+        raise ConfigError(
+            f"output files already exist in {out} ({', '.join(clashes)}); pass --overwrite to replace"
+        )
+    _dump_json(cfg, out / "config_resolved.json")
+    return cfg, splits, net_spec, plan, net, out
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_train(args, require_window: bool = False) -> int:
-    cfg = resolve_config(read_json(args.config), args)
-    if require_window and cfg["train"]["prune_window"] is None:
-        raise ConfigError("prune requires train.prune_window in the config")
-    splits = _build_splits(cfg)
-    net_spec = _build_net_spec(cfg, splits.train)
-    plan = _build_plan(cfg)
-    net = init_network(net_spec, np.random.default_rng(cfg["seed"]))
-    check_regularizer(net, plan.regularizer)
-    # only a run whose config checked out gets an output directory
-    out = _prepare_out_dir(
-        cfg["out_dir"], args.overwrite,
-        ["model.json", "checkpoint.json", "metrics.csv", "metrics.jsonl", "pathnorm_report.json",
-         "sparsity_report.json", "config_resolved.json", "dataset_stats.json"],
-    )
-    _dump_json(cfg, out / "config_resolved.json")
+def cmd_train(args) -> int:
+    cfg, splits, _, plan, net, out = _set_up(args, lambda plan: [
+        "model.json", "checkpoint.json", "metrics.csv", "metrics.jsonl", "pathnorm_report.json",
+        "sparsity_report.json", "config_resolved.json", "dataset_stats.json"])
     _dump_json(splits.train.stats_json(), out / "dataset_stats.json")
-
     try:
-        net, rows, opt_state = train_with_state(net, splits, plan)
+        run = train_with_state(net, splits, plan)
     except TrainingDiverged as e:
-        _write_log(out, e.rows, args)
-        print(f"training diverged at step {e.step}; partial metrics written", file=sys.stderr)
+        _write_log(out, e.run, args)
+        print(f"training diverged at step {e.run.step}; partial metrics written", file=sys.stderr)
         return RUNTIME_ERROR
 
-    _write_log(out, rows, args)
-    model = network_to_json(net)
+    _write_log(out, run, args)
+    model = network_to_json(run.net)
     write_json(model, out / "model.json")
-    _dump_json({"model": model, "optimizer": adam_state_to_json(opt_state)}, out / "checkpoint.json")
-    report, warnings = analyze_network(net)
+    _dump_json({"model": model, "optimizer": adam_state_to_json(run.adam)}, out / "checkpoint.json")
+    report, warnings = analyze_network(run.net)
     doc = report.to_json()
     doc["seed"] = cfg["seed"]
     _dump_json(doc, out / "pathnorm_report.json")
-    _dump_json({**network_sparsity(net).to_json(), "seed": cfg["seed"]}, out / "sparsity_report.json")
+    _dump_json({**network_sparsity(run.net).to_json(), "seed": cfg["seed"]}, out / "sparsity_report.json")
     for w in warnings:
         print(w, file=sys.stderr)
-    print(json.dumps({"out_dir": str(out), "final_val_loss": rows[-1].val_loss if rows else None}))
+    print(json.dumps({"out_dir": str(out), "final_val_loss": run.rows[-1].val_loss if run.rows else None}))
     return 0
 
 
-def cmd_gridsearch(args) -> int:
-    cfg = resolve_config(read_json(args.config), args)
-    splits = _build_splits(cfg)
-    net_spec = _build_net_spec(cfg, splits.train)
-    plan = _build_plan(cfg)
-    # `grid_plans` checks the steps and every lambda before anything is written
-    cell_dirs = [f"lam_{p.regularizer.lam:g}" for p in grid_plans(plan, args.lambdas)]
-    check_regularizer(init_network(net_spec, np.random.default_rng(plan.seed)), plan.regularizer)
-    out = _prepare_out_dir(
-        cfg["out_dir"], args.overwrite, ["summary.json", "curves.csv", "config_resolved.json", *cell_dirs]
-    )
-    _dump_json(cfg, out / "config_resolved.json")
+def _cell_dirs(plan: TrainPlan, lambdas) -> list[str]:
+    """One directory per grid cell, `lam_<lambda>`, checked by `grid_plans`;
+    two lambdas that would share a directory are rejected."""
+    dirs = {}
+    for cell in grid_plans(plan, lambdas):
+        lam = cell.regularizer.lam
+        name = f"lam_{lam:g}"
+        if name in dirs:
+            raise ConfigError(f"--lambdas {dirs[name]!r} and {lam!r} would share the cell directory {name}")
+        dirs[name] = lam
+    return list(dirs)
 
+
+def cmd_gridsearch(args) -> int:
+    _require(args.jobs >= 1, "--jobs", "an integer >= 1", args.jobs)
+    cfg, splits, net_spec, plan, _, out = _set_up(args, lambda plan: [
+        "summary.json", "curves.csv", "config_resolved.json", *_cell_dirs(plan, args.lambdas)])
     best_lam, cells = grid_search(net_spec, splits, plan, args.lambdas, jobs=args.jobs)
     curves = ["step,lambda,val_loss"]
-    for cell, name in zip(cells, cell_dirs):
-        sub = out / name
+    summary = {"seed": cfg["seed"], "best_lambda": best_lam, "cells": []}
+    for cell in cells:
+        lam = cell.plan.regularizer.lam
+        sub = out / f"lam_{lam:g}"
         sub.mkdir(exist_ok=True)
-        _write_log(sub, cell.rows, args)
+        _write_log(sub, cell, args)
         save_network(cell.net, sub / "model.json")
-        curves.extend(f"{r.step},{cell.lam:g},{r.val_loss!r}" for r in cell.rows)
+        curves.extend(f"{r.step},{lam:g},{r.val_loss!r}" for r in cell.rows)
+        summary["cells"].append({"lambda": lam, "final_val_loss": cell.rows[-1].val_loss,
+                                 "best_val_loss": min(r.val_loss for r in cell.rows)})
     write_atomic(out / "curves.csv", ["\n".join(curves), "\n"])
-    summary = {
-        "seed": cfg["seed"],
-        "best_lambda": best_lam,
-        "cells": [
-            {"lambda": c.lam, "final_val_loss": c.final_val_loss, "best_val_loss": c.best_val_loss}
-            for c in cells
-        ],
-    }
     _dump_json(summary, out / "summary.json")
     print(json.dumps({"best_lambda": best_lam, "out_dir": str(out)}))
     return 0
@@ -368,8 +371,8 @@ def cmd_eval(args) -> int:
     ds = apply_stats(ds, _load_stats(args.stats, ds)) if args.stats else standardize(ds)
     if ds.dim != net.d_in:
         raise ConfigError(f"dataset has {ds.dim} features but the model expects {net.d_in}")
-    if ds.task == "binary" and net.d_out != 1:
-        raise ConfigError(f"binary eval needs a model with 1 output, got {net.d_out}")
+    if ds.task != "multiclass" and net.d_out != 1:
+        raise ConfigError(f"{ds.task} eval needs a model with 1 output, got {net.d_out}")
     if ds.task == "multiclass":
         lo, hi = int(ds.targets.min()), int(ds.targets.max())
         if not 0 <= lo <= hi < net.d_out:
@@ -396,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--steps", type=int, help="override train.steps")
         sp.add_argument("--lam", type=float, help="override regularizer strength")
         sp.add_argument("--overwrite", action="store_true", help="replace existing outputs")
-        sp.add_argument("--timings", action="store_true",
-                        help="include wall-clock times in metrics.csv (breaks byte reproducibility)")
         sp.add_argument("--jsonl", action="store_true", help="also write metrics.jsonl")
 
     sp = sub.add_parser("train", help="train one model and write model/metrics/bound artifacts")
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gridsearch", help="train one model per regularization strength")
     add_run_flags(sp)
     sp.add_argument("--lambdas", type=float, nargs="+", help="grid values (default: the 13-value grid)")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for grid cells")
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes for grid cells (>= 1)")
 
     sp = sub.add_parser("analyze", help="capacity bounds and sparsity for a saved model")
     sp.add_argument("model")
@@ -434,7 +435,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "train": cmd_train,
-        "prune": lambda a: cmd_train(a, require_window=True),
+        "prune": cmd_train,
         "gridsearch": cmd_gridsearch,
         "analyze": cmd_analyze,
         "eval": cmd_eval,

@@ -30,7 +30,7 @@ from .pathnorm import (
     psilon_closed_form_resnet,
 )
 from .reparam import L1WN, L2WN, NONE, blend, proj_l1_sphere, row_source
-from .training import Regularizer, Splits, TrainPlan, regularized_loss, rows_to_csv, train
+from .training import Regularizer, Splits, TrainPlan, regularized_loss, rows_to_csv, train_with_state
 
 L1_MODES = ("l1wn", "l1proj", "blend")
 ROW_TOL = 1e-12
@@ -306,8 +306,7 @@ def training_determinism():
         net = init_network(spec, make_rng(8))
         plan = TrainPlan(steps=40, batches_per_epoch=5, loss="cross_entropy",
                          regularizer=Regularizer("path_closed_form", 1e-3), seed=9)
-        _, rows = train(net, splits, plan)
-        logs.append(rows_to_csv(rows))
+        logs.append(rows_to_csv(train_with_state(net, splits, plan).rows))
     return [] if logs[0] == logs[1] else ["two runs logged different metrics.csv bytes"]
 
 

@@ -3,9 +3,10 @@ pruning stage, and grid search over the regularization strength.
 
 A run is fully determined by (seed, data, plan): mini-batch shuffles come
 from their own generator, evaluation never consumes randomness, and the
-metrics log is reproducible byte for byte.  Wall-clock timings are kept in
-the in-memory rows but stay out of the CSV unless explicitly requested, so
-rerunning a config reproduces identical files.
+metrics log is reproducible byte for byte.  Everything a run carries from
+one step to the next is one `Run` record, which is also a run's outcome:
+`train_with_state` returns it, `TrainingDiverged` carries it and a grid
+cell is one.
 
 Each schedule class owns its formula (`rate`), and each regularizer kind
 is dispatched once, in `_reg_terms`, for both `reg_value` and
@@ -20,8 +21,8 @@ reparameterization computes with the L1WN kernel alone.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "MetricsRow",
     "Splits",
     "AdamState",
+    "Run",
     "DEFAULT_LAMBDA_GRID",
     "lr_at",
     "prune_alpha",
@@ -61,7 +63,6 @@ __all__ = [
     "regularized_loss",
     "data_loss",
     "reg_value",
-    "train",
     "train_with_state",
     "grid_plans",
     "grid_search",
@@ -77,12 +78,12 @@ DEFAULT_LAMBDA_GRID = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the metrics log up to the abort."""
+    """Loss became non-finite; carries the run, whose step is the one that
+    diverged and whose last row logs it."""
 
-    def __init__(self, step: int, rows: list):
-        super().__init__(f"non-finite loss at step {step}")
-        self.step = step
-        self.rows = rows
+    def __init__(self, run: Run):
+        super().__init__(f"non-finite loss at step {run.step}")
+        self.run = run
 
 
 # --- schedules ----------------------------------------------------------------
@@ -216,28 +217,16 @@ class MetricsRow:
     lr: float
     alpha: float
     network_nsparsity: float
-    wall_ms: float
 
 
-CSV_FIELDS = ["step", "train_loss", "val_loss", "reg_value", "lr", "alpha", "network_nsparsity"]
-
-
-def rows_to_csv(rows: list[MetricsRow], include_wall: bool = False) -> str:
-    fields = CSV_FIELDS + (["wall_ms"] if include_wall else [])
-    lines = [",".join(fields)]
-    for r in rows:
-        vals = [repr(getattr(r, f)) if f != "step" else str(r.step) for f in fields]
-        lines.append(",".join(vals))
+def rows_to_csv(rows: list[MetricsRow]) -> str:
+    lines = [",".join(f.name for f in fields(MetricsRow))]
+    lines.extend(",".join(map(repr, astuple(r))) for r in rows)
     return "\n".join(lines) + "\n"
 
 
-def rows_to_jsonl(rows: list[MetricsRow], include_wall: bool = False) -> str:
-    import json
-
-    fields = CSV_FIELDS + (["wall_ms"] if include_wall else [])
-    return "".join(
-        json.dumps({f: getattr(r, f) for f in fields}) + "\n" for r in rows
-    )
+def rows_to_jsonl(rows: list[MetricsRow]) -> str:
+    return "".join(json.dumps(asdict(r)) + "\n" for r in rows)
 
 
 @dataclass
@@ -394,12 +383,17 @@ def adam_step(net: Network, state: AdamState, grads: dict[str, np.ndarray], lr: 
 # --- the training loop -----------------------------------------------------------
 
 
-def _install_prune_alpha(net: Network, alpha: float) -> None:
+def _install_prune_alpha(run: Run, step: int) -> None:
+    """Blend the run's network at the prune window's alpha for `step`;
+    without a window, alpha stays 0 and the network as it is."""
+    if run.plan.prune_window is None:
+        return
+    run.alpha = prune_alpha(step, run.plan.prune_window)
     # the blend replaces L1 weight normalization only
-    for layer in net.layers():
+    for layer in run.net.layers():
         if layer.mode.tag in ("l1wn", "blend"):
-            layer.mode = blend(alpha)
-    net.touch()
+            layer.mode = blend(run.alpha)
+    run.net.touch()
 
 
 def _zero_pruned_moments(net: Network, state: AdamState) -> None:
@@ -419,93 +413,98 @@ def _zero_pruned_moments(net: Network, state: AdamState) -> None:
                 state.v[key][dead] = 0.0
 
 
-def train(net: Network, splits: Splits, plan: TrainPlan) -> tuple[Network, list[MetricsRow]]:
-    """Run the step budget with seeded epoch reshuffles; one metrics row per
-    epoch (and one final row).  Raises TrainingDiverged on non-finite loss,
-    with the log so far attached."""
-    net, rows, _ = train_with_state(net, splits, plan)
-    return net, rows
+@dataclass
+class Run:
+    """Everything a training run carries from one step to the next: `step`
+    optimizer steps are done, and `rows` logs them.  Copying a run part way
+    and finishing both gives the same bytes."""
+
+    net: Network
+    plan: TrainPlan
+    adam: AdamState = field(default_factory=AdamState)
+    rng: np.random.Generator = field(init=False)  # the batch shuffles, seeded from the plan
+    step: int = 0
+    perm: np.ndarray | None = None  # this epoch's order of the training rows
+    alpha: float = 0.0
+    alpha_locked: bool = False  # the pruned moments were zeroed
+    rows: list[MetricsRow] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.rng = np.random.default_rng(self.plan.seed)
 
 
-def train_with_state(
-    net: Network, splits: Splits, plan: TrainPlan
-) -> tuple[Network, list[MetricsRow], AdamState]:
-    """`train`, but also returning the final optimizer state (for checkpoints)."""
-    n = splits.train.n
+def _batch_size(plan: TrainPlan, n: int) -> int:
     bpe = plan.batches_per_epoch
     bs = plan.batch_size if plan.batch_size is not None else max(1, n // bpe)
     if bs * bpe > n:
         raise ConfigError(f"cannot draw {bpe} disjoint batches of {bs} from {n} samples")
-    rng = np.random.default_rng(plan.seed)
-    state = AdamState()
-    rows: list[MetricsRow] = []
-    t0 = time.perf_counter()
-    perm = None
-    alpha = 0.0
-    alpha_locked = False
+    return bs
 
-    def log_row(step: int, alpha: float, lr: float) -> MetricsRow:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return MetricsRow(
-                step=step,
-                train_loss=data_loss(net, splits.train, plan.loss),
-                val_loss=data_loss(net, splits.val, plan.loss),
-                reg_value=reg_value(net, plan.regularizer),
-                lr=lr,
-                alpha=alpha,
-                network_nsparsity=network_sparsity(net).network_nsparsity,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
 
-    for step in range(plan.steps):
-        if step % bpe == 0:
-            perm = rng.permutation(n)
-        if plan.prune_window is not None:
-            alpha = prune_alpha(step, plan.prune_window)
-            _install_prune_alpha(net, alpha)
-            if alpha >= 1.0 and not alpha_locked:
-                _zero_pruned_moments(net, state)
-                alpha_locked = True
-        lr = lr_at(plan.lr_schedule, step, plan.steps)
-        idx = perm[(step % bpe) * bs : (step % bpe + 1) * bs]
-        batch = replace(splits.train, features=splits.train.features[idx], targets=splits.train.targets[idx])
-        # divergence is detected by the finite check; don't warn on the way there
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads = regularized_loss(net, batch, plan)
-        if not np.isfinite(loss):
-            rows.append(log_row(step, alpha, lr))
-            raise TrainingDiverged(step, rows)
-        adam_step(net, state, grads, lr)
-        if (step + 1) % bpe == 0 and (step + 1) < plan.steps:
-            rows.append(log_row(step + 1, alpha, lr))
+def _log_row(run: Run, splits: Splits, lr: float) -> None:
+    """Append the metrics of the run as it stands at `run.step`."""
+    net, plan = run.net, run.plan
+    with np.errstate(over="ignore", invalid="ignore"):
+        run.rows.append(MetricsRow(
+            step=run.step,
+            train_loss=data_loss(net, splits.train, plan.loss),
+            val_loss=data_loss(net, splits.val, plan.loss),
+            reg_value=reg_value(net, plan.regularizer),
+            lr=lr,
+            alpha=run.alpha,
+            network_nsparsity=network_sparsity(net).network_nsparsity,
+        ))
 
-    if plan.steps > 0:
-        if plan.prune_window is not None:
-            alpha = prune_alpha(plan.steps, plan.prune_window)
-            _install_prune_alpha(net, alpha)
-        rows.append(log_row(plan.steps, alpha, lr_at(plan.lr_schedule, plan.steps, plan.steps)))
-    return net, rows, state
+
+def _step(run: Run, splits: Splits) -> None:
+    """One optimizer step on the next mini-batch: a fresh permutation at
+    each epoch start, a row at each epoch end, and after the last step the
+    final row, at the blend of the full budget.  Raises TrainingDiverged on
+    a non-finite loss, with that step's row logged."""
+    net, plan, step = run.net, run.plan, run.step
+    n, bpe = splits.train.n, plan.batches_per_epoch
+    bs = _batch_size(plan, n)
+    if step % bpe == 0:
+        run.perm = run.rng.permutation(n)
+    _install_prune_alpha(run, step)
+    if run.alpha >= 1.0 and not run.alpha_locked:
+        _zero_pruned_moments(net, run.adam)
+        run.alpha_locked = True
+    lr = lr_at(plan.lr_schedule, step, plan.steps)
+    idx = run.perm[(step % bpe) * bs : (step % bpe + 1) * bs]
+    batch = replace(splits.train, features=splits.train.features[idx], targets=splits.train.targets[idx])
+    # divergence is detected by the finite check; don't warn on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = regularized_loss(net, batch, plan)
+    if not np.isfinite(loss):
+        _log_row(run, splits, lr)
+        raise TrainingDiverged(run)
+    adam_step(net, run.adam, grads, lr)
+    run.step += 1
+    if run.step == plan.steps:
+        _install_prune_alpha(run, run.step)
+        _log_row(run, splits, lr_at(plan.lr_schedule, run.step, plan.steps))
+    elif run.step % bpe == 0:
+        _log_row(run, splits, lr)
+
+
+def train_with_state(net: Network, splits: Splits, plan: TrainPlan) -> Run:
+    """Train `net` in place for the plan's step budget, with seeded epoch
+    reshuffles and one metrics row per epoch (and one final row); returns
+    the finished `Run`.  Raises TrainingDiverged on a non-finite loss."""
+    _batch_size(plan, splits.train.n)
+    run = Run(net, plan)
+    while run.step < plan.steps:
+        _step(run, splits)
+    return run
 
 
 # --- grid search ------------------------------------------------------------------
 
 
-@dataclass
-class GridCell:
-    lam: float
-    final_val_loss: float
-    best_val_loss: float
-    rows: list[MetricsRow]
-    net: Network
-
-
-def _run_cell(args) -> GridCell:
+def _run_cell(args) -> Run:
     net_spec, splits, plan = args
-    net = init_network(net_spec, np.random.default_rng(plan.seed))
-    net, rows = train(net, splits, plan)
-    vals = [r.val_loss for r in rows]
-    return GridCell(lam=plan.regularizer.lam, final_val_loss=vals[-1], best_val_loss=min(vals),
-                    rows=rows, net=net)
+    return train_with_state(init_network(net_spec, np.random.default_rng(plan.seed)), splits, plan)
 
 
 def grid_plans(plan: TrainPlan, lambdas: list[float] | None = None) -> list[TrainPlan]:
@@ -526,10 +525,9 @@ def grid_search(
     plan: TrainPlan,
     lambdas: list[float] | None = None,
     jobs: int = 1,
-) -> tuple[float, list[GridCell]]:
+) -> tuple[float, list[Run]]:
     """One training run per lambda, all from the same seeded initialization;
-    the winner has the lowest final validation loss (no early stopping,
-    though the trajectory minimum is recorded alongside)."""
+    the winner has the lowest final validation loss (no early stopping)."""
     tasks = [(net_spec, splits, cell) for cell in grid_plans(plan, lambdas)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -538,8 +536,8 @@ def grid_search(
             cells = list(pool.map(_run_cell, tasks))
     else:
         cells = [_run_cell(t) for t in tasks]
-    best = min(cells, key=lambda c: c.final_val_loss)
-    return best.lam, cells
+    best = min(cells, key=lambda c: c.rows[-1].val_loss)
+    return best.plan.regularizer.lam, cells
 
 
 # --- evaluation --------------------------------------------------------------------

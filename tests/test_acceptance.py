@@ -21,7 +21,7 @@ from psilon.linalg import make_rng
 from psilon.metrics import network_sparsity
 from psilon.nets import NetSpec, init_network
 from psilon.reparam import L1WN, L2WN
-from psilon.training import Regularizer, Splits, TrainPlan, evaluate, grid_search, train
+from psilon.training import Regularizer, Splits, TrainPlan, evaluate, grid_search, train_with_state
 
 
 def _report(n, msg):
@@ -90,12 +90,12 @@ def test_criterion_07_pruning_pipeline():
     plan = TrainPlan(steps=5000, batches_per_epoch=5, loss="mse",
                      regularizer=Regularizer("path_closed_form", 1e-3),
                      prune_window=(4000, 5000), seed=7)
-    pruned, _ = train(pruned, splits, plan)
+    train_with_state(pruned, splits, plan)
 
     plain = init_network(spec, np.random.default_rng(7))
     plan_plain = TrainPlan(steps=5000, batches_per_epoch=5, loss="mse",
                            regularizer=Regularizer("path_closed_form", 1e-3), seed=7)
-    plain, _ = train(plain, splits, plan_plain)
+    train_with_state(plain, splits, plan_plain)
 
     sparsity = network_sparsity(pruned).exact_sparsity
     mse_pruned = evaluate(pruned, splits.test)["rmse"] ** 2
@@ -119,7 +119,7 @@ def test_criterion_08_near_sparsity_ordering():
         net = init_network(spec, np.random.default_rng(7))
         plan = TrainPlan(steps=2000, batches_per_epoch=5, loss="mse",
                          regularizer=Regularizer(regk, lam), seed=7)
-        net, _ = train(net, splits, plan)
+        train_with_state(net, splits, plan)
         return network_sparsity(net).network_nsparsity
 
     ns_psilon = run(L1WN, True, "path_closed_form", 1e-3)
@@ -144,9 +144,9 @@ def test_criterion_09_capacity_control_benefit():
         plan = TrainPlan(steps=600, batches_per_epoch=5, loss="cross_entropy",
                          regularizer=Regularizer("path_closed_form", 0.0), seed=seed)
         net0 = init_network(spec, np.random.default_rng(seed))
-        net0, rows0 = train(net0, splits, plan)
+        rows0 = train_with_state(net0, splits, plan).rows
         _, cells = grid_search(spec, splits, plan, lams)
-        diffs.append(rows0[-1].val_loss - min(c.final_val_loss for c in cells))
+        diffs.append(rows0[-1].val_loss - min(c.rows[-1].val_loss for c in cells))
     d = np.array(diffs)
     margin, spread = d.mean(), d.std(ddof=1)
     assert margin > 3.0 * spread, (margin, spread)

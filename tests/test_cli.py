@@ -323,6 +323,12 @@ def test_resolved_defaults_are_unchanged():
      "data.task must be one of two_gaussians, xor_rings, sparse_teacher for synth data, got 'bogus'"),
     (["train"], {"data": {"kind": "csv", "path": "d.csv", "task": "bogus"}},
      "data.task must be one of regression, binary, multiclass for csv data, got 'bogus'"),
+    (["gridsearch", "--lambdas", "1e-3", "0.001"], {},
+     "--lambdas 0.001 and 0.001 would share the cell directory lam_0.001"),
+    (["gridsearch", "--lambdas", "1e-3", "1.0000001e-3", "0.001"], {},
+     "--lambdas 0.001 and 0.0010000001 would share the cell directory lam_0.001"),
+    (["gridsearch", "--lambdas", "0.1", "--jobs", "0"], {}, "--jobs must be an integer >= 1, got 0"),
+    (["gridsearch", "--lambdas", "0.1", "--jobs", "-4"], {}, "--jobs must be an integer >= 1, got -4"),
 ], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
         "steps_fractional", "steps_bool", "grid_steps_fractional", "grid_steps_zero",
         "grid_steps_flag_zero", "batches_zero",
@@ -337,7 +343,8 @@ def test_resolved_defaults_are_unchanged():
         "seed_string", "grid_seed_string", "out_dir_number", "val_frac_string", "val_frac_above_1",
         "train_n_string", "data_n_string", "data_n_zero", "split_no_rest",
         "prune_split_no_val", "grid_split_no_test", "noise_string", "k_active_string",
-        "synth_task_unknown", "csv_task_unknown"])
+        "synth_task_unknown", "csv_task_unknown", "grid_lambda_duplicate", "grid_lambda_same_dir",
+        "grid_jobs_zero", "grid_jobs_negative"])
 def test_rejected_config_leaves_no_output(tmp_path, capsys, argv, overrides, message):
     doc = base_config(tmp_path / "run")
     for key, value in overrides.items():
@@ -575,6 +582,18 @@ class TestEvalCommand:
                      "--target", "y", "--task", "binary"]) == 1
         err = capsys.readouterr().err
         assert err.strip() == "error: binary eval needs a model with 1 output, got 3"
+
+    def test_regression_needs_one_output(self, tmp_path, capsys):
+        spec = NetSpec(kind="mlp", d_in=2, d_out=3, hidden=[4], mode=L1WN)
+        model = tmp_path / "m.json"
+        save_network(init_network(spec, np.random.default_rng(10)), model)
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,b,y\n0.1,0.2,0.5\n0.3,-0.1,1.5\n-0.2,0.4,-0.7\n")
+        assert main(["eval", str(model), "--data", str(csv_path),
+                     "--target", "y", "--task", "regression"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: regression eval needs a model with 1 output, got 3\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("stats,reason", [
         ({"feature_mean": [0.0] * 4, "target_median": 0.0, "target_qd": 1.0},

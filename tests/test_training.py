@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import psilon.training
 from psilon.data import SplitSpec, standardize, synth_task
 from psilon.linalg import make_rng
 from psilon.metrics import network_sparsity
-from psilon.nets import NetSpec, backward, forward, init_network, layer_weights
+from psilon.nets import NetSpec, backward, forward, init_network, layer_weights, network_to_json
 from psilon.pathnorm import bound_value_and_grad
 from psilon.reparam import L1WN, NONE, rows_threshold
 from psilon.selftest import row_constraint_problems
@@ -17,10 +19,12 @@ from psilon.training import (
     ConfigError,
     OneCycle,
     Regularizer,
+    Run,
     Splits,
     TrainingDiverged,
     TrainPlan,
     WarmHoldDecay,
+    adam_state_to_json,
     adam_step,
     data_loss,
     evaluate,
@@ -30,9 +34,9 @@ from psilon.training import (
     reg_value,
     regularized_loss,
     rows_to_csv,
-    train,
+    train_with_state,
 )
-from psilon.training import _loss_and_grad
+from psilon.training import _loss_and_grad, _step
 
 
 def make_splits(kind="two_gaussians", n=300, d=4, noise=0.4, seed=0, train_n=200):
@@ -254,7 +258,7 @@ class TestTrain:
         spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[5], mode=L1WN)
         net = init_network(spec, make_rng(9))
         before = {n: p.copy() for n, p in net.slots()}
-        net, rows = train(net, splits, TrainPlan(steps=0))
+        rows = train_with_state(net, splits, TrainPlan(steps=0)).rows
         assert rows == []
         for n, p in net.slots():
             np.testing.assert_array_equal(p, before[n])
@@ -265,7 +269,7 @@ class TestTrain:
         net = init_network(spec, make_rng(10))
         plan = TrainPlan(steps=500, batches_per_epoch=5, loss="cross_entropy",
                          regularizer=Regularizer("path_closed_form", 1e-4), seed=0)
-        net, rows = train(net, splits, plan)
+        rows = train_with_state(net, splits, plan).rows
         assert rows[-1].train_loss < 0.1
 
     def test_metrics_log_deterministic(self):
@@ -274,7 +278,7 @@ class TestTrain:
         logs = []
         for _ in range(2):
             net = init_network(spec, make_rng(11))
-            _, rows = train(net, splits, TrainPlan(steps=60, batches_per_epoch=5, seed=3))
+            rows = train_with_state(net, splits, TrainPlan(steps=60, batches_per_epoch=5, seed=3)).rows
             logs.append(rows_to_csv(rows))
         assert logs[0] == logs[1]
 
@@ -285,9 +289,9 @@ class TestTrain:
         net.layers()[0].raw *= 1e200  # overflow the forward pass
         net.touch()
         with pytest.raises(TrainingDiverged) as exc:
-            train(net, splits, TrainPlan(steps=20, batches_per_epoch=5, loss="mse"))
-        assert len(exc.value.rows) >= 1
-        assert not np.isfinite(exc.value.rows[-1].train_loss)
+            train_with_state(net, splits, TrainPlan(steps=20, batches_per_epoch=5, loss="mse"))
+        assert len(exc.value.run.rows) >= 1
+        assert not np.isfinite(exc.value.run.rows[-1].train_loss)
 
     def test_prune_window_yields_exact_sparsity(self):
         splits = make_splits(kind="sparse_teacher", n=400, d=8, noise=0.05, train_n=300)
@@ -296,7 +300,7 @@ class TestTrain:
         plan = TrainPlan(steps=400, batches_per_epoch=5, loss="mse",
                          regularizer=Regularizer("path_closed_form", 1e-3),
                          prune_window=(300, 400), seed=1)
-        net, rows = train(net, splits, plan)
+        rows = train_with_state(net, splits, plan).rows
         report = network_sparsity(net)
         assert report.exact_sparsity > 0.0
         # rows still satisfy the length constraint exactly after pruning
@@ -328,7 +332,7 @@ class TestTrain:
 
         tr_mod.adam_step = spy
         try:
-            train(net, splits, plan)
+            train_with_state(net, splits, plan)
         finally:
             tr_mod.adam_step = orig
         for prev, cur in zip(supports[300:], supports[301:]):
@@ -343,7 +347,7 @@ class TestTrain:
             net = init_network(spec, make_rng(15))
             plan = TrainPlan(steps=200, batches_per_epoch=5, loss="cross_entropy",
                              regularizer=Regularizer("path_closed_form", lam), seed=4)
-            _, rows = train(net, splits, plan)
+            rows = train_with_state(net, splits, plan).rows
             finals.append(rows[-1].reg_value)
         inversions = sum(1 for a, b in zip(finals, finals[1:]) if b > a * (1 + 1e-9))
         assert inversions <= 1, finals
@@ -360,7 +364,7 @@ class TestTrain:
             sched = WarmHoldDecay(1e-4 * mult, 2e-3 * mult, 0.05, 0.45)
             plan = TrainPlan(steps=600, batches_per_epoch=5, loss="mse",
                              lr_schedule=sched, seed=5)
-            net, rows = train(net, splits, plan)
+            rows = train_with_state(net, splits, plan).rows
             finals[mult] = rows[-1].train_loss
         assert finals[5.0] <= 2.0 * finals[1.0]
 
@@ -381,12 +385,48 @@ class TestTrain:
             plan = TrainPlan(steps=600, batches_per_epoch=5, loss="mse",
                              lr_schedule=sched, seed=5)
             try:
-                net, rows = train(net, splits, plan)
+                rows = train_with_state(net, splits, plan).rows
                 finals[mult] = rows[-1].train_loss
             except Exception:
                 finals[mult] = float("inf")
         ratio = finals[5.0] / finals[1.0]
         assert ratio > 10.0 or not np.isfinite(ratio)
+
+
+class TestRunRecord:
+    # a run copied after k steps and finished gives the uninterrupted run's
+    # bytes, so no state of the loop lives outside the `Run`
+    @pytest.mark.parametrize("kind, k", [
+        ("mlp", 3),  # inside an epoch
+        ("mlp", 22),  # inside the prune window
+        ("mlp", 30),  # the step where alpha reaches 1 and the pruned moments are zeroed
+        ("crelu_resnet", 37),
+    ], ids=["mid_epoch", "in_window", "alpha_reaches_1", "resnet_improved"])
+    def test_copied_run_finishes_to_the_same_bytes(self, kind, k):
+        if kind == "mlp":
+            splits = make_splits(kind="sparse_teacher", n=300, d=6, noise=0.05)
+            spec = NetSpec(kind="mlp", d_in=6, d_out=1, hidden=[10, 8], mode=L1WN)
+            reg, loss = Regularizer("path_closed_form", 1e-3), "mse"
+        else:
+            splits = make_splits(kind="xor_rings", n=300, d=4, noise=0.1)
+            spec = NetSpec(kind="crelu_resnet", d_in=4, d_out=1, hidden=[6, 6], mode=L1WN)
+            reg, loss = Regularizer("path_improved", 1e-3), "cross_entropy"
+        plan = TrainPlan(steps=40, batches_per_epoch=5, loss=loss, regularizer=reg,
+                         prune_window=(20, 30), seed=4)
+        whole = train_with_state(init_network(spec, make_rng(20)), splits, plan)
+
+        run = Run(init_network(spec, make_rng(20)), plan)
+        for _ in range(k):
+            _step(run, splits)
+        resumed = copy.deepcopy(run)
+        # the original finishes first: state kept outside the record would
+        # move on with it and leave the copy behind
+        for r in (run, resumed):
+            while r.step < plan.steps:
+                _step(r, splits)
+        assert rows_to_csv(resumed.rows) == rows_to_csv(whole.rows)
+        assert network_to_json(resumed.net) == network_to_json(whole.net)
+        assert adam_state_to_json(resumed.adam) == adam_state_to_json(whole.adam)
 
 
 class TestGridSearch:
@@ -412,7 +452,7 @@ class TestGridSearch:
                          regularizer=Regularizer("path_closed_form", 0.0), seed=7)
         best, cells = grid_search(spec, splits, plan, [1e-4, 1e-3, 1e6])
         assert best != 1e6
-        summary = {c.lam: c.final_val_loss for c in cells}
+        summary = {c.plan.regularizer.lam: c.rows[-1].val_loss for c in cells}
         assert best == min(summary, key=summary.get)
 
     def test_parallel_jobs_match_sequential(self):
@@ -424,8 +464,8 @@ class TestGridSearch:
         best_par, cells_par = grid_search(spec, splits, plan, [1e-4, 1e-2], jobs=2)
         assert best_seq == best_par
         for a, b in zip(cells_seq, cells_par):
-            assert a.lam == b.lam
-            assert a.final_val_loss == b.final_val_loss
+            assert a.plan.regularizer.lam == b.plan.regularizer.lam
+            assert a.rows[-1].val_loss == b.rows[-1].val_loss
 
     def test_cells_share_initialization(self):
         splits = make_splits()
@@ -465,7 +505,7 @@ class TestEvaluate:
         spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[32], mode=NONE)
         net = init_network(spec, make_rng(18))
         plan = TrainPlan(steps=800, batches_per_epoch=1, loss="cross_entropy", seed=9)
-        net, _ = train(net, splits, plan)
+        train_with_state(net, splits, plan)
         assert evaluate(net, splits.train)["cross_entropy"] < 0.05
 
     def test_rmse_unit_consistency(self):
