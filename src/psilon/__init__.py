@@ -43,7 +43,7 @@ from .pathnorm import (
     psilon_closed_form_resnet,
 )
 from .metrics import SparsityReport, near_sparsity, network_sparsity
-from .data import CsvSchema, Dataset, SplitSpec, load_csv, split, standardize, synth_task
+from .data import Dataset, DataSpec, SplitSpec, load_csv, split, standardize, synth_task
 from .training import (
     DEFAULT_LAMBDA_GRID,
     AdamState,

@@ -7,8 +7,9 @@ error, 2 runtime failure.
 Runs are driven by a single JSON config document; a few common flags
 (--seed, --out, --steps, --lam) override config keys, and the fully
 resolved config is echoed into the output directory next to the artifacts.
-The split, model and train sections' keys and defaults are the fields of
-the records they build; only the CLI's own defaults are written here.
+The data, split, model and train sections' keys and defaults are the
+fields of the records they build; only the CLI's own defaults are written
+here.
 `train`, `prune` and `gridsearch` are set up one way (`_set_up`), and
 their outputs are deterministic in (config, seed).
 """
@@ -19,33 +20,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    SYNTH_TASKS,
-    TASKS,
-    CsvSchema,
-    DataError,
-    Dataset,
-    SplitSpec,
-    apply_stats,
-    load_csv,
-    standardize,
-    synth_task,
-)
+from .data import DataError, Dataset, DataSpec, SplitSpec, Standardization, load_csv, standardize
 from .metrics import network_sparsity
 from .nets import (
     NetSpec,
-    _finite,
     init_network,
     is_count,
-    is_number,
     load_network,
     network_to_json,
     read_json,
+    require,
     save_network,
     write_atomic,
     write_json,
@@ -62,6 +51,7 @@ from .training import (
     TrainPlan,
     WarmHoldDecay,
     adam_state_to_json,
+    check_batches,
     check_regularizer,
     evaluate,
     grid_plans,
@@ -87,28 +77,13 @@ def _defaults(*records, omit=(), **cli) -> dict:
 _SCHEMA = {
     "seed": 0,
     "out_dir": None,
-    "data": {
-        "kind": "synth",
-        "task": "two_gaussians",
-        "n": 1000,
-        "dim": 10,
-        "noise": 0.5,
-        "k_active": 2,
-        "path": None,
-        "target": "target",
-    },
+    "data": _defaults(DataSpec),
     "split": _defaults(SplitSpec, omit={"seed"}, train_n=500),
     "model": _defaults(NetSpec, omit={"d_in", "d_out"}, kind="mlp", hidden=[64, 64], mode="l1wn"),
     "train": _defaults(TrainPlan, omit={"seed"}, steps=1000, loss=None,  # loss: see resolve_config
                        lr_schedule={"kind": "warm_hold_decay", **_defaults(WarmHoldDecay, OneCycle)},
                        regularizer=_defaults(Regularizer, kind="path_closed_form")),
 }
-
-
-def _require(ok: bool, key: str, need: str, value) -> None:
-    """A one-line ConfigError naming `key`, a config key or a flag, unless `ok`."""
-    if not ok:
-        raise ConfigError(f"{key} must be {need}, got {value!r}")
 
 
 def _merge_checked(defaults, given, path="config"):
@@ -139,40 +114,19 @@ def resolve_config(doc: dict, overrides: argparse.Namespace | None = None) -> di
             cfg["train"]["steps"] = overrides.steps
         if getattr(overrides, "lam", None) is not None:
             cfg["train"]["regularizer"]["lam"] = overrides.lam
-    _require(is_count(cfg["seed"], 0), "seed", "an integer >= 0", cfg["seed"])
+    require(is_count(cfg["seed"], 0), "seed", "an integer >= 0", cfg["seed"])
     if cfg["out_dir"] is None:
         raise ConfigError("out_dir must be set (config key or --out)")
-    _require(isinstance(cfg["out_dir"], str), "out_dir", "a string", cfg["out_dir"])
+    require(isinstance(cfg["out_dir"], str), "out_dir", "a string", cfg["out_dir"])
     if cfg["train"]["loss"] is None:
         task = cfg["data"]["task"]
         cfg["train"]["loss"] = "mse" if task in ("sparse_teacher", "regression") else "cross_entropy"
     return cfg
 
 
-def _build_dataset(cfg: dict):
-    d = cfg["data"]
-    task = d["task"]
-    if d["kind"] == "synth":
-        n, dim, noise, k = d["n"], d["dim"], d["noise"], d["k_active"]
-        tasks = ", ".join(SYNTH_TASKS)
-        _require(task in SYNTH_TASKS, "data.task", f"one of {tasks} for synth data", task)
-        _require(is_count(n, 1), "data.n", "an integer >= 1", n)
-        low = 2 if task == "xor_rings" else 1
-        _require(is_count(dim, low), "data.dim", f"an integer >= {low} for {task}", dim)
-        _require(is_number(noise) and noise >= 0, "data.noise", "a finite number >= 0", noise)
-        if task == "sparse_teacher":
-            _require(is_count(k, 1) and k <= dim, "data.k_active", "an integer in [1, data.dim]", k)
-        return synth_task(task, n, dim, noise, seed=cfg["seed"], k_active=k)
-    if d["kind"] == "csv":
-        path = d["path"]
-        _require(isinstance(path, str) and path, "data.path", "a file path for csv data", path)
-        _require(task in TASKS, "data.task", f"one of {', '.join(TASKS)} for csv data", task)
-        return load_csv(path, CsvSchema(target=d["target"], task=task))
-    raise ConfigError(f"unknown data kind {d['kind']!r}")
-
-
 def _build_splits(cfg: dict) -> Splits:
-    return Splits.standardized(_build_dataset(cfg), SplitSpec(**cfg["split"], seed=cfg["seed"]))
+    ds = DataSpec(**cfg["data"]).load(cfg["seed"])
+    return Splits.standardized(ds, SplitSpec(**cfg["split"], seed=cfg["seed"]))
 
 
 def _build_net_spec(cfg: dict, train: Dataset) -> NetSpec:
@@ -233,6 +187,7 @@ def _set_up(args, outputs):
     expected = outputs(plan)
     net = init_network(net_spec, np.random.default_rng(plan.seed))
     check_regularizer(net, plan.regularizer)
+    check_batches(plan, splits.train.n)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     clashes = [name for name in expected if (out / name).exists()]
@@ -288,10 +243,19 @@ def _cell_dirs(plan: TrainPlan, lambdas) -> list[str]:
 
 
 def cmd_gridsearch(args) -> int:
-    _require(args.jobs >= 1, "--jobs", "an integer >= 1", args.jobs)
+    require(args.jobs >= 1, "--jobs", "an integer >= 1", args.jobs)
     cfg, splits, net_spec, plan, _, out = _set_up(args, lambda plan: [
         "summary.json", "curves.csv", "config_resolved.json", *_cell_dirs(plan, args.lambdas)])
-    best_lam, cells = grid_search(net_spec, splits, plan, args.lambdas, jobs=args.jobs)
+    try:
+        best_lam, cells = grid_search(net_spec, splits, plan, args.lambdas, jobs=args.jobs)
+    except TrainingDiverged as e:
+        lam = e.run.plan.regularizer.lam
+        sub = out / f"lam_{lam:g}"
+        sub.mkdir(exist_ok=True)
+        _write_log(sub, e.run, args)
+        print(f"grid cell lambda={lam:g} diverged at step {e.run.step}; "
+              f"partial metrics written to lam_{lam:g}", file=sys.stderr)
+        return RUNTIME_ERROR
     curves = ["step,lambda,val_loss"]
     summary = {"seed": cfg["seed"], "best_lambda": best_lam, "cells": []}
     for cell in cells:
@@ -318,7 +282,7 @@ def cmd_analyze(args) -> int:
         ("--out", args.out, not args.out or (Path(args.out).parent.is_dir() and not Path(args.out).is_dir()),
          "a file path in an existing directory"),
     ]:
-        _require(ok, flag, need, value)
+        require(ok, flag, need, value)
     net = load_network(args.model)
     report, warnings = analyze_network(
         net,
@@ -339,43 +303,15 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_stats(path, ds: Dataset) -> Dataset:
-    """A training run's dataset_stats.json as the fitted dataset whose
-    standardization `apply_stats` gives `ds`, checked against it: the keys
-    eval reads, one mean and sd per feature, finite numbers and positive
-    scales."""
-    stats = read_json(path)
-    keys = ["feature_mean", "feature_sd"]
-    if ds.task == "regression":
-        keys += ["target_median", "target_qd"]
-    missing = [k for k in keys if not isinstance(stats, dict) or k not in stats]
-    if missing:
-        raise ConfigError(f"{path}: missing keys {missing}")
-    values = {key: _finite(stats, key, f"{path}: ") for key in keys}
-    for key in ("feature_mean", "feature_sd"):
-        if values[key].shape != (ds.dim,):
-            raise ConfigError(f"{path}: {key} must list {ds.dim} values, one per dataset feature")
-    for key in ("feature_sd", "target_qd"):
-        if key in values and (values[key] <= 0).any():
-            raise ConfigError(f"{path}: {key} has a value <= 0")
-    fitted = replace(ds, feature_mean=values["feature_mean"], feature_sd=values["feature_sd"])
-    if ds.task == "regression":
-        fitted.target_median = float(values["target_median"])
-        fitted.target_qd = float(values["target_qd"])
-    return fitted
-
-
 def cmd_eval(args) -> int:
     net = load_network(args.model)
-    ds = load_csv(args.data, CsvSchema(target=args.target, task=args.task))
-    ds = apply_stats(ds, _load_stats(args.stats, ds)) if args.stats else standardize(ds)
+    ds = load_csv(args.data, args.target, args.task)
+    ds = Standardization.read(args.stats, ds).apply(ds) if args.stats else standardize(ds)
     if ds.dim != net.d_in:
         raise ConfigError(f"dataset has {ds.dim} features but the model expects {net.d_in}")
-    if ds.task != "multiclass" and net.d_out != 1:
-        raise ConfigError(f"{ds.task} eval needs a model with 1 output, got {net.d_out}")
     if ds.task == "multiclass":
         lo, hi = int(ds.targets.min()), int(ds.targets.max())
-        if not 0 <= lo <= hi < net.d_out:
+        if hi >= net.d_out:  # load_csv checked that lo >= 0
             raise ConfigError(f"labels span [{lo}, {hi}] but the model has {net.d_out} outputs")
     print(json.dumps(evaluate(net, ds)))
     return 0

@@ -5,6 +5,11 @@ targets by median and quartile deviation (half the interquartile range),
 which keeps the useful range of regularization strengths comparable across
 tasks.  Quantiles use linear interpolation between order statistics, and
 that choice is recorded in the dataset metadata.
+
+The config's `data` section is one `DataSpec`, and a fitted
+standardization is one `Standardization` record: `standardize` fits and
+applies it, a training run writes it to `dataset_stats.json`
+(`Dataset.stats_json`), and `Standardization.read` reads it back.
 """
 
 from __future__ import annotations
@@ -14,17 +19,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nets import ConfigError, is_count, is_number
+from .nets import ConfigError, _finite, is_count, is_number, read_json, require
 
 __all__ = [
     "DataError",
     "Dataset",
+    "DataSpec",
+    "Standardization",
     "SplitSpec",
-    "CsvSchema",
     "load_csv",
     "save_csv",
     "standardize",
-    "apply_stats",
     "split",
     "synth_task",
 ]
@@ -37,6 +42,52 @@ class DataError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Standardization:
+    """Per-feature shift and scale, and for regression the target's; a
+    constant feature is shifted by 0 and scaled by 1, and so is a constant
+    target.  `constant_features` is known only to a fitted record."""
+
+    feature_mean: np.ndarray
+    feature_sd: np.ndarray
+    constant_features: np.ndarray | None = None
+    target_median: float | None = None
+    target_qd: float | None = None
+
+    def apply(self, ds: Dataset) -> Dataset:
+        """`ds` standardized by this record (e.g. the training split's
+        statistics applied to validation and test)."""
+        out = replace(ds, features=(ds.features - self.feature_mean) / self.feature_sd, standardization=self)
+        if ds.task == "regression":
+            out.targets = (ds.targets - self.target_median) / self.target_qd
+        return out
+
+    def to_json(self) -> dict:
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
+
+    @classmethod
+    def read(cls, path, ds: Dataset) -> Standardization:
+        """The record a training run wrote to `path` (its
+        dataset_stats.json), checked against `ds`: the keys `apply` reads,
+        one mean and sd per feature, finite numbers and positive scales."""
+        stats = read_json(path)
+        keys = ["feature_mean", "feature_sd"]
+        if ds.task == "regression":
+            keys += ["target_median", "target_qd"]
+        missing = [k for k in keys if not isinstance(stats, dict) or k not in stats]
+        if missing:
+            raise ConfigError(f"{path}: missing keys {missing}")
+        values = {key: _finite(stats, key, f"{path}: ") for key in keys}
+        for key in ("feature_mean", "feature_sd"):
+            if values[key].shape != (ds.dim,):
+                raise ConfigError(f"{path}: {key} must list {ds.dim} values, one per dataset feature")
+        for key in ("feature_sd", "target_qd"):
+            if key in values and (values[key] <= 0).any():
+                raise ConfigError(f"{path}: {key} has a value <= 0")
+        target = {key: float(values[key]) for key in ("target_median", "target_qd") if key in values}
+        return cls(values["feature_mean"], values["feature_sd"], **target)
+
+
 @dataclass
 class Dataset:
     features: np.ndarray  # (n, d)
@@ -44,12 +95,7 @@ class Dataset:
     task: str
     n_classes: int | None = None
     feature_names: list[str] | None = None
-    # standardization state (None until `standardize` runs)
-    feature_mean: np.ndarray | None = None
-    feature_sd: np.ndarray | None = None
-    constant_features: np.ndarray | None = None
-    target_median: float | None = None
-    target_qd: float | None = None
+    standardization: Standardization | None = None  # set by `standardize` and `apply`
     meta: dict = field(default_factory=dict)
 
     @property
@@ -61,17 +107,12 @@ class Dataset:
         return self.features.shape[1]
 
     def stats_json(self) -> dict:
+        """The contents of dataset_stats.json for this standardized dataset."""
         return {
             "task": self.task,
             "n_classes": self.n_classes,
             "quantile_rule": "linear interpolation",
-            "feature_mean": None if self.feature_mean is None else self.feature_mean.tolist(),
-            "feature_sd": None if self.feature_sd is None else self.feature_sd.tolist(),
-            "constant_features": None
-            if self.constant_features is None
-            else self.constant_features.tolist(),
-            "target_median": self.target_median,
-            "target_qd": self.target_qd,
+            **self.standardization.to_json(),
             **self.meta,
         }
 
@@ -90,19 +131,52 @@ class SplitSpec:
             raise ConfigError(f"split.val_frac_of_rest must be a number in (0, 1), got {v!r}")
 
 
-@dataclass
-class CsvSchema:
-    target: str
-    task: str
+@dataclass(frozen=True)
+class DataSpec:
+    """The config's `data` section: a synthetic task (`synth_task`, from
+    `task`, `n`, `dim`, `noise` and `k_active`) or a CSV file (`load_csv`,
+    from `path`, `target` and `task`), checked at construction."""
+
+    kind: str = "synth"
+    task: str = "two_gaussians"
+    n: int = 1000
+    dim: int = 10
+    noise: float = 0.5
+    k_active: int = 2
+    path: str | None = None
+    target: str = "target"
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
+        task = self.task
+        if self.kind == "synth":
+            require(task in SYNTH_TASKS, "data.task", f"one of {', '.join(SYNTH_TASKS)} for synth data", task)
+            require(is_count(self.n, 1), "data.n", "an integer >= 1", self.n)
+            low = 2 if task == "xor_rings" else 1
+            require(is_count(self.dim, low), "data.dim", f"an integer >= {low} for {task}", self.dim)
+            require(is_number(self.noise) and self.noise >= 0, "data.noise", "a finite number >= 0", self.noise)
+            if task == "sparse_teacher":
+                k = self.k_active
+                require(is_count(k, 1) and k <= self.dim, "data.k_active", "an integer in [1, data.dim]", k)
+        elif self.kind == "csv":
+            require(isinstance(self.path, str) and self.path, "data.path", "a file path for csv data", self.path)
+            require(task in TASKS, "data.task", f"one of {', '.join(TASKS)} for csv data", task)
+        else:
+            raise ConfigError(f"unknown data kind {self.kind!r}")
+
+    def load(self, seed: int) -> Dataset:
+        """The dataset; `seed` draws a synthetic one."""
+        if self.kind == "synth":
+            return synth_task(self.task, self.n, self.dim, self.noise, seed=seed, k_active=self.k_active)
+        return load_csv(self.path, self.target, self.task)
 
 
-def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Parse a numeric CSV with a header row; any blank, non-numeric or
-    non-finite cell fails with its row/column coordinates."""
+def load_csv(path, target: str, task: str) -> Dataset:
+    """Parse a numeric CSV with a header row, the column `target` holding
+    the targets and every other column a feature; any blank, non-numeric or
+    non-finite cell fails with its row/column coordinates, and so does a
+    classification label that is not an integer >= 0."""
+    if task not in TASKS:
+        raise ValueError(f"task must be one of {TASKS}")
     try:
         f = open(path, newline="")
     except OSError as e:
@@ -114,9 +188,11 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if schema.target not in header:
-            raise DataError(f"{path}: no column named {schema.target!r}")
-        t_idx = header.index(schema.target)
+        if target not in header:
+            raise DataError(f"{path}: no column named {target!r}")
+        if len(header) < 2:
+            raise DataError(f"{path}: no feature column besides the target {target!r}")
+        t_idx = header.index(target)
         rows = []
         for i, rec in enumerate(reader, start=2):  # header is line 1
             if len(rec) != len(header):
@@ -145,16 +221,21 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     features = np.delete(arr, t_idx, axis=1)
     names = [h for k, h in enumerate(header) if k != t_idx]
     n_classes = None
-    if schema.task in ("binary", "multiclass"):
-        if not np.all(targets == np.round(targets)):
-            raise DataError(f"{path}: classification targets must be integers")
+    if task in ("binary", "multiclass"):
+        bad = np.flatnonzero((targets != np.round(targets)) | (targets < 0))
+        if bad.size:
+            r = bad[0]
+            raise DataError(
+                f"{path}: class label {float(targets[r])!r} at line {r + 2}, column {target!r} "
+                "is not an integer >= 0"
+            )
         targets = targets.astype(np.int64)
-        n_classes = int(targets.max()) + 1 if targets.size else 0
-        if schema.task == "binary" and not np.all((targets == 0) | (targets == 1)):
+        n_classes = int(targets.max()) + 1
+        if task == "binary" and not np.all(targets <= 1):
             raise DataError(f"{path}: binary targets must be 0/1")
-        if schema.task == "binary":
+        if task == "binary":
             n_classes = 2
-    return Dataset(features=features, targets=targets, task=schema.task, n_classes=n_classes, feature_names=names)
+    return Dataset(features=features, targets=targets, task=task, n_classes=n_classes, feature_names=names)
 
 
 def save_csv(ds: Dataset, path, target_name: str = "target") -> None:
@@ -175,55 +256,23 @@ def _quartile_deviation(y: np.ndarray) -> float:
 
 
 def standardize(ds: Dataset) -> Dataset:
-    """Standardize features (and regression targets) with statistics fit on
-    all rows of `ds`.  Constant columns are flagged and passed through
-    unscaled.  Statistics are stored so the transform can be applied to
-    held-out data (`apply_stats`)."""
+    """`ds` standardized by the `Standardization` fit on all its rows.
+    Constant columns are flagged and passed through unscaled, and a constant
+    regression target is flagged in `meta`."""
     if ds.n == 0:
         raise DataError("cannot standardize a dataset with no rows")
     mean = ds.features.mean(axis=0)
     sd = ds.features.std(axis=0)
     constant = sd == 0.0
-    safe_sd = np.where(constant, 1.0, sd)
-    feats = (ds.features - np.where(constant, 0.0, mean)) / safe_sd
-
-    out = replace(
-        ds,
-        features=feats,
-        feature_mean=np.where(constant, 0.0, mean),
-        feature_sd=safe_sd,
-        constant_features=constant,
-    )
+    median = qd = None
+    meta = ds.meta
     if ds.task == "regression":
-        med = float(np.median(ds.targets))
-        qd = _quartile_deviation(ds.targets)
+        median, qd = float(np.median(ds.targets)), _quartile_deviation(ds.targets)
         if qd == 0.0:
-            out.meta = {**ds.meta, "constant_target": True}
-            out.target_median, out.target_qd = 0.0, 1.0
-        else:
-            out.target_median, out.target_qd = med, qd
-        out.targets = (ds.targets - out.target_median) / out.target_qd
-    return out
-
-
-def apply_stats(ds: Dataset, fitted: Dataset) -> Dataset:
-    """Apply an already-fitted standardization to another dataset (e.g. the
-    training-split statistics to validation/test)."""
-    if fitted.feature_mean is None:
-        raise DataError("source dataset is not standardized")
-    feats = (ds.features - fitted.feature_mean) / fitted.feature_sd
-    out = replace(
-        ds,
-        features=feats,
-        feature_mean=fitted.feature_mean,
-        feature_sd=fitted.feature_sd,
-        constant_features=fitted.constant_features,
-        target_median=fitted.target_median,
-        target_qd=fitted.target_qd,
-    )
-    if ds.task == "regression":
-        out.targets = (ds.targets - fitted.target_median) / fitted.target_qd
-    return out
+            meta = {**ds.meta, "constant_target": True}
+            median, qd = 0.0, 1.0
+    fitted = Standardization(np.where(constant, 0.0, mean), np.where(constant, 1.0, sd), constant, median, qd)
+    return replace(fitted.apply(ds), meta=meta)
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

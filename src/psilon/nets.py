@@ -82,6 +82,12 @@ def is_number(value) -> bool:
         return False
 
 
+def require(ok: bool, key: str, need: str, value) -> None:
+    """A one-line ConfigError naming `key`, a config key or a flag, unless `ok`."""
+    if not ok:
+        raise ConfigError(f"{key} must be {need}, got {value!r}")
+
+
 def _halves(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(z, 0.0), np.minimum(z, 0.0)
 
@@ -552,11 +558,15 @@ def _layer_from_json(d, i: int):
     return NormalizedLinear(raw=_finite(d, "raw", where), g=g, bias=bias, mode=mode)
 
 
+def _dims(net: Network) -> dict:
+    hidden = [layer.shape()[0] for layer in net.layers()[1:-1]]
+    return {"d_in": net.d_in, "d_out": net.d_out, "hidden": hidden}
+
+
 def network_to_json(net: Network) -> dict:
-    hidden_widths = [layer.shape()[0] for layer in net.layers()[1:-1]]
     return {
         "kind": net.kind,
-        "dims": {"d_in": net.d_in, "d_out": net.d_out, "hidden": hidden_widths},
+        "dims": _dims(net),
         "activation": net.activation,
         "out_nonlinearity": net.out_nonlinearity,
         "freeze_lengths": net.freeze_lengths,
@@ -607,7 +617,11 @@ def network_from_json(doc: dict) -> Network:
     if not isinstance(layer_docs, list):
         raise ConfigError("'layers' is not a list")
     layers = [_layer_from_json(d, i) for i, d in enumerate(layer_docs)]
-    return Network(kind, layers, activation, out_nonlinearity, doc.get("freeze_lengths", False))
+    net = Network(kind, layers, activation, out_nonlinearity, doc.get("freeze_lengths", False))
+    # a layer list cut short can still be a network, of other dims
+    if _lookup(doc, "dims", "") != _dims(net):
+        raise ConfigError(f"dims {doc['dims']!r} do not match the layers, which give {_dims(net)!r}")
+    return net
 
 
 def save_network(net: Network, path) -> None:

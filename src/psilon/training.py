@@ -26,7 +26,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, apply_stats, split, standardize
+from .data import Dataset, SplitSpec, split, standardize
 from .metrics import network_sparsity
 from .nets import (
     ConfigError,
@@ -60,6 +60,7 @@ __all__ = [
     "adam_step",
     "adam_state_to_json",
     "check_regularizer",
+    "check_batches",
     "regularized_loss",
     "data_loss",
     "reg_value",
@@ -84,6 +85,10 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, run: Run):
         super().__init__(f"non-finite loss at step {run.step}")
         self.run = run
+
+    def __reduce__(self):
+        # rebuilt from the run, not the message, e.g. by a grid search worker
+        return TrainingDiverged, (self.run,)
 
 
 # --- schedules ----------------------------------------------------------------
@@ -241,7 +246,7 @@ class Splits:
         statistics applied to the validation and test splits."""
         tr, va, te = split(ds, spec)
         trs = standardize(tr)
-        return Splits(trs, apply_stats(va, trs), apply_stats(te, trs))
+        return Splits(trs, trs.standardization.apply(va), trs.standardization.apply(te))
 
 
 # --- losses -------------------------------------------------------------------
@@ -441,6 +446,11 @@ def _batch_size(plan: TrainPlan, n: int) -> int:
     return bs
 
 
+def check_batches(plan: TrainPlan, n: int) -> None:
+    """Reject a plan that cannot draw its batches from `n` training rows."""
+    _batch_size(plan, n)
+
+
 def _log_row(run: Run, splits: Splits, lr: float) -> None:
     """Append the metrics of the run as it stands at `run.step`."""
     net, plan = run.net, run.plan
@@ -492,7 +502,7 @@ def train_with_state(net: Network, splits: Splits, plan: TrainPlan) -> Run:
     """Train `net` in place for the plan's step budget, with seeded epoch
     reshuffles and one metrics row per epoch (and one final row); returns
     the finished `Run`.  Raises TrainingDiverged on a non-finite loss."""
-    _batch_size(plan, splits.train.n)
+    check_batches(plan, splits.train.n)
     run = Run(net, plan)
     while run.step < plan.steps:
         _step(run, splits)
@@ -545,15 +555,17 @@ def grid_search(
 
 def evaluate(net: Network, ds: Dataset) -> dict:
     """Test-style metrics: RMSE in standardized target units for regression
-    (plus raw units when the transform is known), cross-entropy and accuracy
-    for classification."""
+    (plus raw units when the dataset is standardized), cross-entropy and
+    accuracy for classification.  Only a multiclass dataset takes a model
+    with more than one output."""
+    if ds.task != "multiclass" and net.d_out != 1:
+        raise ConfigError(f"{ds.task} eval needs a model with 1 output, got {net.d_out}")
     logits, _ = forward(net, ds.features)
     if ds.task == "regression":
-        pred = logits[:, 0] if logits.ndim == 2 else logits
-        rmse = float(np.sqrt(np.mean((pred - ds.targets) ** 2)))
+        rmse = float(np.sqrt(np.mean((logits[:, 0] - ds.targets) ** 2)))
         out = {"rmse": rmse}
-        if ds.target_qd is not None:
-            out["rmse_raw_units"] = rmse * ds.target_qd
+        if ds.standardization is not None:
+            out["rmse_raw_units"] = rmse * ds.standardization.target_qd
         return out
     ce = _loss_and_grad(logits, ds, "cross_entropy")[0]
     if logits.shape[1] == 1:

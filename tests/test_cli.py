@@ -35,6 +35,35 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(p)
 
 
+# CSV files that a config can name by a path relative to their directory
+CSV_FILES = {
+    "negative_label.csv": "a,y\n0.5,0\n1.5,-1\n2.5,1\n",
+    "target_only.csv": "y\n0.5\n1.5\n",
+    "fractional_label.csv": "a,y\n0.5,0\n1.5,0.5\n",
+    "binary_two.csv": "a,y\n0.5,0\n1.5,2\n",
+    "ragged.csv": "a,b,y\n0.5,1,0\n1.5,1\n",
+    "text_cell.csv": "a,y\n0.5,0\nx,1\n",
+    "header_only.csv": "a,y\n",
+    "empty.csv": "",
+}
+
+
+def write_csv_files(directory):
+    for name, text in CSV_FILES.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+def set_keys(doc, overrides):
+    """Set each dotted config key of `overrides` in `doc`."""
+    for key, value in overrides.items():
+        *sections, name = key.split(".")
+        section = doc
+        for s in sections:
+            section = section.setdefault(s, {})
+        section[name] = value
+
+
 class TestTrainCommand:
     def test_writes_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(tmp_path / "run"))
@@ -329,6 +358,10 @@ def test_resolved_defaults_are_unchanged():
      "--lambdas 0.001 and 0.0010000001 would share the cell directory lam_0.001"),
     (["gridsearch", "--lambdas", "0.1", "--jobs", "0"], {}, "--jobs must be an integer >= 1, got 0"),
     (["gridsearch", "--lambdas", "0.1", "--jobs", "-4"], {}, "--jobs must be an integer >= 1, got -4"),
+    (["train"], {"data": {"kind": "csv", "path": "negative_label.csv", "task": "multiclass", "target": "y"}},
+     "negative_label.csv: class label -1.0 at line 3, column 'y' is not an integer >= 0"),
+    (["train"], {"data": {"kind": "csv", "path": "target_only.csv", "task": "regression", "target": "y"}},
+     "target_only.csv: no feature column besides the target 'y'"),
 ], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
         "steps_fractional", "steps_bool", "grid_steps_fractional", "grid_steps_zero",
         "grid_steps_flag_zero", "batches_zero",
@@ -344,15 +377,11 @@ def test_resolved_defaults_are_unchanged():
         "train_n_string", "data_n_string", "data_n_zero", "split_no_rest",
         "prune_split_no_val", "grid_split_no_test", "noise_string", "k_active_string",
         "synth_task_unknown", "csv_task_unknown", "grid_lambda_duplicate", "grid_lambda_same_dir",
-        "grid_jobs_zero", "grid_jobs_negative"])
-def test_rejected_config_leaves_no_output(tmp_path, capsys, argv, overrides, message):
+        "grid_jobs_zero", "grid_jobs_negative", "csv_negative_label", "csv_target_only"])
+def test_rejected_config_leaves_no_output(tmp_path, capsys, monkeypatch, argv, overrides, message):
+    monkeypatch.chdir(write_csv_files(tmp_path))
     doc = base_config(tmp_path / "run")
-    for key, value in overrides.items():
-        *sections, name = key.split(".")
-        section = doc
-        for s in sections:
-            section = section[s]
-        section[name] = value
+    set_keys(doc, overrides)
     cfg = write_config(tmp_path, doc)
     command, *flags = argv
     assert main([command, "--config", cfg, *flags]) == 1
@@ -384,6 +413,23 @@ class TestGridsearchCommand:
         lams = [c["lambda"] for c in summary["cells"]]
         assert lams == [5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
                         1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverged_cell_writes_its_log(self, tmp_path, capsys, jobs):
+        doc = base_config(tmp_path / "grid", steps=20, loss="mse", regularizer={"kind": "none", "lam": 0.0})
+        doc["model"]["mode"] = "none"
+        doc["data"] = {"kind": "synth", "task": "sparse_teacher", "n": 200, "dim": 4, "noise": 0.1}
+        doc["train"]["lr_schedule"] = {"kind": "warm_hold_decay", "lo": 1e280, "hi": 1e280}
+        cfg = write_config(tmp_path, doc)
+        assert main(["gridsearch", "--config", cfg, "--lambdas", "0", "0.1", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "grid cell lambda=0 diverged at step 1; partial metrics written to lam_0\n"
+        out = tmp_path / "grid"
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+            "config_resolved.json", "lam_0", "lam_0/metrics.csv"]
+        rows = (out / "lam_0" / "metrics.csv").read_text().splitlines()
+        assert rows[0].startswith("step,train_loss,val_loss") and rows[1].startswith("1,")
+        assert len(rows) == 2 and ("nan" in rows[1] or "inf" in rows[1])
 
 
 class TestAnalyzeCommand:
@@ -468,13 +514,16 @@ class TestAnalyzeCommand:
         (lambda doc: doc.update(freeze_lengths="no"), "freeze_lengths must be true or false, got 'no'"),
         (lambda doc: doc["layers"][0].update(bias=[0.0, True, 0.0, 0.0]),
          "layer 0: bias is not an array of numbers"),
+        (lambda doc: doc["dims"].update(d_out=2), "dims {'d_in': 3, 'd_out': 2, 'hidden': [4]} do not match "
+         "the layers, which give {'d_in': 3, 'd_out': 1, 'hidden': [4]}"),
+        (lambda doc: doc.pop("dims"), "missing key 'dims'"),
     ], ids=["no_layers", "shapes_do_not_chain", "lengths_shape", "bias_shape", "raw_not_2d",
             "pair_shapes_differ", "block_not_square", "layer_type", "no_final_pair",
             "unknown_kind", "missing_layers_key", "missing_bias", "missing_pair_minus",
             "missing_length_values", "unknown_mode", "undecodable_blend", "nan_raw",
             "inf_raw_plus", "inf_lengths", "nan_bias", "huge_int_bias", "unknown_activation",
             "unknown_out_nonlinearity", "string_bias", "string_lengths", "null_raw", "bool_raw_plus",
-            "string_freeze_lengths", "bool_in_bias"])
+            "string_freeze_lengths", "bool_in_bias", "dims_mismatch", "missing_dims"])
     def test_malformed_model_rejected(self, tmp_path, capsys, mutate, reason):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=1, hidden=[4], mode=L1WN)
         model = tmp_path / "m.json"
@@ -672,3 +721,133 @@ class TestSelftestCommand:
             "[FAIL] raises: raised ValueError: boom",
             "[PASS] holds: fine",
         ]
+
+
+NAN = float("nan")
+
+# (command, dotted config key, value) of the input-boundary fuzz; "" is the
+# whole document, and a CSV case names a file of CSV_FILES
+CONFIG_FUZZ = [
+    ("train", "", []), ("train", "", None),
+    *(("train", section, value) for section in ("data", "split", "model", "train")
+      for value in (5, [], "x", None)),
+    ("train", "train.lr_schedule", 5), ("train", "train.regularizer", []),
+    ("train", "seed", -1), ("train", "seed", 1.5), ("train", "seed", None), ("train", "seed", True),
+    ("train", "out_dir", None), ("train", "out_dir", 5), ("train", "out_dir", "cfg.json"),
+    *(("train", "data.kind", v) for v in (5, "bogus", None, [])),
+    *(("train", "data.task", v) for v in (5, "bogus", None, {"a": 1})),
+    *(("train", "data.n", v) for v in ("x", 0, -3, 1.5, True, None, 100)),
+    *(("train", "data.dim", v) for v in ("x", 0, 2.5, None, False)),
+    *(("train", "data.noise", v) for v in ("x", -1, NAN, True, None)),
+    *(("train", "data", {"task": "sparse_teacher", "n": 200, "dim": 4, "k_active": v})
+      for v in (0, 5, "x", None, 2.0)),
+    ("train", "data", {"task": "xor_rings", "n": 200, "dim": 1}),
+    *(("train", "data", {"kind": "csv", "path": v, "task": "regression", "target": "a"})
+      for v in (5, "", None, "missing.csv", ".", ["a.csv"])),
+    *(("train", "data", {"kind": "csv", "path": "text_cell.csv", "task": "binary", "target": v})
+      for v in ("nope", 5, None)),
+    *(("train", "data", {"kind": "csv", "path": "text_cell.csv", "task": v}) for v in ("bogus", 5, None)),
+    *(("train", "data", {"kind": "csv", "path": name, "task": task, "target": "y"}) for name, task in [
+        ("negative_label.csv", "multiclass"), ("negative_label.csv", "binary"),
+        ("target_only.csv", "regression"), ("fractional_label.csv", "multiclass"),
+        ("binary_two.csv", "binary"), ("ragged.csv", "binary"), ("text_cell.csv", "binary"),
+        ("header_only.csv", "regression"), ("empty.csv", "regression")]),
+    *(("train", "split.train_n", v) for v in (0, "x", 1.5, True, None, 200, 500)),
+    *(("train", "split.val_frac_of_rest", v) for v in (0, 1, "x", NAN, None, True, 0.001)),
+    *(("train", "model.kind", v) for v in ("bogus", 5, None)),
+    *(("train", "model.hidden", v) for v in ([0], "x", [1.5], [True], None, {}, [-2])),
+    ("train", "model", {"kind": "crelu_resnet", "hidden": [4, 5]}),
+    ("train", "model", {"kind": "crelu_resnet", "hidden": []}),
+    *(("train", "model.activation", v) for v in ("tanh", 5, None)),
+    *(("train", "model.mode", v) for v in (5, "bogus", "blend:2", "blend:nan", None)),
+    *(("train", f"model.{key}", v) for key in ("shared_lengths", "bias", "freeze_lengths")
+      for v in ("no", 1, None)),
+    *(("train", "model.out_nonlinearity", v) for v in ("softmax", None)),
+    *(("train", "train.steps", v) for v in (-1, 1.5, "x", True, None)),
+    ("gridsearch", "train.steps", 0),
+    *(("train", "train.batches_per_epoch", v) for v in (0, "x", None, 1000)),
+    *(("train", "train.batch_size", v) for v in (0, "x", 1.5, 1000)),
+    *(("train", "train.lr_schedule.kind", v) for v in ("bogus", 5, None)),
+    *(("train", f"train.lr_schedule.{key}", v) for key in ("lo", "hi", "warm_frac", "hold_frac")
+      for v in ("x", -1, NAN, None)),
+    *(("train", "train.lr_schedule", {"kind": "one_cycle", key: v})
+      for key in ("init", "max_lr", "final", "peak_frac") for v in ("x", -1, None)),
+    ("train", "train.lr_schedule", {"kind": "one_cycle", "peak_frac": 1.0}),
+    *(("train", "train.regularizer.kind", v) for v in ("bogus", 5, None, "path_improved")),
+    *(("train", "train.regularizer.lam", v) for v in (-1, "x", None, NAN)),
+    *(("train", "train.loss", v) for v in ("hinge", 5, [])),
+    *(("train", "train.prune_window", v) for v in ([5, 3], [0, 100], "x", [1], [None, 5])),
+    ("prune", "train.prune_window", None),
+]
+
+
+# mutations of a saved ReLU MLP [4 -> 4 -> 1] model.json, read by analyze;
+# each returns the document to write
+MODEL_FUZZ = [
+    lambda doc: [], lambda doc: None, lambda doc: 5,
+    lambda doc: {**doc, "layers": 5}, lambda doc: {**doc, "layers": [5]},
+    lambda doc: {**doc, "layers": None}, lambda doc: {**doc, "kind": None},
+    lambda doc: {**doc, "layers": doc["layers"][:-1]},
+    lambda doc: {**doc, "dims": {**doc["dims"], "d_out": 2}},
+    lambda doc: {**doc, "freeze_lengths": None}, lambda doc: {**doc, "activation": None},
+    *(lambda doc, v=v: doc["layers"][0].update(raw=v) or doc for v in (
+        [], [[]], [[], [], [], []], [[[1.0]]], "abc", None, [[1.0, None, 0.0, 0.0]] * 4)),
+    lambda doc: doc["layers"][0]["raw"][1].__setitem__(0, None) or doc,
+    *(lambda doc, v=v: doc["layers"][0]["lengths"].update(values=v) or doc for v in ([], None, [NAN], "1")),
+    lambda doc: doc["layers"][0].update(lengths=None) or doc,
+    *(lambda doc, v=v: doc["layers"][1].update(bias=v) or doc for v in ({}, [], [1.0, 2.0], "0")),
+    *(lambda doc, v=v: doc["layers"][0].update(mode=v) or doc for v in (None, 5, "blend:-1")),
+    lambda doc: doc["layers"][0].update(raw={"plus": doc["layers"][0]["raw"],
+                                             "minus": doc["layers"][0]["raw"]}) or doc,
+]
+
+
+def test_input_boundary_fuzz(tmp_path, capsys, monkeypatch):
+    """Every mutated config or model.json fails with exit 1 or 2, exactly
+    one stderr line and no traceback, and a rejected run makes no output
+    directory."""
+    monkeypatch.chdir(write_csv_files(tmp_path))
+    failures = []
+
+    def run(case, argv, out=None):
+        try:
+            code = main(argv)
+        except Exception as e:  # a traceback at the command line
+            failures.append(f"{case}: raised {type(e).__name__}: {e}")
+            return
+        err = capsys.readouterr().err
+        if code not in (1, 2) or err.count("\n") != 1 or "Traceback" in err or (out and out.is_dir()):
+            failures.append(f"{case}: exit {code}, stderr {err!r}")
+
+    for i, (command, key, value) in enumerate(CONFIG_FUZZ):
+        out = tmp_path / f"run{i}"
+        doc = base_config(out, steps=10)
+        doc["model"]["hidden"] = [4]
+        if key:
+            set_keys(doc, {key: value})
+        else:
+            doc = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        extra = ["--lambdas", "0.1"] if command == "gridsearch" else []
+        run(f"{command} {key}={value!r}", [command, "--config", str(cfg), *extra], out)
+
+    save_network(init_network(NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[4], mode=L1WN),
+                              np.random.default_rng(0)), tmp_path / "base.json")
+    for i, mutate in enumerate(MODEL_FUZZ):
+        model = tmp_path / f"m{i}.json"
+        model.write_text(json.dumps(mutate(json.loads((tmp_path / "base.json").read_text()))))
+        run(f"model case {i}", ["analyze", str(model)])
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.xfail(strict=True, reason="model.json's dims.hidden omits an MLP's first hidden width, so "
+                   "an MLP cut at the front whose first width equals d_in keeps its dims; recording the "
+                   "width changes model.json's bytes")
+def test_mlp_cut_at_the_front_rejected(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    save_network(init_network(NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[4], mode=L1WN),
+                              np.random.default_rng(0)), model)
+    doc = json.loads(model.read_text())
+    model.write_text(json.dumps({**doc, "layers": doc["layers"][1:]}))
+    assert main(["analyze", str(model)]) == 1

@@ -1,11 +1,13 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from psilon.data import (
-    CsvSchema,
     DataError,
     SplitSpec,
-    apply_stats,
+    Standardization,
     load_csv,
     save_csv,
     split,
@@ -20,7 +22,7 @@ class TestLoadCsv:
     def test_basic_numeric(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1,2,0\n3,4,1\n5,6,0\n")
-        ds = load_csv(p, CsvSchema(target="y", task="binary"))
+        ds = load_csv(p, "y", "binary")
         assert ds.features.shape == (3, 2)
         assert ds.n_classes == 2
         np.testing.assert_array_equal(ds.targets, [0, 1, 0])
@@ -29,42 +31,66 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1,,0\n")
         with pytest.raises(DataError, match=r"line 2, column 'b'"):
-            load_csv(p, CsvSchema(target="y", task="binary"))
+            load_csv(p, "y", "binary")
 
     def test_non_numeric_cell(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n1,0\nfoo,1\n")
         with pytest.raises(DataError, match=r"'foo' at line 3, column 'a'"):
-            load_csv(p, CsvSchema(target="y", task="binary"))
+            load_csv(p, "y", "binary")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_cell(self, tmp_path, cell):
         p = tmp_path / "d.csv"
         p.write_text(f"a,b,y\n1,2,0.5\n3,{cell},1.5\n")
         with pytest.raises(DataError, match=r"non-finite value -?(nan|inf) at line 3, column 'b'"):
-            load_csv(p, CsvSchema(target="y", task="regression"))
+            load_csv(p, "y", "regression")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
-            load_csv(tmp_path / "nope.csv", CsvSchema(target="y", task="regression"))
+            load_csv(tmp_path / "nope.csv", "y", "regression")
 
     def test_missing_target_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="no column named"):
-            load_csv(p, CsvSchema(target="y", task="regression"))
+            load_csv(p, "y", "regression")
 
     def test_empty_dataset(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n")
         with pytest.raises(DataError, match="no data rows"):
-            load_csv(p, CsvSchema(target="y", task="regression"))
+            load_csv(p, "y", "regression")
+
+    @pytest.mark.parametrize("task, label", [
+        ("multiclass", "-1"), ("binary", "-1"), ("multiclass", "1.5"), ("multiclass", "-0.5"),
+    ])
+    def test_bad_class_label_names_coordinates(self, tmp_path, task, label):
+        # a label of -1 would index the last logit in the cross-entropy
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,y,b\n1,0,2\n3,{label},4\n5,1,6\n")
+        message = f"{p}: class label {float(label)!r} at line 3, column 'y' is not an integer >= 0"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_csv(p, "y", task)
+
+    def test_target_only_csv_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("y\n0.5\n1.5\n")
+        message = f"{p}: no feature column besides the target 'y'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_csv(p, "y", "regression")
+
+    def test_unknown_task_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n1,0\n")
+        with pytest.raises(ValueError, match="task must be one of"):
+            load_csv(p, "y", "ranking")
 
     def test_round_trip(self, tmp_path):
         ds = synth_task("sparse_teacher", 20, 5, 0.1, seed=0)
         p = tmp_path / "rt.csv"
         save_csv(ds, p)
-        back = load_csv(p, CsvSchema(target="target", task="regression"))
+        back = load_csv(p, "target", "regression")
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.targets, ds.targets)
 
@@ -74,8 +100,8 @@ class TestStandardize:
         ds = synth_task("sparse_teacher", 5, 3, 0.0, seed=1)
         ds.targets = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         out = standardize(ds)
-        assert out.target_median == 2.0
-        assert out.target_qd == 1.0
+        assert out.standardization.target_median == 2.0
+        assert out.standardization.target_qd == 1.0
         np.testing.assert_allclose(out.targets, [-2.0, -1.0, 0.0, 1.0, 2.0])
 
     def test_idempotent_on_refit(self):
@@ -89,7 +115,7 @@ class TestStandardize:
         ds = synth_task("sparse_teacher", 50, 3, 0.1, seed=4)
         ds.features[:, 1] = 7.0
         out = standardize(ds)
-        assert out.constant_features[1]
+        assert out.standardization.constant_features[1]
         np.testing.assert_array_equal(out.features[:, 1], ds.features[:, 1])
 
     def test_no_leakage_from_heldout_rows(self):
@@ -104,21 +130,35 @@ class TestStandardize:
         corrupted.targets[~train_rows] -= 50.0
         b = Splits.standardized(corrupted, spec)
         for part in ("train", "val", "test"):
-            pa, pb = getattr(a, part), getattr(b, part)
+            pa, pb = getattr(a, part).standardization, getattr(b, part).standardization
             np.testing.assert_array_equal(pa.feature_mean, pb.feature_mean)
             np.testing.assert_array_equal(pa.feature_sd, pb.feature_sd)
             assert pa.target_median == pb.target_median
             assert pa.target_qd == pb.target_qd
         np.testing.assert_array_equal(a.train.features, b.train.features)
 
-    def test_apply_stats_uses_source_transform(self):
+    def test_apply_uses_source_transform(self):
         ds = synth_task("sparse_teacher", 80, 4, 0.2, seed=6)
         tr, va, _ = split(ds, SplitSpec(train_n=40, seed=7))
-        trs = standardize(tr)
-        vas = apply_stats(va, trs)
+        fitted = standardize(tr).standardization
+        vas = fitted.apply(va)
         np.testing.assert_allclose(
-            vas.features, (va.features - trs.feature_mean) / trs.feature_sd
+            vas.features, (va.features - fitted.feature_mean) / fitted.feature_sd
         )
+        assert vas.standardization is fitted
+
+    def test_stats_file_round_trip(self, tmp_path):
+        # what a training run writes to dataset_stats.json reads back as
+        # the same transform, for a constant target too
+        ds = synth_task("sparse_teacher", 40, 3, 0.2, seed=3)
+        ds.targets[:] = 1.5
+        trs = standardize(ds)
+        assert trs.stats_json()["constant_target"] is True
+        p = tmp_path / "stats.json"
+        p.write_text(json.dumps(trs.stats_json()))
+        back = Standardization.read(p, ds)
+        assert back.apply(ds).features.tobytes() == trs.features.tobytes()
+        assert back.apply(ds).targets.tobytes() == trs.targets.tobytes()
 
     def test_quantiles_permutation_invariant(self):
         rng = np.random.default_rng(8)
@@ -128,8 +168,8 @@ class TestStandardize:
         a = standardize(ds)
         ds.targets = y[rng.permutation(31)]
         b = standardize(ds)
-        assert a.target_median == b.target_median
-        assert a.target_qd == b.target_qd
+        assert a.standardization.target_median == b.standardization.target_median
+        assert a.standardization.target_qd == b.standardization.target_qd
 
 
 class TestSplit:

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -292,6 +293,10 @@ class TestTrain:
             train_with_state(net, splits, TrainPlan(steps=20, batches_per_epoch=5, loss="mse"))
         assert len(exc.value.run.rows) >= 1
         assert not np.isfinite(exc.value.run.rows[-1].train_loss)
+        # a grid search worker sends it to the parent process pickled
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert str(back) == str(exc.value) == f"non-finite loss at step {exc.value.run.step}"
+        assert rows_to_csv(back.run.rows) == rows_to_csv(exc.value.run.rows)
 
     def test_prune_window_yields_exact_sparsity(self):
         splits = make_splits(kind="sparse_teacher", n=400, d=8, noise=0.05, train_n=300)
@@ -514,4 +519,11 @@ class TestEvaluate:
         spec = NetSpec(kind="mlp", d_in=5, d_out=1, hidden=[6], mode=L1WN)
         net = init_network(spec, make_rng(19))
         out = evaluate(net, std)
-        assert out["rmse_raw_units"] == pytest.approx(out["rmse"] * std.target_qd, rel=1e-12)
+        assert out["rmse_raw_units"] == pytest.approx(out["rmse"] * std.standardization.target_qd, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["sparse_teacher", "two_gaussians"])
+    def test_one_output_unless_multiclass(self, kind):
+        ds = standardize(synth_task(kind, 30, 5, 0.3, seed=31))
+        net = init_network(NetSpec(kind="mlp", d_in=5, d_out=3, hidden=[6], mode=L1WN), make_rng(20))
+        with pytest.raises(ConfigError, match=rf"^{ds.task} eval needs a model with 1 output, got 3$"):
+            evaluate(net, ds)
