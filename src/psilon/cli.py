@@ -45,14 +45,12 @@ from .training import (
     ConfigError,
     OneCycle,
     Regularizer,
+    Run,
     Splits,
     TrainingDiverged,
-    Run,
     TrainPlan,
     WarmHoldDecay,
     adam_state_to_json,
-    check_batches,
-    check_regularizer,
     evaluate,
     grid_plans,
     grid_search,
@@ -118,6 +116,7 @@ def resolve_config(doc: dict, overrides: argparse.Namespace | None = None) -> di
     if cfg["out_dir"] is None:
         raise ConfigError("out_dir must be set (config key or --out)")
     require(isinstance(cfg["out_dir"], str), "out_dir", "a string", cfg["out_dir"])
+    require(cfg["out_dir"] != "", "out_dir", "a directory path", "")
     if cfg["train"]["loss"] is None:
         task = cfg["data"]["task"]
         cfg["train"]["loss"] = "mse" if task in ("sparse_teacher", "regression") else "cross_entropy"
@@ -177,7 +176,8 @@ def _set_up(args, outputs):
     `prune` or `gridsearch` run, and its output directory, which is made
     (and `config_resolved.json` written into it) only after every check
     passed.  `outputs(plan)` names every file the command writes, checking
-    what the command itself needs."""
+    what the command itself needs, and a `Run` of the config's plan checks
+    the rest (for `gridsearch` too: its cells differ only in lambda)."""
     cfg = resolve_config(read_json(args.config), args)
     if args.command == "prune" and cfg["train"]["prune_window"] is None:
         raise ConfigError("prune requires train.prune_window in the config")
@@ -186,10 +186,12 @@ def _set_up(args, outputs):
     plan = _build_plan(cfg)
     expected = outputs(plan)
     net = init_network(net_spec, np.random.default_rng(plan.seed))
-    check_regularizer(net, plan.regularizer)
-    check_batches(plan, splits.train.n)
+    Run(net, plan, splits)  # checks the plan against the network and the data
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out_dir must be a directory path, got {str(out)!r} ({e.strerror})") from None
     clashes = [name for name in expected if (out / name).exists()]
     if clashes and not args.overwrite:
         raise ConfigError(
@@ -200,6 +202,17 @@ def _set_up(args, outputs):
 
 
 # --- subcommands ----------------------------------------------------------------
+
+
+def _finite_result(model, doc, key="") -> None:
+    """Reject a result of `analyze` or `eval` that holds NaN or infinity,
+    which JSON cannot carry, naming the model file and the first such value."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else None
+    if items is not None:
+        for k, value in items:
+            _finite_result(model, value, f"{key}.{k}" if key else str(k))
+    elif isinstance(doc, float) and not math.isfinite(doc):
+        raise ConfigError(f"{model}: the model gives {key} = {doc!r}, which is not a finite number")
 
 
 def cmd_train(args) -> int:
@@ -284,17 +297,19 @@ def cmd_analyze(args) -> int:
     ]:
         require(ok, flag, need, value)
     net = load_network(args.model)
-    report, warnings = analyze_network(
-        net,
-        oracle=args.oracle,
-        oracle_guard=args.oracle_guard,
-        lipschitz_pairs=args.pairs,
-        input_box=args.box,
-        rng=np.random.default_rng(args.seed),
-    )
-    doc = report.to_json()
-    doc["seed"] = args.seed
-    doc["sparsity"] = network_sparsity(net).to_json()
+    with np.errstate(all="ignore"):  # an overflow is reported by `_finite_result`
+        report, warnings = analyze_network(
+            net,
+            oracle=args.oracle,
+            oracle_guard=args.oracle_guard,
+            lipschitz_pairs=args.pairs,
+            input_box=args.box,
+            rng=np.random.default_rng(args.seed),
+        )
+        doc = report.to_json()
+        doc["seed"] = args.seed
+        doc["sparsity"] = network_sparsity(net).to_json()
+    _finite_result(args.model, doc)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.out:
@@ -313,7 +328,10 @@ def cmd_eval(args) -> int:
         lo, hi = int(ds.targets.min()), int(ds.targets.max())
         if hi >= net.d_out:  # load_csv checked that lo >= 0
             raise ConfigError(f"labels span [{lo}, {hi}] but the model has {net.d_out} outputs")
-    print(json.dumps(evaluate(net, ds)))
+    with np.errstate(all="ignore"):  # an overflow is reported by `_finite_result`
+        result = evaluate(net, ds)
+    _finite_result(args.model, result)
+    print(json.dumps(result))
     return 0
 
 

@@ -174,7 +174,8 @@ def load_csv(path, target: str, task: str) -> Dataset:
     """Parse a numeric CSV with a header row, the column `target` holding
     the targets and every other column a feature; any blank, non-numeric or
     non-finite cell fails with its row/column coordinates, and so does a
-    classification label that is not an integer >= 0."""
+    classification label that is not an integer >= 0; a multiclass column
+    needs at least 2 classes."""
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}")
     try:
@@ -235,6 +236,10 @@ def load_csv(path, target: str, task: str) -> Dataset:
             raise DataError(f"{path}: binary targets must be 0/1")
         if task == "binary":
             n_classes = 2
+        elif n_classes < 2:
+            raise DataError(
+                f"{path}: every label in column {target!r} is 0; multiclass needs at least 2 classes"
+            )
     return Dataset(features=features, targets=targets, task=task, n_classes=n_classes, feature_names=names)
 
 

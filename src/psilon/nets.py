@@ -577,7 +577,8 @@ def network_to_json(net: Network) -> dict:
 def _check_layers(kind: str, activation: str, layers: list) -> None:
     """Reject a layer list that `forward` cannot run: no layers, layers of
     the wrong type for the kind, raw shapes that do not chain (or a residual
-    block that is not square), and lengths or biases of the wrong shape."""
+    block that is not square), lengths or biases of the wrong shape, and a
+    zero direction row under a mode that divides by the row's norm."""
     if kind not in ("mlp", "crelu_resnet"):
         raise ConfigError(f"unknown network kind {kind!r}")
     if activation not in ACTIVATIONS:
@@ -607,6 +608,12 @@ def _check_layers(kind: str, activation: str, layers: list) -> None:
             )
         if layer.bias is not None and layer.bias.shape != (rows,):
             raise ConfigError(f"layer {i}: bias shape {layer.bias.shape} is not ({rows},)")
+        if layer.mode.tag in ("l1wn", "l2wn", "blend"):
+            # these modes divide by the norm of each row of max(|V+|, |V-|)
+            live = np.any([np.any(getattr(layer, name), axis=1) for name in layer.raw_names], axis=0)
+            if not live.all():
+                row, mode = np.argmin(live), layer.mode.encode()
+                raise ConfigError(f"layer {i}: raw row {row} is zero, which {mode} cannot normalize")
         width = rows * (2 if kind == "mlp" and activation == "crelu" else 1)
 
 

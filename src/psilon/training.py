@@ -38,6 +38,7 @@ from .nets import (
     is_count,
     is_number,
     layer_weights,
+    require,
     sigmoid,
 )
 from .pathnorm import bound_value_and_grad, closed_form_for, closed_form_g_grads
@@ -59,8 +60,6 @@ __all__ = [
     "prune_alpha",
     "adam_step",
     "adam_state_to_json",
-    "check_regularizer",
-    "check_batches",
     "regularized_loss",
     "data_loss",
     "reg_value",
@@ -282,7 +281,7 @@ def data_loss(net: Network, ds: Dataset, loss: str) -> float:
 # --- regularizers ---------------------------------------------------------------
 
 
-def check_regularizer(net: Network, reg: Regularizer) -> None:
+def _check_regularizer(net: Network, reg: Regularizer) -> None:
     """Reject a regularizer that `net` cannot use."""
     if reg.kind == "path_improved" and net.kind != "crelu_resnet":
         raise ConfigError("the improved residual bound only applies to CReLU residual nets")
@@ -323,7 +322,7 @@ def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
     if batch.n == 0:
         raise ValueError("empty batch")
     reg = plan.regularizer
-    check_regularizer(net, reg)
+    _check_regularizer(net, reg)
     logits, trace = forward(net, batch.features)
     dval, dlogits = _loss_and_grad(logits, batch, plan.loss)
 
@@ -388,17 +387,18 @@ def adam_step(net: Network, state: AdamState, grads: dict[str, np.ndarray], lr: 
 # --- the training loop -----------------------------------------------------------
 
 
-def _install_prune_alpha(run: Run, step: int) -> None:
-    """Blend the run's network at the prune window's alpha for `step`;
-    without a window, alpha stays 0 and the network as it is."""
+def _install_blend(run: Run, step: int) -> float:
+    """Blend the run's network at the prune window's alpha for `step` and
+    return that alpha; without a window, 0.0 and the network as it is."""
     if run.plan.prune_window is None:
-        return
-    run.alpha = prune_alpha(step, run.plan.prune_window)
+        return 0.0
+    alpha = prune_alpha(step, run.plan.prune_window)
     # the blend replaces L1 weight normalization only
     for layer in run.net.layers():
         if layer.mode.tag in ("l1wn", "blend"):
-            layer.mode = blend(run.alpha)
+            layer.mode = blend(alpha)
     run.net.touch()
+    return alpha
 
 
 def _zero_pruned_moments(net: Network, state: AdamState) -> None:
@@ -418,26 +418,6 @@ def _zero_pruned_moments(net: Network, state: AdamState) -> None:
                 state.v[key][dead] = 0.0
 
 
-@dataclass
-class Run:
-    """Everything a training run carries from one step to the next: `step`
-    optimizer steps are done, and `rows` logs them.  Copying a run part way
-    and finishing both gives the same bytes."""
-
-    net: Network
-    plan: TrainPlan
-    adam: AdamState = field(default_factory=AdamState)
-    rng: np.random.Generator = field(init=False)  # the batch shuffles, seeded from the plan
-    step: int = 0
-    perm: np.ndarray | None = None  # this epoch's order of the training rows
-    alpha: float = 0.0
-    alpha_locked: bool = False  # the pruned moments were zeroed
-    rows: list[MetricsRow] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.rng = np.random.default_rng(self.plan.seed)
-
-
 def _batch_size(plan: TrainPlan, n: int) -> int:
     bpe = plan.batches_per_epoch
     bs = plan.batch_size if plan.batch_size is not None else max(1, n // bpe)
@@ -446,14 +426,39 @@ def _batch_size(plan: TrainPlan, n: int) -> int:
     return bs
 
 
-def check_batches(plan: TrainPlan, n: int) -> None:
-    """Reject a plan that cannot draw its batches from `n` training rows."""
-    _batch_size(plan, n)
+@dataclass
+class Run:
+    """Everything a training run carries from one step to the next, with
+    its plan checked against the network and the data when it is built:
+    `step` optimizer steps are done, and `rows` logs them.  Copying a run
+    part way and finishing both gives the same bytes."""
+
+    net: Network
+    plan: TrainPlan
+    splits: Splits
+    adam: AdamState = field(default_factory=AdamState)
+    rng: np.random.Generator = field(init=False)  # the batch shuffles, seeded from the plan
+    perm: np.ndarray | None = None  # this epoch's order of the training rows
+    rows: list[MetricsRow] = field(default_factory=list)
+
+    def __post_init__(self):
+        _check_regularizer(self.net, self.plan.regularizer)
+        _batch_size(self.plan, self.splits.train.n)
+        # binary data takes either loss
+        task, loss = self.splits.train.task, self.plan.loss
+        fits = {"regression": "mse", "multiclass": "cross_entropy"}.get(task, loss)
+        require(loss == fits, "train.loss", f"{fits} for {task} data", loss)
+        self.rng = np.random.default_rng(self.plan.seed)
+
+    @property
+    def step(self) -> int:
+        # one optimizer step per training step
+        return self.adam.t
 
 
-def _log_row(run: Run, splits: Splits, lr: float) -> None:
+def _log_row(run: Run, lr: float, alpha: float) -> None:
     """Append the metrics of the run as it stands at `run.step`."""
-    net, plan = run.net, run.plan
+    net, plan, splits = run.net, run.plan, run.splits
     with np.errstate(over="ignore", invalid="ignore"):
         run.rows.append(MetricsRow(
             step=run.step,
@@ -461,51 +466,48 @@ def _log_row(run: Run, splits: Splits, lr: float) -> None:
             val_loss=data_loss(net, splits.val, plan.loss),
             reg_value=reg_value(net, plan.regularizer),
             lr=lr,
-            alpha=run.alpha,
+            alpha=alpha,
             network_nsparsity=network_sparsity(net).network_nsparsity,
         ))
 
 
-def _step(run: Run, splits: Splits) -> None:
+def _step(run: Run) -> None:
     """One optimizer step on the next mini-batch: a fresh permutation at
     each epoch start, a row at each epoch end, and after the last step the
-    final row, at the blend of the full budget.  Raises TrainingDiverged on
-    a non-finite loss, with that step's row logged."""
-    net, plan, step = run.net, run.plan, run.step
-    n, bpe = splits.train.n, plan.batches_per_epoch
-    bs = _batch_size(plan, n)
+    final row, at the blend of the full budget; the step that ends the prune
+    window zeroes the pruned moments first.  Raises TrainingDiverged on a
+    non-finite loss, with that step's row logged."""
+    net, plan, train, step = run.net, run.plan, run.splits.train, run.step
+    bpe = plan.batches_per_epoch
+    bs = _batch_size(plan, train.n)
     if step % bpe == 0:
-        run.perm = run.rng.permutation(n)
-    _install_prune_alpha(run, step)
-    if run.alpha >= 1.0 and not run.alpha_locked:
+        run.perm = run.rng.permutation(train.n)
+    alpha = _install_blend(run, step)
+    if plan.prune_window is not None and step == plan.prune_window[1]:
         _zero_pruned_moments(net, run.adam)
-        run.alpha_locked = True
     lr = lr_at(plan.lr_schedule, step, plan.steps)
     idx = run.perm[(step % bpe) * bs : (step % bpe + 1) * bs]
-    batch = replace(splits.train, features=splits.train.features[idx], targets=splits.train.targets[idx])
+    batch = replace(train, features=train.features[idx], targets=train.targets[idx])
     # divergence is detected by the finite check; don't warn on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         loss, grads = regularized_loss(net, batch, plan)
     if not np.isfinite(loss):
-        _log_row(run, splits, lr)
+        _log_row(run, lr, alpha)
         raise TrainingDiverged(run)
     adam_step(net, run.adam, grads, lr)
-    run.step += 1
     if run.step == plan.steps:
-        _install_prune_alpha(run, run.step)
-        _log_row(run, splits, lr_at(plan.lr_schedule, run.step, plan.steps))
+        _log_row(run, lr_at(plan.lr_schedule, run.step, plan.steps), _install_blend(run, run.step))
     elif run.step % bpe == 0:
-        _log_row(run, splits, lr)
+        _log_row(run, lr, alpha)
 
 
 def train_with_state(net: Network, splits: Splits, plan: TrainPlan) -> Run:
     """Train `net` in place for the plan's step budget, with seeded epoch
     reshuffles and one metrics row per epoch (and one final row); returns
     the finished `Run`.  Raises TrainingDiverged on a non-finite loss."""
-    check_batches(plan, splits.train.n)
-    run = Run(net, plan)
+    run = Run(net, plan, splits)
     while run.step < plan.steps:
-        _step(run, splits)
+        _step(run)
     return run
 
 

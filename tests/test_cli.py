@@ -45,6 +45,8 @@ CSV_FILES = {
     "text_cell.csv": "a,y\n0.5,0\nx,1\n",
     "header_only.csv": "a,y\n",
     "empty.csv": "",
+    "one_class.csv": "a,y\n0.5,0\n1.5,0\n2.5,0\n",
+    "three_class.csv": "a,y\n" + "".join(f"{i / 10!r},{i % 3}\n" for i in range(200)),
 }
 
 
@@ -276,6 +278,9 @@ RESOLVED_DEFAULTS = """\
 """
 
 
+CE_ON_REGRESSION_MESSAGE = "train.loss must be mse for regression data, got 'cross_entropy'"
+
+
 def test_resolved_defaults_are_unchanged():
     text = io.StringIO()
     _dump_json(resolve_config({"out_dir": "run"}), text)
@@ -362,6 +367,22 @@ def test_resolved_defaults_are_unchanged():
      "negative_label.csv: class label -1.0 at line 3, column 'y' is not an integer >= 0"),
     (["train"], {"data": {"kind": "csv", "path": "target_only.csv", "task": "regression", "target": "y"}},
      "target_only.csv: no feature column besides the target 'y'"),
+    (["train"], {"data": {"kind": "csv", "path": "one_class.csv", "task": "multiclass", "target": "y"}},
+     "one_class.csv: every label in column 'y' is 0; multiclass needs at least 2 classes"),
+    (["train"], {"data.task": "sparse_teacher", "train.loss": "cross_entropy"}, CE_ON_REGRESSION_MESSAGE),
+    (["prune"], {"data": {"kind": "csv", "path": "three_class.csv", "task": "regression", "target": "y"},
+                 "train.prune_window": [30, 60]}, CE_ON_REGRESSION_MESSAGE),
+    (["gridsearch", "--lambdas", "0.1"], {"data": {"kind": "csv", "path": "three_class.csv",
+                                                   "task": "multiclass", "target": "y"},
+                                          "train.loss": "mse"},
+     "train.loss must be cross_entropy for multiclass data, got 'mse'"),
+    (["train"], {"out_dir": ""}, "out_dir must be a directory path, got ''"),
+    (["train", "--out", ""], {}, "out_dir must be a directory path, got ''"),
+    (["train"], {"out_dir": "cfg.json"}, "out_dir must be a directory path, got 'cfg.json' (File exists)"),
+    (["prune", "--out", "cfg.json/run"], {"train.prune_window": [30, 60]},
+     "out_dir must be a directory path, got 'cfg.json/run' (Not a directory)"),
+    (["gridsearch", "--lambdas", "0.1"], {"out_dir": "cfg.json"},
+     "out_dir must be a directory path, got 'cfg.json' (File exists)"),
 ], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
         "steps_fractional", "steps_bool", "grid_steps_fractional", "grid_steps_zero",
         "grid_steps_flag_zero", "batches_zero",
@@ -377,7 +398,10 @@ def test_resolved_defaults_are_unchanged():
         "train_n_string", "data_n_string", "data_n_zero", "split_no_rest",
         "prune_split_no_val", "grid_split_no_test", "noise_string", "k_active_string",
         "synth_task_unknown", "csv_task_unknown", "grid_lambda_duplicate", "grid_lambda_same_dir",
-        "grid_jobs_zero", "grid_jobs_negative", "csv_negative_label", "csv_target_only"])
+        "grid_jobs_zero", "grid_jobs_negative", "csv_negative_label", "csv_target_only",
+        "csv_one_class", "ce_on_synth_regression", "prune_ce_on_csv_regression", "grid_mse_on_multiclass",
+        "out_dir_empty", "out_flag_empty", "out_dir_is_a_file", "prune_out_under_a_file",
+        "grid_out_dir_is_a_file"])
 def test_rejected_config_leaves_no_output(tmp_path, capsys, monkeypatch, argv, overrides, message):
     monkeypatch.chdir(write_csv_files(tmp_path))
     doc = base_config(tmp_path / "run")
@@ -517,13 +541,25 @@ class TestAnalyzeCommand:
         (lambda doc: doc["dims"].update(d_out=2), "dims {'d_in': 3, 'd_out': 2, 'hidden': [4]} do not match "
          "the layers, which give {'d_in': 3, 'd_out': 1, 'hidden': [4]}"),
         (lambda doc: doc.pop("dims"), "missing key 'dims'"),
+        (lambda doc: doc["layers"][0]["raw"].__setitem__(1, [0.0] * 3),
+         "layer 0: raw row 1 is zero, which l1wn cannot normalize"),
+        (lambda doc: doc["layers"][1].update(mode="l2wn", raw={"plus": [[1.0] * 4, [0.0] * 4, *[[1.0] * 4] * 2],
+                                                             "minus": [[1.0] * 4, [0.0] * 4, *[[1.0] * 4] * 2]}),
+         "layer 1: raw row 1 is zero, which l2wn cannot normalize"),
+        (lambda doc: doc["layers"][2].update(mode="blend:0.5",
+                                             raw={"plus": [[0.0] * 4], "minus": [[0.0] * 4]}),
+         "layer 2: raw row 0 is zero, which blend:0.5 cannot normalize"),
+        (lambda doc: [layer["lengths"].update(values=[1e308] * len(layer["lengths"]["values"]))
+                      for layer in doc["layers"]],
+         "the model gives naive_p1 = inf, which is not a finite number"),
     ], ids=["no_layers", "shapes_do_not_chain", "lengths_shape", "bias_shape", "raw_not_2d",
             "pair_shapes_differ", "block_not_square", "layer_type", "no_final_pair",
             "unknown_kind", "missing_layers_key", "missing_bias", "missing_pair_minus",
             "missing_length_values", "unknown_mode", "undecodable_blend", "nan_raw",
             "inf_raw_plus", "inf_lengths", "nan_bias", "huge_int_bias", "unknown_activation",
             "unknown_out_nonlinearity", "string_bias", "string_lengths", "null_raw", "bool_raw_plus",
-            "string_freeze_lengths", "bool_in_bias", "dims_mismatch", "missing_dims"])
+            "string_freeze_lengths", "bool_in_bias", "dims_mismatch", "missing_dims", "zero_row",
+            "zero_pair_row_l2wn", "zero_pair_row_blend", "overflowing_lengths"])
     def test_malformed_model_rejected(self, tmp_path, capsys, mutate, reason):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=1, hidden=[4], mode=L1WN)
         model = tmp_path / "m.json"
@@ -644,6 +680,30 @@ class TestEvalCommand:
         assert captured.err == "error: regression eval needs a model with 1 output, got 3\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["analyze", "eval"])
+    def test_non_finite_result_rejected(self, tmp_path, capsys, command):
+        # lengths near the float64 limit overflow the bounds and the logits;
+        # JSON cannot carry the NaN or infinity, so nothing is printed or written
+        spec = NetSpec(kind="mlp", d_in=3, d_out=1, hidden=[4], mode=L1WN)
+        model = tmp_path / "m.json"
+        save_network(init_network(spec, np.random.default_rng(13)), model)
+        doc = json.loads(model.read_text())
+        for layer in doc["layers"]:
+            layer["lengths"]["values"] = [1e308] * len(layer["lengths"]["values"])
+        model.write_text(json.dumps(doc))
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,b,c,y\n0.1,0.2,0.3,0\n0.3,-0.1,0.5,1\n-0.2,0.4,0.1,1\n")
+        report = tmp_path / "r.json"
+        if command == "analyze":
+            argv = [command, str(model), "--oracle", "--pairs", "20", "--out", str(report)]
+        else:
+            argv = [command, str(model), "--data", str(csv_path), "--target", "y", "--task", "binary"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        value = "naive_p1 = inf" if command == "analyze" else "cross_entropy = nan"
+        assert captured.err == f"error: {model}: the model gives {value}, which is not a finite number\n"
+        assert captured.out == "" and not report.exists()
+
     @pytest.mark.parametrize("stats,reason", [
         ({"feature_mean": [0.0] * 4, "target_median": 0.0, "target_qd": 1.0},
          "missing keys ['feature_sd']"),
@@ -726,7 +786,8 @@ class TestSelftestCommand:
 NAN = float("nan")
 
 # (command, dotted config key, value) of the input-boundary fuzz; "" is the
-# whole document, and a CSV case names a file of CSV_FILES
+# whole document, a dict sets several keys, and a CSV case names a file of
+# CSV_FILES
 CONFIG_FUZZ = [
     ("train", "", []), ("train", "", None),
     *(("train", section, value) for section in ("data", "split", "model", "train")
@@ -734,6 +795,7 @@ CONFIG_FUZZ = [
     ("train", "train.lr_schedule", 5), ("train", "train.regularizer", []),
     ("train", "seed", -1), ("train", "seed", 1.5), ("train", "seed", None), ("train", "seed", True),
     ("train", "out_dir", None), ("train", "out_dir", 5), ("train", "out_dir", "cfg.json"),
+    ("train", "out_dir", ""), ("prune", "out_dir", "cfg.json/run"), ("gridsearch", "out_dir", "cfg.json"),
     *(("train", "data.kind", v) for v in (5, "bogus", None, [])),
     *(("train", "data.task", v) for v in (5, "bogus", None, {"a": 1})),
     *(("train", "data.n", v) for v in ("x", 0, -3, 1.5, True, None, 100)),
@@ -751,7 +813,11 @@ CONFIG_FUZZ = [
         ("negative_label.csv", "multiclass"), ("negative_label.csv", "binary"),
         ("target_only.csv", "regression"), ("fractional_label.csv", "multiclass"),
         ("binary_two.csv", "binary"), ("ragged.csv", "binary"), ("text_cell.csv", "binary"),
-        ("header_only.csv", "regression"), ("empty.csv", "regression")]),
+        ("header_only.csv", "regression"), ("empty.csv", "regression"), ("one_class.csv", "multiclass"),
+        ("three_class.csv", "regression")]),
+    ("train", "data.task", "sparse_teacher"),
+    ("gridsearch", {"data": {"kind": "csv", "path": "three_class.csv", "task": "multiclass", "target": "y"},
+                    "train.loss": "mse"}, None),
     *(("train", "split.train_n", v) for v in (0, "x", 1.5, True, None, 200, 500)),
     *(("train", "split.val_frac_of_rest", v) for v in (0, 1, "x", NAN, None, True, 0.001)),
     *(("train", "model.kind", v) for v in ("bogus", 5, None)),
@@ -799,6 +865,9 @@ MODEL_FUZZ = [
     *(lambda doc, v=v: doc["layers"][0].update(mode=v) or doc for v in (None, 5, "blend:-1")),
     lambda doc: doc["layers"][0].update(raw={"plus": doc["layers"][0]["raw"],
                                              "minus": doc["layers"][0]["raw"]}) or doc,
+    lambda doc: doc["layers"][1]["raw"].__setitem__(0, [0.0] * 4) or doc,
+    lambda doc: [layer["lengths"].update(values=[1e308] * len(layer["lengths"]["values"]))
+                 for layer in doc["layers"]] and doc,
 ]
 
 
@@ -824,7 +893,7 @@ def test_input_boundary_fuzz(tmp_path, capsys, monkeypatch):
         doc = base_config(out, steps=10)
         doc["model"]["hidden"] = [4]
         if key:
-            set_keys(doc, {key: value})
+            set_keys(doc, key if isinstance(key, dict) else {key: value})
         else:
             doc = value
         cfg = tmp_path / "cfg.json"

@@ -362,6 +362,28 @@ class TestNetworkRecord:
             Network(kind, layers, "relu", out_nonlinearity)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize("mode", [L1WN, L2WN, blend(0.0), blend(1.0), L1PROJ, NONE],
+                             ids=["l1wn", "l2wn", "blend0", "blend1", "l1proj", "none"])
+    def test_zero_direction_row(self, mode):
+        # rejected where the mode divides by the row's norm; a pair's row is
+        # that of max(|V+|, |V-|), so a zero plus row with a live minus row is fine
+        first, last = dense(4, 3), pair(2, 4)
+        first.mode = last.mode = mode
+        last.raw_plus[1] = 0.0
+        Network("crelu_resnet", [first, last], "crelu", "identity")
+        last.raw_minus[1] = 0.0
+        first.raw[2] = 0.0
+        if mode.tag in ("l1proj", "none"):
+            Network("crelu_resnet", [first, last], "crelu", "identity")
+        else:
+            with pytest.raises(ConfigError) as e:
+                Network("crelu_resnet", [first, last], "crelu", "identity")
+            assert str(e.value) == f"layer 0: raw row 2 is zero, which {mode.encode()} cannot normalize"
+            first.raw[2] = 1.0
+            with pytest.raises(ConfigError) as e:
+                Network("crelu_resnet", [first, last], "crelu", "identity")
+            assert str(e.value) == f"layer 1: raw row 1 is zero, which {mode.encode()} cannot normalize"
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):

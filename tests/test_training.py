@@ -1,5 +1,6 @@
 import copy
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,7 +407,8 @@ class TestRunRecord:
         ("mlp", 22),  # inside the prune window
         ("mlp", 30),  # the step where alpha reaches 1 and the pruned moments are zeroed
         ("crelu_resnet", 37),
-    ], ids=["mid_epoch", "in_window", "alpha_reaches_1", "resnet_improved"])
+        ("mlp", 35),  # after the reset: the copy must not zero the moments again
+    ], ids=["mid_epoch", "in_window", "alpha_reaches_1", "resnet_improved", "after_reset"])
     def test_copied_run_finishes_to_the_same_bytes(self, kind, k):
         if kind == "mlp":
             splits = make_splits(kind="sparse_teacher", n=300, d=6, noise=0.05)
@@ -420,18 +422,48 @@ class TestRunRecord:
                          prune_window=(20, 30), seed=4)
         whole = train_with_state(init_network(spec, make_rng(20)), splits, plan)
 
-        run = Run(init_network(spec, make_rng(20)), plan)
+        run = Run(init_network(spec, make_rng(20)), plan, splits)
         for _ in range(k):
-            _step(run, splits)
+            _step(run)
         resumed = copy.deepcopy(run)
         # the original finishes first: state kept outside the record would
         # move on with it and leave the copy behind
         for r in (run, resumed):
             while r.step < plan.steps:
-                _step(r, splits)
+                _step(r)
         assert rows_to_csv(resumed.rows) == rows_to_csv(whole.rows)
         assert network_to_json(resumed.net) == network_to_json(whole.net)
         assert adam_state_to_json(resumed.adam) == adam_state_to_json(whole.adam)
+
+    @pytest.mark.parametrize("case, message", [
+        ("improved_on_mlp", "the improved residual bound only applies to CReLU residual nets"),
+        ("closed_form_per_row",
+         "closed-form regularization needs shared lengths and an L1 normalization mode"),
+        ("batches", "cannot draw 5 disjoint batches of 50 from 200 samples"),
+        ("ce_on_regression", "train.loss must be mse for regression data, got 'cross_entropy'"),
+        ("mse_on_multiclass", "train.loss must be cross_entropy for multiclass data, got 'mse'"),
+    ])
+    def test_checks_the_plan_when_built(self, case, message):
+        # the CLI reports these same messages before it makes an output directory
+        splits = make_splits()
+        spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[5], mode=L1WN,
+                       shared_lengths=case != "closed_form_per_row")
+        plan = TrainPlan(steps=10, loss="cross_entropy", regularizer=Regularizer("path_closed_form", 1e-3))
+        if case == "improved_on_mlp":
+            plan = replace(plan, regularizer=Regularizer("path_improved", 1e-3))
+        elif case == "batches":
+            plan = replace(plan, batch_size=50)
+        elif case == "ce_on_regression":
+            splits = make_splits(kind="sparse_teacher")
+        elif case == "mse_on_multiclass":
+            ds = synth_task("two_gaussians", 300, 4, 0.4, seed=0)
+            ds = replace(ds, targets=np.arange(300) % 3, task="multiclass", n_classes=3)
+            splits = Splits.standardized(ds, SplitSpec(train_n=200, seed=1))
+            spec = replace(spec, d_out=3)
+            plan = replace(plan, loss="mse")
+        with pytest.raises(ConfigError) as exc:
+            Run(init_network(spec, make_rng(21)), plan, splits)
+        assert str(exc.value) == message
 
 
 class TestGridSearch:
