@@ -3,6 +3,16 @@
 Near-sparsity extends bit-vector sparsity 1 - (1/d) 1^T v to real vectors
 through the exponentiated entropy of the normalized magnitude profile; it
 is invariant to permutation, sign, and nonzero rescaling.
+
+`near_sparsity` is the definition, one vector at a time.
+`rows_near_sparsity` gives every row of a matrix at once and is `==` to
+`near_sparsity` on each row; training's per-epoch metrics row uses it on
+the weights it has already materialized.  `network_sparsity`, which the
+commands call once for `sparsity_report.json` and `analyze`, keeps its
+per-row `near_sparsity` loop and materializes the network itself: the
+benchmark's tracer test pins both (one `near_sparsity` call per weight row,
+and one `rows_effective` call per layer), so it moves onto the kernel only
+together with that test.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ import numpy as np
 
 from .nets import Network, effective_weights
 
-__all__ = ["SparsityReport", "near_sparsity", "network_sparsity"]
+__all__ = ["SparsityReport", "near_sparsity", "rows_near_sparsity", "network_sparsity"]
 
 
 @dataclass
@@ -39,6 +49,27 @@ def near_sparsity(v) -> float:
     nz = p[p > 0.0]
     entropy = -np.sum(nz * np.log(nz))
     return float(1.0 - np.exp(entropy) / d)
+
+
+def rows_near_sparsity(w) -> np.ndarray:
+    """`near_sparsity` of every row of the matrix `w`, `==` to it row by row.
+
+    A row whose normalized magnitudes are all > 0 is computed in one
+    vectorized pass: a sum along the contiguous axis of a C-ordered matrix
+    is the same pairwise sum as `np.sum` of the row.  Every other row (a
+    zero entry, an entry that underflows, a NaN, the zero row) goes
+    through `near_sparsity` itself.
+    """
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    a = np.abs(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = a / a.sum(axis=1, keepdims=True)
+        out = 1.0 - np.exp(-(p * np.log(p)).sum(axis=1)) / w.shape[1]
+    # a magnitude that is 0 or NaN (0 ln 0 is NaN here), or a row with no
+    # entries, gives a value that is not finite
+    for i in np.flatnonzero(~np.isfinite(out)):
+        out[i] = near_sparsity(w[i])
+    return out
 
 
 def network_sparsity(net: Network) -> SparsityReport:

@@ -36,7 +36,14 @@ from typing import ClassVar
 import numpy as np
 
 from .linalg import DimensionError, orthogonal_init
-from .reparam import NormMode, pair_backward, pair_effective, rows_backward, rows_effective
+from .reparam import (
+    NormMode,
+    pair_backward,
+    pair_effective,
+    rows_backward,
+    rows_effective,
+    zero_norm_rows,
+)
 
 __all__ = [
     "ConfigError",
@@ -230,19 +237,28 @@ def _is_block(net: Network, i: int) -> bool:
 
 
 def _affine(skip, inputs: tuple, ws: tuple, bias) -> np.ndarray:
-    """[skip +] sum_j inputs_j @ ws_j^T [+ bias], added left to right."""
-    out = skip
-    for u, w in zip(inputs, ws):
-        out = u @ w.T if out is None else out + u @ w.T
-    return out if bias is None else out + bias
+    """[skip +] sum_j inputs_j @ ws_j^T [+ bias], added left to right.
+
+    The sums go into the first product in place: u_0 @ w_0^T + skip is
+    skip + u_0 @ w_0^T bit for bit, since IEEE addition is commutative."""
+    out = inputs[0] @ ws[0].T
+    if skip is not None:
+        out += skip
+    for u, w in zip(inputs[1:], ws[1:]):
+        out += u @ w.T
+    if bias is not None:
+        out += bias
+    return out
 
 
-def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, Trace]:
+def forward(net: Network, x: np.ndarray, effs: list | None = None) -> tuple[np.ndarray, Trace]:
     """Network logits plus the activation trace needed by backward.
 
     Accepts a single input vector or a (batch, d_in) matrix; the output
     rank matches the input rank.  The output nonlinearity is not applied
-    (see `predict`).
+    (see `predict`).  `effs` are the effective weights of the network as it
+    stands, in `layer_weights` layout; without them each layer is
+    materialized once.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -250,7 +266,8 @@ def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, Trace]:
     if X.shape[1] != net.d_in:
         raise DimensionError(f"input width {X.shape[1]} != network d_in {net.d_in}")
 
-    effs = layer_weights(net)
+    if effs is None:
+        effs = layer_weights(net)
     zs = [X]
     for i, (layer, ws) in enumerate(zip(net.layers(), effs)):
         z = zs[-1]
@@ -578,7 +595,7 @@ def _check_layers(kind: str, activation: str, layers: list) -> None:
     """Reject a layer list that `forward` cannot run: no layers, layers of
     the wrong type for the kind, raw shapes that do not chain (or a residual
     block that is not square), lengths or biases of the wrong shape, and a
-    zero direction row under a mode that divides by the row's norm."""
+    direction row whose norm is 0 under a mode that divides by it."""
     if kind not in ("mlp", "crelu_resnet"):
         raise ConfigError(f"unknown network kind {kind!r}")
     if activation not in ACTIVATIONS:
@@ -608,12 +625,12 @@ def _check_layers(kind: str, activation: str, layers: list) -> None:
             )
         if layer.bias is not None and layer.bias.shape != (rows,):
             raise ConfigError(f"layer {i}: bias shape {layer.bias.shape} is not ({rows},)")
-        if layer.mode.tag in ("l1wn", "l2wn", "blend"):
-            # these modes divide by the norm of each row of max(|V+|, |V-|)
-            live = np.any([np.any(getattr(layer, name), axis=1) for name in layer.raw_names], axis=0)
-            if not live.all():
-                row, mode = np.argmin(live), layer.mode.encode()
-                raise ConfigError(f"layer {i}: raw row {row} is zero, which {mode} cannot normalize")
+        raws = tuple(getattr(layer, name) for name in layer.raw_names)
+        dead = zero_norm_rows(raws, layer.mode)
+        if dead.size:
+            row, mode = dead[0], layer.mode.encode()
+            what = "has a norm that underflows to 0" if any(r[row].any() for r in raws) else "is zero"
+            raise ConfigError(f"layer {i}: raw row {row} {what}, which {mode} cannot normalize")
         width = rows * (2 if kind == "mlp" and activation == "crelu" else 1)
 
 

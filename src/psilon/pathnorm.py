@@ -17,8 +17,9 @@ sup norm on inputs and the L1 norm on outputs:
     oracles.
 
 Training and `analyze_network` share one engine: each path bound is one
-chain of nonnegative factor matrices (`_bound_chain`), read for its value and
-gradient by `bound_value_and_grad`.  The formulas are the tests' references.
+chain of nonnegative factor matrices (`_bound_chain`), read for its value
+alone by `bound_value` and for its value and gradient by
+`bound_value_and_grad`.  The formulas are the tests' references.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "empirical_lipschitz",
     "closed_form_for",
     "closed_form_g_grads",
+    "bound_value",
     "bound_value_and_grad",
     "analyze_network",
 ]
@@ -295,7 +297,7 @@ def _bound_chain(net: Network, kind: str, effs: list):
         max(|W+_K|, |W-_K|); derivatives sign(W) where W owns the max
         (`row_source`), else 0.
     The derivatives are a generator, computed as they are read;
-    `analyze_network` reads the matrices only.
+    `bound_value` and `analyze_network` read the matrices only.
     """
     (first,) = effs[0]
     mats, owners = [np.abs(first)], [None] * len(effs)
@@ -313,6 +315,13 @@ def _bound_chain(net: Network, kind: str, effs: list):
         mats.append(sources[-1][0])
         owners[1:] = [o for _, o in sources]
     return mats, (_signs(e, o) for e, o in zip(effs, owners))
+
+
+def bound_value(net: Network, kind: str, effs: list) -> float:
+    """A path bound's value alone (see `bound_value_and_grad`): the path
+    norm of its chain, `==` to the value `bound_value_and_grad` gives, since
+    the chain's matrices are nonnegative."""
+    return path_norm_mlp(_bound_chain(net, kind, effs)[0])
 
 
 def bound_value_and_grad(net: Network, kind: str, effs: list) -> tuple[float, list]:
@@ -356,7 +365,7 @@ def analyze_network(
     improved = None
     final = mats[-1]
     if net.kind == "crelu_resnet":
-        improved = path_norm_mlp(_bound_chain(net, "path_improved", effs)[0])
+        improved = bound_value(net, "path_improved", effs)
     elif net.activation == "relu" or len(effs) == 1:
         # the (inf,1) factor of an output map with no CReLU collapse keeps its signs
         final = effs[-1][0]

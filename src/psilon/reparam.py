@@ -40,6 +40,7 @@ __all__ = [
     "proj_l1_sphere",
     "rows_threshold",
     "row_source",
+    "zero_norm_rows",
     "rows_effective",
     "rows_backward",
     "pair_effective",
@@ -138,12 +139,29 @@ def _row_sum(mats: list) -> np.ndarray:
     return functools.reduce(np.add, [m.sum(axis=1) for m in mats])
 
 
+def _norms(s: np.ndarray, mode_tag: str) -> np.ndarray:
+    # the weight-normalization divisor of each row of the source s: its L2
+    # norm under l2wn, else its L1 norm
+    return np.sqrt((s * s).sum(axis=1)) if mode_tag == "l2wn" else s.sum(axis=1)
+
+
 def _row_norms(s: np.ndarray, mode_tag: str) -> np.ndarray:
-    # the weight-normalization divisor, for the forward kernel and its VJP
-    n = s.sum(axis=1) if mode_tag == "l1wn" else np.sqrt((s * s).sum(axis=1))
+    # the divisor, for the forward kernel and its VJP
+    n = _norms(s, mode_tag)
     if (n == 0.0).any():
         raise DegenerateInputError("zero direction row under weight normalization")
     return n
+
+
+def zero_norm_rows(vs: tuple, mode: NormMode) -> np.ndarray:
+    """Indices of the rows of the raw matrices `vs` that the kernel cannot
+    normalize under `mode`: those whose divisor is 0, the L1 norm of the
+    `row_source` row under l1wn and blend, its L2 norm under l2wn.  An L2
+    norm is 0 also for a nonzero row whose squares underflow.  Empty for
+    the modes that divide by no norm."""
+    if mode.tag not in ("l1wn", "l2wn", "blend"):
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(_norms(row_source(vs)[0], mode.tag) == 0.0)
 
 
 def _g_col(v: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -15,7 +15,10 @@ is dispatched once, in `_reg_terms`, for both `reg_value` and
 `pathnorm.closed_form_g_grads` (the length products).  A training step
 materializes each layer's effective weights once: the regularizer's value
 and its weight gradient reuse the matrices that `forward` keeps in its
-trace.  Before the pruning window every layer runs blend(0), which the
+trace.  So does each logged metrics row: its two losses, the regularizer's
+value (`pathnorm.bound_value` for the path bounds, with no gradient) and
+`metrics.rows_near_sparsity` read one `nets.layer_weights` list.  Before
+the pruning window every layer runs blend(0), which the
 reparameterization computes with the L1WN kernel alone.
 """
 
@@ -27,7 +30,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from .data import Dataset, SplitSpec, split, standardize
-from .metrics import network_sparsity
+from .metrics import rows_near_sparsity
 from .nets import (
     ConfigError,
     NetSpec,
@@ -41,7 +44,7 @@ from .nets import (
     require,
     sigmoid,
 )
-from .pathnorm import bound_value_and_grad, closed_form_for, closed_form_g_grads
+from .pathnorm import bound_value, bound_value_and_grad, closed_form_for, closed_form_g_grads
 from .reparam import blend, row_source, rows_threshold
 
 __all__ = [
@@ -273,8 +276,9 @@ def _loss_and_grad(logits: np.ndarray, ds: Dataset, loss: str):
     return val, soft / b
 
 
-def data_loss(net: Network, ds: Dataset, loss: str) -> float:
-    logits, _ = forward(net, ds.features)
+def data_loss(net: Network, ds: Dataset, loss: str, effs: list | None = None) -> float:
+    """The loss of `net` on all of `ds` (see `nets.forward` for `effs`)."""
+    logits, _ = forward(net, ds.features, effs)
     return _loss_and_grad(logits, ds, loss)[0]
 
 
@@ -308,6 +312,8 @@ def _reg_terms(net: Network, reg: Regularizer, effs: list | None = None, grads: 
     if reg.kind == "l2wr":
         wgrads = [tuple(2.0 * w for w in ws) for ws in effs] if grads else []
         return float(sum(np.sum(w * w) for ws in effs for w in ws)), wgrads, {}
+    if not grads:
+        return bound_value(net, reg.kind, effs), [], {}
     return (*bound_value_and_grad(net, reg.kind, effs), {})
 
 
@@ -457,17 +463,24 @@ class Run:
 
 
 def _log_row(run: Run, lr: float, alpha: float) -> None:
-    """Append the metrics of the run as it stands at `run.step`."""
+    """Append the metrics of the run as it stands at `run.step`.  Each
+    layer is materialized once, for both losses, the regularizer and the
+    near-sparsity: the mean over every effective weight row, in
+    `nets.effective_weights` order, which is `metrics.network_sparsity`'s
+    `network_nsparsity` bit for bit."""
     net, plan, splits = run.net, run.plan, run.splits
+    effs = layer_weights(net)
     with np.errstate(over="ignore", invalid="ignore"):
         run.rows.append(MetricsRow(
             step=run.step,
-            train_loss=data_loss(net, splits.train, plan.loss),
-            val_loss=data_loss(net, splits.val, plan.loss),
-            reg_value=reg_value(net, plan.regularizer),
+            train_loss=data_loss(net, splits.train, plan.loss, effs),
+            val_loss=data_loss(net, splits.val, plan.loss, effs),
+            reg_value=reg_value(net, plan.regularizer, effs),
             lr=lr,
             alpha=alpha,
-            network_nsparsity=network_sparsity(net).network_nsparsity,
+            network_nsparsity=float(np.mean(np.concatenate(
+                [rows_near_sparsity(w) for ws in effs for w in ws]
+            ))),
         ))
 
 

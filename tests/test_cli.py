@@ -549,6 +549,8 @@ class TestAnalyzeCommand:
         (lambda doc: doc["layers"][2].update(mode="blend:0.5",
                                              raw={"plus": [[0.0] * 4], "minus": [[0.0] * 4]}),
          "layer 2: raw row 0 is zero, which blend:0.5 cannot normalize"),
+        (lambda doc: doc["layers"][0].update(mode="l2wn", raw=[[1.0] * 3, [1e-200] * 3, *[[1.0] * 3] * 2]),
+         "layer 0: raw row 1 has a norm that underflows to 0, which l2wn cannot normalize"),
         (lambda doc: [layer["lengths"].update(values=[1e308] * len(layer["lengths"]["values"]))
                       for layer in doc["layers"]],
          "the model gives naive_p1 = inf, which is not a finite number"),
@@ -559,7 +561,7 @@ class TestAnalyzeCommand:
             "inf_raw_plus", "inf_lengths", "nan_bias", "huge_int_bias", "unknown_activation",
             "unknown_out_nonlinearity", "string_bias", "string_lengths", "null_raw", "bool_raw_plus",
             "string_freeze_lengths", "bool_in_bias", "dims_mismatch", "missing_dims", "zero_row",
-            "zero_pair_row_l2wn", "zero_pair_row_blend", "overflowing_lengths"])
+            "zero_pair_row_l2wn", "zero_pair_row_blend", "underflowing_row_l2wn", "overflowing_lengths"])
     def test_malformed_model_rejected(self, tmp_path, capsys, mutate, reason):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=1, hidden=[4], mode=L1WN)
         model = tmp_path / "m.json"
@@ -866,6 +868,8 @@ MODEL_FUZZ = [
     lambda doc: doc["layers"][0].update(raw={"plus": doc["layers"][0]["raw"],
                                              "minus": doc["layers"][0]["raw"]}) or doc,
     lambda doc: doc["layers"][1]["raw"].__setitem__(0, [0.0] * 4) or doc,
+    lambda doc: (doc["layers"][0].update(mode="l2wn")
+                 or doc["layers"][0]["raw"].__setitem__(1, [1e-200] * 4) or doc),
     lambda doc: [layer["lengths"].update(values=[1e308] * len(layer["lengths"]["values"]))
                  for layer in doc["layers"]] and doc,
 ]

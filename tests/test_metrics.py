@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from psilon.data import SplitSpec, synth_task
 from psilon.linalg import make_rng
-from psilon.metrics import near_sparsity, network_sparsity
+from psilon.metrics import near_sparsity, network_sparsity, rows_near_sparsity
 from psilon.nets import NetSpec, effective_weights, init_network
 from psilon.reparam import L1WN, NONE
+from psilon.training import Regularizer, Splits, TrainPlan, train_with_state
 
 
 class TestNearSparsity:
@@ -81,3 +83,37 @@ class TestNetworkSparsity:
         assert len(report.per_vector) == n_rows
         # interior blocks sit at zero length at init: their rows are all-zero
         assert any(x == 1.0 for x in report.per_vector)
+
+
+class TestRowsNearSparsity:
+    def test_equals_the_definition_row_by_row(self):
+        # widths above 128 take numpy's pairwise summation through its recursion
+        rng = make_rng(12)
+        for trial in range(150):
+            h = int(rng.integers(1, 10))
+            d = int(rng.choice([1, 2, 7, 20, 64, 127, 128, 129, 256, 500, 700]))
+            w = rng.standard_normal((h, d)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(h, 1))
+            if trial % 3 == 0:
+                w[rng.uniform(size=w.shape) < 0.3] = 0.0  # exact zeros
+            if trial % 4 == 0:
+                w[0] = 0.0  # the zero row
+            if trial % 5 == 0:
+                w[-1] = 1e-320  # shares that underflow to 0 next to a 1
+                w[-1, 0] = 1.0
+            if trial % 7 == 0:
+                w[-1] = 1e-310  # a row of subnormals
+            for view in (w, np.asfortranarray(w), w[::2, ::3], w.T[: min(d, 20)]):
+                assert rows_near_sparsity(view).tolist() == [near_sparsity(r) for r in view]
+
+    @pytest.mark.parametrize("kind,regk", [("mlp", "path_closed_form"), ("crelu_resnet", "path_improved")])
+    def test_pruned_network_matches_network_sparsity(self, kind, regk):
+        ds = synth_task("two_gaussians", 120, 5, 0.4, seed=3)
+        splits = Splits.standardized(ds, SplitSpec(train_n=80, seed=4))
+        net = init_network(NetSpec(kind=kind, d_in=5, d_out=1, hidden=[8, 8], mode=L1WN), make_rng(5))
+        plan = TrainPlan(steps=40, prune_window=(20, 40), regularizer=Regularizer(regk, 1e-3))
+        run = train_with_state(net, splits, plan)
+        report = network_sparsity(net)
+        assert report.exact_sparsity > 0.0  # pruned rows take the per-row fallback
+        kernel = np.concatenate([rows_near_sparsity(w) for w in effective_weights(net)])
+        assert kernel.tolist() == report.per_vector
+        assert run.rows[-1].network_nsparsity == report.network_nsparsity

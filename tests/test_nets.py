@@ -19,11 +19,13 @@ from psilon.nets import (
     effective_weights,
     forward,
     init_network,
+    layer_weights,
     network_from_json,
     network_to_json,
     predict,
     write_json,
 )
+from psilon.nets import _is_block, _layer_inputs
 from psilon.reparam import L1PROJ, L1WN, L2WN, NONE, blend
 from psilon.selftest import jitter, row_constraint_problems
 
@@ -135,6 +137,32 @@ class TestForward:
         for i in range(6):
             single, _ = forward(net, xs[i])
             np.testing.assert_allclose(batch_out[i], single, atol=1e-14)
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": "mlp"},
+        {"kind": "mlp", "activation": "crelu"},
+        {"kind": "crelu_resnet"},
+        {"kind": "crelu_resnet", "bias": False},
+    ], ids=["mlp_relu", "mlp_crelu", "crelu_resnet", "crelu_resnet_no_bias"])
+    def test_sums_match_left_to_right(self, fields):
+        # the in-place sums are skip + sum_j u_j @ w_j^T + bias added left
+        # to right, bit for bit; precomputed weights give the same logits
+        net = init_network(NetSpec(d_in=3, d_out=2, hidden=[4, 4], mode=L1WN, **fields), make_rng(12))
+        rng = make_rng(13)
+        jitter(net, rng)
+        x = rng.standard_normal((7, 3))
+        z = x
+        for i, (layer, ws) in enumerate(zip(net.layers(), layer_weights(net))):
+            out = z if _is_block(net, i) else None
+            for u, w in zip(_layer_inputs(net, i, z), ws):
+                out = u @ w.T if out is None else out + u @ w.T
+            z = out if layer.bias is None else out + layer.bias
+        got, _ = forward(net, x)
+        assert np.array_equal(got, z)
+        effs = layer_weights(net)
+        given, trace = forward(net, x, effs)
+        assert np.array_equal(given, got)
+        assert trace.effs is effs
 
     def test_predict_sigmoid(self):
         spec = NetSpec(kind="mlp", d_in=2, d_out=1, hidden=[3], mode=NONE, out_nonlinearity="sigmoid")
@@ -383,6 +411,27 @@ class TestNetworkRecord:
             with pytest.raises(ConfigError) as e:
                 Network("crelu_resnet", [first, last], "crelu", "identity")
             assert str(e.value) == f"layer 1: raw row 1 is zero, which {mode.encode()} cannot normalize"
+
+
+    @pytest.mark.parametrize("mode", [L1WN, L2WN, blend(0.5)], ids=["l1wn", "l2wn", "blend"])
+    def test_row_whose_l2_norm_underflows(self, mode):
+        # the squares of 1e-200 underflow to 0, so only l2wn cannot divide by the row's norm
+        first, last = dense(4, 3), pair(2, 4)
+        first.mode = last.mode = mode
+        first.raw[1] = 1e-200
+        last.raw_plus[0], last.raw_minus[0] = 1e-200, 0.0
+        if mode.tag != "l2wn":
+            Network("crelu_resnet", [first, last], "crelu", "identity")
+            return
+        with pytest.raises(ConfigError) as e:
+            Network("crelu_resnet", [first, last], "crelu", "identity")
+        assert str(e.value) == ("layer 0: raw row 1 has a norm that underflows to 0, "
+                                "which l2wn cannot normalize")
+        first.raw[1] = 1.0
+        with pytest.raises(ConfigError) as e:
+            Network("crelu_resnet", [first, last], "crelu", "identity")
+        assert str(e.value) == ("layer 1: raw row 0 has a norm that underflows to 0, "
+                                "which l2wn cannot normalize")
 
 
 class TestSerialization:

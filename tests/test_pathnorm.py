@@ -10,6 +10,7 @@ from psilon.pathnorm import (
     PathBudgetError,
     _bound_chain,
     analyze_network,
+    bound_value,
     bound_value_and_grad,
     closed_form_for,
     closed_form_g_grads,
@@ -393,6 +394,21 @@ class TestBoundEngine:
                                for w in ws[1:])]
             effs = layer_weights(net)
             assert bound_value_and_grad(net, "path_naive", effs)[0] == path_norm_mlp(ws)
+
+    @pytest.mark.parametrize("kind,activation,regk", [
+        ("mlp", "relu", "path_naive"),
+        ("mlp", "crelu", "path_naive"),
+        ("crelu_resnet", "crelu", "path_naive"),
+        ("crelu_resnet", "crelu", "path_improved"),
+    ])
+    def test_value_alone_equals_the_value_with_gradient(self, kind, activation, regk):
+        rng = make_rng(29)
+        for depth in range(1, 4):
+            spec = NetSpec(kind=kind, d_in=3, d_out=2, hidden=[4] * depth, activation=activation, mode=L1WN)
+            net = init_network(spec, rng)
+            jitter(net, rng)
+            effs = layer_weights(net)
+            assert bound_value(net, regk, effs) == bound_value_and_grad(net, regk, effs)[0]
 
     def test_resnet_values_match_the_formulas(self):
         rng = make_rng(27)

@@ -38,7 +38,7 @@ from psilon.training import (
     rows_to_csv,
     train_with_state,
 )
-from psilon.training import _loss_and_grad, _step
+from psilon.training import _log_row, _loss_and_grad, _step
 
 
 def make_splits(kind="two_gaussians", n=300, d=4, noise=0.4, seed=0, train_n=200):
@@ -252,6 +252,45 @@ class TestRegularizedLoss:
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+class TestLogRow:
+    @pytest.mark.parametrize("kind,regk", [
+        ("mlp", "path_closed_form"),
+        ("mlp", "path_naive"),
+        ("crelu_resnet", "path_improved"),
+    ])
+    def test_materializes_each_layer_once(self, monkeypatch, kind, regk):
+        # both losses, the regularizer and the near-sparsity share one
+        # materialization, and the row is that of each metric computed afresh
+        splits = make_splits(n=60, train_n=30)
+        spec = NetSpec(kind=kind, d_in=4, d_out=1, hidden=[5, 5], mode=L1WN)
+        net = init_network(spec, make_rng(13))
+        jitter_rng = make_rng(14)
+        for _, p in net.slots():
+            p += 0.4 * jitter_rng.standard_normal(p.shape)
+        net.touch()
+        run = Run(net, TrainPlan(steps=5, regularizer=Regularizer(regk, 0.1)), splits)
+
+        fresh = layer_weights(net)
+        want_reg = (psilon.pathnorm.closed_form_for(net) if regk == "path_closed_form"
+                    else bound_value_and_grad(net, regk, fresh)[0])
+        want = (data_loss(net, splits.train, "cross_entropy"), data_loss(net, splits.val, "cross_entropy"),
+                want_reg, network_sparsity(net).network_nsparsity)
+
+        calls = {"rows_effective": 0, "pair_effective": 0}
+        for name in calls:
+            def counting(*args, _name=name, _kernel=getattr(psilon.nets, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+            monkeypatch.setattr(psilon.nets, name, counting)
+        _log_row(run, 0.1, 0.0)
+        monkeypatch.undo()
+
+        n_pairs = sum(len(ws) == 2 for ws in fresh)
+        assert calls == {"rows_effective": len(net.layers()) - n_pairs, "pair_effective": n_pairs}
+        row = run.rows[-1]
+        assert (row.train_loss, row.val_loss, row.reg_value, row.network_nsparsity) == want
 
 
 class TestTrain:
