@@ -54,21 +54,37 @@ def near_sparsity(v) -> float:
 def rows_near_sparsity(w) -> np.ndarray:
     """`near_sparsity` of every row of the matrix `w`, `==` to it row by row.
 
-    A row whose normalized magnitudes are all > 0 is computed in one
-    vectorized pass: a sum along the contiguous axis of a C-ordered matrix
-    is the same pairwise sum as `np.sum` of the row.  Every other row (a
-    zero entry, an entry that underflows, a NaN, the zero row) goes
-    through `near_sparsity` itself.
+    With p = |w|/sum|w| per row, a row sums p ln p over its shares p > 0,
+    as `near_sparsity` does over the compacted vector of them.  A row whose
+    shares are all > 0 is summed in place, and the rows with k > 0 of them
+    (a pruned row, or one with an underflowed share) are compacted into one
+    C-ordered (rows, k) matrix per k: a sum along the contiguous axis of a
+    C-ordered matrix is the same pairwise sum as `np.sum` of the 1-D row.
+    Only a row whose total is 0 or not finite (the zero row, a NaN, an
+    infinity) and a matrix with no columns go through `near_sparsity`.
     """
     w = np.ascontiguousarray(w, dtype=np.float64)
+    d = w.shape[1]
     a = np.abs(w)
+    total = a.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = a / a.sum(axis=1, keepdims=True)
-        out = 1.0 - np.exp(-(p * np.log(p)).sum(axis=1)) / w.shape[1]
-    # a magnitude that is 0 or NaN (0 ln 0 is NaN here), or a row with no
-    # entries, gives a value that is not finite
-    for i in np.flatnonzero(~np.isfinite(out)):
-        out[i] = near_sparsity(w[i])
+        p = a / total
+        out = 1.0 - np.exp(-(p * np.log(p)).sum(axis=1)) / d
+    # 0 ln 0 is NaN above: a row with a zero share is summed again over its
+    # positive shares, unless its total is 0 or not finite
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        t = total[bad, 0]
+        ok = (t > 0.0) & (t < np.inf)  # False for NaN
+        redo = bad[ok]
+        live = p[redo] > 0.0
+        counts = live.sum(axis=1)
+        for k in np.unique(counts):
+            rows = counts == k
+            q = p[redo[rows]][live[rows]].reshape(-1, k)
+            out[redo[rows]] = 1.0 - np.exp(-(q * np.log(q)).sum(axis=1)) / d
+        for i in bad[~ok]:
+            out[i] = near_sparsity(w[i])
     return out
 
 

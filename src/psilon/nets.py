@@ -19,7 +19,10 @@ All layers store raw directions plus length parameters; effective weights
 are materialized through the normalization mode at every use, so row-norm
 constraints hold exactly after any number of optimizer steps.  Gradients
 are computed by hand per layer and routed through the reparameterization
-backward rules in `reparam`.
+backward rules in `reparam`: `forward` keeps the normalizer state that each
+layer's kernel computed (`reparam.NormState`) in its trace, and `backward`
+hands it to the layer's VJP, so no row norm or threshold sort is taken
+twice for one set of parameters.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import numpy as np
 from .linalg import DimensionError, orthogonal_init
 from .reparam import (
     NormMode,
+    NormState,
     pair_backward,
     pair_effective,
     rows_backward,
@@ -124,15 +128,18 @@ class NormalizedLinear:
     norm_source: ClassVar[str] = "self_rows"
     raw_names: ClassVar[tuple[str, ...]] = ("raw",)
 
-    def effective(self) -> np.ndarray:
-        return rows_effective(self.raw, self.g, self.mode)
+    def effective(self, state: NormState | None = None) -> np.ndarray:
+        return rows_effective(self.raw, self.g, self.mode, state)
 
-    def weights(self) -> tuple[np.ndarray]:
-        return (self.effective(),)
+    def weights(self, state: NormState | None = None) -> tuple[np.ndarray]:
+        """The effective weights as a tuple; an empty `state` is filled
+        with the normalizer they were computed from."""
+        return (self.effective(state),)
 
-    def backward(self, us: tuple) -> tuple[tuple, np.ndarray]:
-        """(dV per raw matrix, dg) for upstream gradients `us` of `weights()`."""
-        dv, dg = rows_backward(self.raw, self.g, self.mode, *us)
+    def backward(self, us: tuple, state: NormState | None = None) -> tuple[tuple, np.ndarray]:
+        """(dV per raw matrix, dg) for upstream gradients `us` of `weights()`,
+        reusing the normalizer `state` that `weights` filled, if given."""
+        dv, dg = rows_backward(self.raw, self.g, self.mode, *us, state)
         return (dv,), dg
 
     def shape(self) -> tuple[int, int]:
@@ -151,14 +158,15 @@ class PairLinear:
     norm_source: ClassVar[str] = "crelu_max_rows"
     raw_names: ClassVar[tuple[str, ...]] = ("raw_plus", "raw_minus")
 
-    def effective(self) -> tuple[np.ndarray, np.ndarray]:
-        return pair_effective(self.raw_plus, self.raw_minus, self.g, self.mode)
+    def effective(self, state: NormState | None = None) -> tuple[np.ndarray, np.ndarray]:
+        return pair_effective(self.raw_plus, self.raw_minus, self.g, self.mode, state)
 
     weights = effective
 
-    def backward(self, us: tuple) -> tuple[tuple, np.ndarray]:
-        """(dV per raw matrix, dg) for upstream gradients `us` of `weights()`."""
-        dvp, dvm, dg = pair_backward(self.raw_plus, self.raw_minus, self.g, self.mode, *us)
+    def backward(self, us: tuple, state: NormState | None = None) -> tuple[tuple, np.ndarray]:
+        """(dV per raw matrix, dg) for upstream gradients `us` of `weights()`,
+        reusing the normalizer `state` that `weights` filled, if given."""
+        dvp, dvm, dg = pair_backward(self.raw_plus, self.raw_minus, self.g, self.mode, *us, state)
         return (dvp, dvm), dg
 
     def shape(self) -> tuple[int, int]:
@@ -197,29 +205,37 @@ class Network:
     def touch(self) -> None:
         self.version += 1
 
-    def slots(self) -> list[tuple[str, np.ndarray]]:
-        """Named mutable parameter arrays, in a stable order."""
+    def layer_slots(self) -> list[list[tuple[str, np.ndarray]]]:
+        """Named mutable parameter arrays of each layer, in a stable order."""
         out = []
         for i, layer in enumerate(self.layers()):
             tag = f"layer{i}"
-            for name in layer.raw_names:
-                out.append((f"{tag}.{name}", getattr(layer, name)))
+            group = [(f"{tag}.{name}", getattr(layer, name)) for name in layer.raw_names]
             if not self.freeze_lengths:
-                out.append((f"{tag}.g", layer.g))
+                group.append((f"{tag}.g", layer.g))
             if layer.bias is not None:
-                out.append((f"{tag}.bias", layer.bias))
+                group.append((f"{tag}.bias", layer.bias))
+            out.append(group)
         return out
+
+    def slots(self) -> list[tuple[str, np.ndarray]]:
+        """Named mutable parameter arrays, in a stable order: `layer_slots`
+        flattened."""
+        return [slot for group in self.layer_slots() for slot in group]
 
 
 @dataclass
 class Trace:
     """What forward keeps for the matching backward, per layer: its
-    pre-activation input z (the network input for the first layer) and its
-    effective weights as a tuple."""
+    pre-activation input z (the network input for the first layer), its
+    effective weights as a tuple, and the `reparam.NormState` they were
+    computed from, or None for weights the caller supplied (the layer's
+    VJP then computes its normalizer afresh)."""
 
     version: int
     zs: list
     effs: list
+    states: list
 
 
 def _layer_inputs(net: Network, i: int, z: np.ndarray) -> tuple:
@@ -258,7 +274,7 @@ def forward(net: Network, x: np.ndarray, effs: list | None = None) -> tuple[np.n
     rank matches the input rank.  The output nonlinearity is not applied
     (see `predict`).  `effs` are the effective weights of the network as it
     stands, in `layer_weights` layout; without them each layer is
-    materialized once.
+    materialized once, and the trace keeps its normalizer state.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -267,13 +283,16 @@ def forward(net: Network, x: np.ndarray, effs: list | None = None) -> tuple[np.n
         raise DimensionError(f"input width {X.shape[1]} != network d_in {net.d_in}")
 
     if effs is None:
-        effs = layer_weights(net)
+        states = [NormState() for _ in net.layers()]
+        effs = [layer.weights(st) for layer, st in zip(net.layers(), states)]
+    else:
+        states = [None] * len(effs)
     zs = [X]
     for i, (layer, ws) in enumerate(zip(net.layers(), effs)):
         z = zs[-1]
         zs.append(_affine(z if _is_block(net, i) else None, _layer_inputs(net, i, z), ws, layer.bias))
     out = zs.pop()
-    return (out[0] if squeeze else out), Trace(version=net.version, zs=zs, effs=effs)
+    return (out[0] if squeeze else out), Trace(version=net.version, zs=zs, effs=effs, states=states)
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
@@ -292,7 +311,8 @@ def backward(
     directions and lengths through the normalization-mode backward rules.
     `extra` may add per-layer-index gradients with respect to the effective
     weights (a regularizer's dR/dW, a tuple per layer like `layer_weights`),
-    routed through the same rules.
+    routed through the same rules.  Each layer's VJP reuses the normalizer
+    state that forward kept in the trace.
     """
     if trace.version != net.version:
         raise RuntimeError("stale trace: parameters changed since forward")
@@ -307,7 +327,7 @@ def backward(
         us = tuple(d.T @ u for u in inputs)
         if extra is not None and i in extra:
             us = tuple(u + e for u, e in zip(us, extra[i]))
-        dvs, dg = layer.backward(us)
+        dvs, dg = layer.backward(us, trace.states[i])
         tag = f"layer{i}"
         grads.update((f"{tag}.{name}", dv) for name, dv in zip(layer.raw_names, dvs))
         if not net.freeze_lengths:

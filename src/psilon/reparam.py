@@ -8,9 +8,14 @@ matrix: the elementwise max of |V| over the tuple, which is |V| itself for
 a single matrix.  Where the pair ties, the first matrix owns the entry and
 receives its gradient (`row_source`).  The kernel's manual backward
 (vector-Jacobian product) is used by the network backward pass and is
-checked against central finite differences in the tests.  The pruning
-blend at alpha = 0 is L1 weight normalization up to the sign of a zero, so
-it runs the L1WN kernel alone, forward and backward.
+checked against central finite differences in the tests.  What the kernel
+derives from the raw matrices before it scales them (the source's owners,
+the row norms, and for a projection the source and its thresholds) is one
+`NormState`: the forward entry points fill an empty one, and the backward
+entry points given it recompute none of it, so a training step takes the
+row norms and the projection's threshold sort once per layer.  The
+pruning blend at alpha = 0 is L1 weight normalization up to the sign of a
+zero, so it runs the L1WN kernel alone, forward and backward.
 
 Sign conventions, kept deliberately distinct:
   * the weight-normalization subgradient uses sign(0) = 0 (a valid
@@ -32,6 +37,7 @@ PROJ_EPS = 1e-8
 __all__ = [
     "DegenerateInputError",
     "NormMode",
+    "NormState",
     "L1WN",
     "L2WN",
     "L1PROJ",
@@ -129,6 +135,23 @@ def row_source(vs: tuple) -> tuple:
     return np.maximum(ap, am), (first, ~first)
 
 
+@dataclass
+class NormState:
+    """What the kernel derives from a layer's raw matrices before it scales
+    them, kept so that the VJP recomputes none of it: the `row_source`
+    owners, the weight-normalization divisors of the rows (l1wn, l2wn and
+    the blend's L1 part), and for a projection (l1proj, blend) the source
+    and its `rows_threshold` shifts.  The forward kernel fills an empty
+    one; a filled one belongs to the raw matrices and mode it was filled
+    from.  Under l1wn it holds the row norms and, for a pair, the two owner
+    masks, but no matrix of magnitudes."""
+
+    owners: tuple | None = None
+    norms: np.ndarray | None = None  # (h,)
+    source: np.ndarray | None = None  # (h, d), projections only
+    tau: np.ndarray | None = None  # (h,), projections only
+
+
 def _owned(x: np.ndarray, owner) -> np.ndarray:
     # x on the entries this matrix supplies to the source, 0 elsewhere
     return x if owner is True else np.where(owner, x, 0.0)
@@ -151,6 +174,21 @@ def _row_norms(s: np.ndarray, mode_tag: str) -> np.ndarray:
     if (n == 0.0).any():
         raise DegenerateInputError("zero direction row under weight normalization")
     return n
+
+
+def _fill(state: NormState | None, vs: tuple, mode: NormMode) -> NormState:
+    """`state` (a new one for None) holding the normalizer of the raw
+    matrices `vs` under `mode` (l1wn, l2wn, l1proj or blend), computed here
+    unless it already does."""
+    if state is None:
+        state = NormState()
+    if state.owners is None:
+        s, state.owners = row_source(vs)
+        if mode.tag != "l1proj":
+            state.norms = _row_norms(s, mode.tag)
+        if mode.tag in ("l1proj", "blend"):
+            state.source, state.tau = s, rows_threshold(s)
+    return state
 
 
 def zero_norm_rows(vs: tuple, mode: NormMode) -> np.ndarray:
@@ -178,31 +216,57 @@ def _at_blend_zero(mode: NormMode) -> NormMode:
     return L1WN if mode.tag == "blend" and mode.alpha == 0.0 else mode
 
 
-def _effective(vs: tuple, g: np.ndarray, mode: NormMode) -> list:
-    """Effective matrices for a tuple of raw matrices sharing one normalizer."""
+def _project(vs: tuple, gc: np.ndarray, st: NormState) -> list:
+    # gc * max(0, |v| - tau) * sign(v + eps), one output per matrix
+    tau = st.tau[:, None]
+    out = []
+    for v in vs:
+        w = np.abs(v)
+        w -= tau
+        np.maximum(0.0, w, out=w)
+        s_eps = v + PROJ_EPS
+        w *= np.sign(s_eps, out=s_eps)
+        w *= gc
+        out.append(w)
+    return out
+
+
+def _normalize(vs: tuple, gc: np.ndarray, st: NormState) -> list:
+    # gc * v / n, one output per matrix
+    n = st.norms[:, None]
+    out = []
+    for v in vs:
+        w = gc * v
+        w /= n
+        out.append(w)
+    return out
+
+
+def _effective(vs: tuple, g: np.ndarray, mode: NormMode, state: NormState | None = None) -> list:
+    """Effective matrices for a tuple of raw matrices sharing one normalizer;
+    an empty `state` is filled with it."""
     mode = _at_blend_zero(mode)
     if mode.tag == "none":
         return [v.copy() for v in vs]
+    st = _fill(state, vs, mode)
+    gc = _g_col(vs[0], g)
+    if mode.tag == "l1proj":
+        return _project(vs, gc, st)
+    wn = _normalize(vs, gc, st)
     if mode.tag == "blend":
         # convex combination of the L1-normalized and projected forms
         a = mode.alpha
-        wn, proj = _effective(vs, g, L1WN), _effective(vs, g, L1PROJ)
-        return [(1.0 - a) * w1 + a * w2 for w1, w2 in zip(wn, proj)]
-    gc = _g_col(vs[0], g)
-    s = row_source(vs)[0]
-    if mode.tag == "l1proj":
-        tau = rows_threshold(s)[:, None]
-        return [gc * (np.maximum(0.0, np.abs(v) - tau) * np.sign(v + PROJ_EPS)) for v in vs]
-    n = _row_norms(s, mode.tag)
-    return [gc * v / n[:, None] for v in vs]
+        for w1, w2 in zip(wn, _project(vs, gc, st)):
+            w1 *= 1.0 - a
+            w2 *= a
+            w1 += w2
+    return wn
 
 
-def _vjp_mode(vs: tuple, g: np.ndarray, tag: str, us) -> tuple:
+def _vjp_mode(vs: tuple, gc: np.ndarray, tag: str, us, st: NormState) -> tuple:
     """(dV per matrix, per-row dg) through one of l1wn, l2wn, l1proj."""
-    gc = _g_col(vs[0], g)
-    s, owners = row_source(vs)
     if tag == "l1proj":
-        tau = rows_threshold(s)[:, None]
+        s, tau = st.source, st.tau[:, None]
         k = np.maximum((s > tau).sum(axis=1), 1)
         mags = [np.abs(v) for v in vs]
         acts = [m > tau for m in mags]
@@ -212,59 +276,78 @@ def _vjp_mode(vs: tuple, g: np.ndarray, tag: str, us) -> tuple:
         # spread over the active entries of the source
         coef = (_row_sum([np.where(act, q, 0.0) for act, q in zip(acts, q_eps)]) / k)[:, None]
         dvs = []
-        for v, act, q, owner in zip(vs, acts, q_eps, owners):
+        for v, act, q, owner in zip(vs, acts, q_eps, st.owners):
             sv = np.sign(v)
             dvs.append(np.where(act, q * sv - _owned(sv, owner) * coef, 0.0))
         dg_rows = _row_sum([np.maximum(0.0, m - tau) * se * u for m, se, u in zip(mags, s_eps, us)])
         return dvs, dg_rows
-    n = _row_norms(s, tag)
+    n = st.norms
     c = _row_sum([v * u for v, u in zip(vs, us)])
-    # dn: the row norm's derivative, up to its 1/n factor for l2wn, on the
-    # entries each matrix owns
-    if tag == "l1wn":
-        coef, dn = (c / n)[:, None], [_owned(np.sign(v), o) for v, o in zip(vs, owners)]
-    else:
-        coef, dn = (c / (n * n))[:, None], [_owned(v, o) for v, o in zip(vs, owners)]
-    return [gc / n[:, None] * (u - coef * d) for u, d in zip(us, dn)], c / n
+    # gc/n * (u - coef * dn), with dn the row norm's derivative, up to its
+    # 1/n factor for l2wn, on the entries each matrix owns
+    coef = (c / n)[:, None] if tag == "l1wn" else (c / (n * n))[:, None]
+    scale = gc / n[:, None]
+    dvs = []
+    for v, u, owner in zip(vs, us, st.owners):
+        if tag == "l1wn":
+            d = _owned(np.sign(v), owner)
+            d *= coef
+        else:
+            d = _owned(v, owner) * coef
+        np.subtract(u, d, out=d)
+        d *= scale
+        dvs.append(d)
+    return dvs, c / n
 
 
-def _vjp(vs: tuple, g: np.ndarray, mode: NormMode, us: tuple) -> tuple:
+def _vjp(vs: tuple, g: np.ndarray, mode: NormMode, us: tuple, state: NormState | None = None) -> tuple:
     """Vector-Jacobian product through `_effective`: (dV per matrix, dg),
-    dg shaped like g (summed over rows for a shared length)."""
+    dg shaped like g (summed over rows for a shared length).  `state` is
+    the forward's, or None to compute it here."""
     mode = _at_blend_zero(mode)
     if mode.tag == "none":
         return [u.copy() for u in us], np.zeros_like(g)
+    st = _fill(state, vs, mode)
+    gc = _g_col(vs[0], g)
     if mode.tag == "blend":
         a = mode.alpha
-        dv1, dg1 = _vjp_mode(vs, g, "l1wn", [(1.0 - a) * u for u in us])
-        dv2, dg2 = _vjp_mode(vs, g, "l1proj", [a * u for u in us])
-        dvs, dg_rows = [x + y for x, y in zip(dv1, dv2)], dg1 + dg2
+        dvs, dg_rows = _vjp_mode(vs, gc, "l1wn", [(1.0 - a) * u for u in us], st)
+        dv2, dg2 = _vjp_mode(vs, gc, "l1proj", [a * u for u in us], st)
+        for x, y in zip(dvs, dv2):
+            x += y
+        dg_rows += dg2
     else:
-        dvs, dg_rows = _vjp_mode(vs, g, mode.tag, us)
+        dvs, dg_rows = _vjp_mode(vs, gc, mode.tag, us, st)
     return dvs, (np.array([dg_rows.sum()]) if g.shape == (1,) else dg_rows)
 
 
 # --- entry points: a dense layer is one matrix, a CReLU pair is two ----------
+#
+# Each takes an optional NormState: the forward entry points fill an empty
+# one, and the backward entry points given the forward's state use it.
 
 
-def rows_effective(v: np.ndarray, g: np.ndarray, mode: NormMode) -> np.ndarray:
+def rows_effective(v: np.ndarray, g: np.ndarray, mode: NormMode,
+                   state: NormState | None = None) -> np.ndarray:
     """Effective weight matrix for self-normalized rows."""
-    return _effective((v,), g, mode)[0]
+    return _effective((v,), g, mode, state)[0]
 
 
-def rows_backward(v: np.ndarray, g: np.ndarray, mode: NormMode, u: np.ndarray):
+def rows_backward(v: np.ndarray, g: np.ndarray, mode: NormMode, u: np.ndarray,
+                  state: NormState | None = None):
     """(dV, dg) for upstream dL/dW = u; dg matches the shape of g."""
-    (dv,), dg = _vjp((v,), g, mode, (u,))
+    (dv,), dg = _vjp((v,), g, mode, (u,), state)
     return dv, dg
 
 
-def pair_effective(vp: np.ndarray, vm: np.ndarray, g: np.ndarray, mode: NormMode):
+def pair_effective(vp: np.ndarray, vm: np.ndarray, g: np.ndarray, mode: NormMode,
+                   state: NormState | None = None):
     """Effective (W+, W-) for a pair normalized by the rows of max(|V+|, |V-|)."""
-    wp, wm = _effective((vp, vm), g, mode)
+    wp, wm = _effective((vp, vm), g, mode, state)
     return wp, wm
 
 
-def pair_backward(vp, vm, g, mode: NormMode, up, um):
+def pair_backward(vp, vm, g, mode: NormMode, up, um, state: NormState | None = None):
     """(dV+, dV-, dg) for upstream gradients (up, um) of the pair."""
-    (dvp, dvm), dg = _vjp((vp, vm), g, mode, (up, um))
+    (dvp, dvm), dg = _vjp((vp, vm), g, mode, (up, um), state)
     return dvp, dvm, dg

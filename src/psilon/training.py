@@ -19,7 +19,10 @@ trace.  So does each logged metrics row: its two losses, the regularizer's
 value (`pathnorm.bound_value` for the path bounds, with no gradient) and
 `metrics.rows_near_sparsity` read one `nets.layer_weights` list.  Before
 the pruning window every layer runs blend(0), which the
-reparameterization computes with the L1WN kernel alone.
+reparameterization computes with the L1WN kernel alone.  Adam keeps each
+layer's moments in one contiguous chunk and updates it in place, through
+two scratch rows shared by every layer, in the order of the per-slot
+formula (`adam_step`).
 """
 
 from __future__ import annotations
@@ -349,12 +352,36 @@ def regularized_loss(net: Network, batch: Dataset, plan: TrainPlan):
 
 @dataclass
 class AdamState:
+    """Adam's settings, step count and moments.  The moments of each layer
+    live in one contiguous chunk, rows m and v, each laid out over the
+    layer's slots in `Network.layer_slots` order (`layout` holds each
+    slot's name, span and shape); `scratch` holds two rows as long as the
+    largest chunk, which every layer's update reuses.  `m` and `v` read
+    the chunks as name -> array views, in slot order; writing through a
+    view writes the moment."""
+
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    chunks: list = field(default_factory=list)  # per layer: a (2, size) array
+    layout: list = field(default_factory=list)  # per layer: [(name, slice, shape)]
+    scratch: np.ndarray | None = None  # (2, largest size)
+
+    @property
+    def m(self) -> dict:
+        return self._views(0)
+
+    @property
+    def v(self) -> dict:
+        return self._views(1)
+
+    def _views(self, row: int) -> dict:
+        return {
+            name: chunk[row, span].reshape(shape)
+            for chunk, slots in zip(self.chunks, self.layout)
+            for name, span, shape in slots
+        }
 
 
 def adam_state_to_json(state: AdamState) -> dict:
@@ -368,24 +395,50 @@ def adam_state_to_json(state: AdamState) -> dict:
     }
 
 
+def _layer_layout(group: list) -> list:
+    """(name, span, shape) of each slot of one layer, packed in order."""
+    out, start = [], 0
+    for name, param in group:
+        out.append((name, slice(start, start + param.size), param.shape))
+        start += param.size
+    return out
+
+
 def adam_step(net: Network, state: AdamState, grads: dict[str, np.ndarray], lr: float) -> AdamState:
-    """One in-place Adam update with bias-corrected moments."""
+    """One in-place Adam update with bias-corrected moments.
+
+    Per layer, the gradients are gathered into a scratch row, and each
+    step of the per-slot formula
+    m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+    p -= lr (m / c1) / (sqrt(v / c2) + eps)
+    runs once over the layer's chunk, in place and in the formula's order,
+    so every bit is the per-slot update's; then each slot takes its span."""
     state.t += 1
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
-    for name, param in net.slots():
-        g = grads[name]
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(param)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(param)
-        v = state.v[name]
+    groups = net.layer_slots()
+    if not state.chunks:
+        state.layout = [_layer_layout(group) for group in groups]
+        state.chunks = [np.zeros((2, slots[-1][1].stop)) for slots in state.layout]
+        state.scratch = np.empty((2, max(chunk.shape[1] for chunk in state.chunks)))
+    for (m, v), slots, group in zip(state.chunks, state.layout, groups):
+        step, tmp = state.scratch[:, : m.size]
+        for name, span, _ in slots:
+            step[span] = grads[name].reshape(-1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(step, 1.0 - state.beta1, out=tmp)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        param -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.multiply(step, 1.0 - state.beta2, out=tmp)
+        tmp *= step
+        v += tmp
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step /= tmp
+        for (_, param), (_, span, shape) in zip(group, slots):
+            param -= step[span].reshape(shape)
     net.touch()
     return state
 
@@ -411,6 +464,7 @@ def _zero_pruned_moments(net: Network, state: AdamState) -> None:
     """When the blend hits pure projection, inactive raw coordinates stop
     receiving gradient; clearing their stale Adam momentum keeps the pruned
     support from drifting."""
+    ms, vs = state.m, state.v  # views: writing them writes the moments
     for i, layer in enumerate(net.layers()):
         if layer.mode.tag != "blend":
             continue
@@ -418,10 +472,10 @@ def _zero_pruned_moments(net: Network, state: AdamState) -> None:
         tau = rows_threshold(row_source(raws)[0])[:, None]
         for name, raw in zip(layer.raw_names, raws):
             key = f"layer{i}.{name}"
-            if key in state.m:
+            if key in ms:
                 dead = np.abs(raw) <= tau
-                state.m[key][dead] = 0.0
-                state.v[key][dead] = 0.0
+                ms[key][dead] = 0.0
+                vs[key][dead] = 0.0
 
 
 def _batch_size(plan: TrainPlan, n: int) -> int:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import psilon.metrics
 from psilon.data import SplitSpec, synth_task
 from psilon.linalg import make_rng
 from psilon.metrics import near_sparsity, network_sparsity, rows_near_sparsity
@@ -105,6 +106,39 @@ class TestRowsNearSparsity:
             for view in (w, np.asfortranarray(w), w[::2, ::3], w.T[: min(d, 20)]):
                 assert rows_near_sparsity(view).tolist() == [near_sparsity(r) for r in view]
 
+    def test_rows_with_zeros_are_summed_over_their_positive_shares(self):
+        # pruned rows: 0-100% exact zeros per row, a row of each count of
+        # zeros in one matrix, and shares that underflow next to large ones
+        rng = make_rng(13)
+        for trial in range(120):
+            h = int(rng.integers(1, 12))
+            d = int(rng.choice([2, 3, 8, 9, 20, 64, 129, 300, 700]))
+            w = rng.standard_normal((h, d)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(h, 1))
+            w[rng.uniform(size=w.shape) < rng.uniform(0.0, 1.0, size=(h, 1))] = 0.0
+            if trial % 4 == 0:
+                w[: min(h, d)] = np.triu(w[: min(h, d)])  # zero counts 0, 1, 2, ...
+            if trial % 5 == 0:
+                w[-1, 1:] = 1e-320  # subnormal shares that underflow to 0
+                w[-1, 0] = 1e10
+            for view in (w, np.asfortranarray(w), w[:, ::2]):
+                assert rows_near_sparsity(view).tolist() == [near_sparsity(r) for r in view]
+
+    def test_only_rows_without_a_finite_positive_total_go_row_by_row(self, monkeypatch):
+        w = make_rng(14).standard_normal((6, 40))
+        w[1, ::2] = 0.0  # pruned rows are summed as a group
+        w[2, 5:] = 0.0
+        w[3] = 0.0
+        w[4, 7] = np.nan
+        w[5, 0] = np.inf
+        calls = []
+        monkeypatch.setattr(psilon.metrics, "near_sparsity", lambda r: calls.append(r) or near_sparsity(r))
+        with np.errstate(invalid="ignore"):  # the NaN and infinity rows
+            got = rows_near_sparsity(w)
+            monkeypatch.undo()
+            want = [near_sparsity(r) for r in w]
+        assert len(calls) == 3
+        assert np.array_equal(got, want, equal_nan=True)
+
     @pytest.mark.parametrize("kind,regk", [("mlp", "path_closed_form"), ("crelu_resnet", "path_improved")])
     def test_pruned_network_matches_network_sparsity(self, kind, regk):
         ds = synth_task("two_gaussians", 120, 5, 0.4, seed=3)
@@ -113,7 +147,7 @@ class TestRowsNearSparsity:
         plan = TrainPlan(steps=40, prune_window=(20, 40), regularizer=Regularizer(regk, 1e-3))
         run = train_with_state(net, splits, plan)
         report = network_sparsity(net)
-        assert report.exact_sparsity > 0.0  # pruned rows take the per-row fallback
+        assert report.exact_sparsity > 0.0  # pruned rows are summed by their count of zeros
         kernel = np.concatenate([rows_near_sparsity(w) for w in effective_weights(net)])
         assert kernel.tolist() == report.per_vector
         assert run.rows[-1].network_nsparsity == report.network_nsparsity

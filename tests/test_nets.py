@@ -224,6 +224,28 @@ class TestBackward:
                 g = grads[name].reshape(-1)[i]
                 assert g == pytest.approx(fd, rel=1e-4, abs=1e-7), f"{name}[{i}]"
 
+    @pytest.mark.parametrize("arch", list(BACKWARD_NETS))
+    @pytest.mark.parametrize(
+        "mode",
+        [L1WN, L2WN, L1PROJ, NONE, blend(0.3)],
+        ids=["l1wn", "l2wn", "l1proj", "none", "blend"],
+    )
+    def test_trace_of_supplied_weights_gives_the_same_gradients(self, arch, mode):
+        # weights the caller materialized come without the normalizer state
+        # that forward keeps; each layer's VJP then computes it afresh
+        rng = make_rng(17)
+        spec = NetSpec(d_in=3, d_out=2, mode=mode, **{"hidden": [4, 4], **BACKWARD_NETS[arch]})
+        net = init_network(spec, rng)
+        jitter(net, rng, 0.4)
+        x, upstream = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        _, kept = forward(net, x)
+        _, supplied = forward(net, x, layer_weights(net))
+        assert None not in kept.states and supplied.states == [None] * len(net.layers())
+        want, got = backward(net, kept, upstream), backward(net, supplied, upstream)
+        assert got.keys() == want.keys()
+        for name in got:
+            assert np.array_equal(got[name], want[name]), name
+
     def test_single_neuron_matches_reparam_subgradient(self):
         # one L1-normalized neuron: backward must reproduce the oblique
         # projection subgradient (g/||v||_1) M_w x, M_w = I - sign(w) w^T / ||w||_1,

@@ -12,6 +12,7 @@ from psilon.reparam import (
     NONE,
     DegenerateInputError,
     NormMode,
+    NormState,
     blend,
     pair_backward,
     pair_effective,
@@ -298,3 +299,87 @@ class TestZeroRowBackward:
                 rows_backward(v, np.array([1.0]), mode, u)
             with pytest.raises(DegenerateInputError):
                 pair_backward(v, np.zeros_like(v), np.ones(3), mode, u, u)
+
+
+def _same_bits(a, b) -> bool:
+    # equal values, zeros of the same sign and the same shape
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _forward(vs, g, mode, state=None):
+    if len(vs) == 1:
+        return (rows_effective(vs[0], g, mode, state),)
+    return pair_effective(*vs, g, mode, state)
+
+
+def _backward(vs, g, mode, us, state=None):
+    if len(vs) == 1:
+        dv, dg = rows_backward(vs[0], g, mode, us[0], state)
+        return (dv,), dg
+    dvp, dvm, dg = pair_backward(*vs, g, mode, *us, state)
+    return (dvp, dvm), dg
+
+
+class TestNormState:
+    # the forward entry points fill the normalizer state; the VJP given it
+    # recomputes none of it and gives the stateless call's bits
+    MODES = [L1WN, L2WN, L1PROJ, NONE, blend(0.0), blend(0.3), blend(1.0)]
+    IDS = ["l1wn", "l2wn", "l1proj", "none", "blend0", "blend0.3", "blend1"]
+
+    @staticmethod
+    def cases():
+        # a dense layer and a pair, with a shared and a per-row length; rows
+        # with tied magnitudes, exact zeros and a row inside the unit ball
+        rng = make_rng(40)
+        for n_mats in (1, 2):
+            for shared in (True, False):
+                vs = [rng.standard_normal((5, 6)) for _ in range(n_mats)]
+                vs[0][0, :3] = [0.5, -0.5, 0.5]  # ties within a row
+                vs[0][1, 2:4] = 0.0  # exact zeros (their W is a signed zero)
+                vs[0][2] *= 1e-3  # inside the unit ball
+                if n_mats == 2:
+                    vs[1][3, :4] = -vs[0][3, :4]  # ties across the pair
+                    vs[1][1, 2] = 0.0  # a zero tied with a zero
+                g = np.array([1.3]) if shared else rng.standard_normal(5)
+                us = tuple(rng.standard_normal((5, 6)) for _ in range(n_mats))
+                us[0][4, 1] = 0.0
+                yield tuple(vs), g, us
+
+    @pytest.mark.parametrize("mode", MODES, ids=IDS)
+    def test_forward_with_state_and_vjp_given_it_match_stateless_calls(self, mode, monkeypatch):
+        for vs, g, us in self.cases():
+            state = NormState()
+            got = _forward(vs, g, mode, state)
+            assert all(_same_bits(a, b) for a, b in zip(got, _forward(vs, g, mode)))
+            want_dv, want_dg = _backward(vs, g, mode, us)
+
+            calls = []
+            for name in ("row_source", "rows_threshold"):
+                kernel = getattr(psilon.reparam, name)
+                monkeypatch.setattr(psilon.reparam, name,
+                                    lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
+            got_dv, got_dg = _backward(vs, g, mode, us, state)
+            monkeypatch.undo()
+
+            assert calls == []
+            assert all(_same_bits(a, b) for a, b in zip(got_dv, want_dv))
+            assert _same_bits(got_dg, want_dg)
+
+    @pytest.mark.parametrize("mode", MODES, ids=IDS)
+    def test_forward_takes_each_kernel_once(self, mode, monkeypatch):
+        # the blend's two parts share one source and one threshold sort;
+        # l1wn keeps the row norms and owners but no matrix of magnitudes
+        calls = []
+        for name in ("row_source", "rows_threshold"):
+            kernel = getattr(psilon.reparam, name)
+            monkeypatch.setattr(psilon.reparam, name,
+                                lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
+        for vs, g, _ in self.cases():
+            calls.clear()
+            state = NormState()
+            _forward(vs, g, mode, state)
+            tag = "l1wn" if mode == blend(0.0) else mode.tag
+            projects = tag in ("l1proj", "blend")
+            assert calls == ([] if tag == "none" else ["row_source"] + ["rows_threshold"] * projects)
+            assert (state.norms is not None) == (tag in ("l1wn", "l2wn", "blend"))
+            assert (state.source is not None) == (state.tau is not None) == projects

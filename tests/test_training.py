@@ -1,6 +1,8 @@
 import copy
+import json
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from psilon.linalg import make_rng
 from psilon.metrics import network_sparsity
 from psilon.nets import NetSpec, backward, forward, init_network, layer_weights, network_to_json
 from psilon.pathnorm import bound_value_and_grad
-from psilon.reparam import L1WN, NONE, rows_threshold
+from psilon.reparam import L1WN, NONE, blend, rows_threshold
 from psilon.selftest import row_constraint_problems
 from psilon.training import (
     DEFAULT_LAMBDA_GRID,
@@ -38,7 +40,7 @@ from psilon.training import (
     rows_to_csv,
     train_with_state,
 )
-from psilon.training import _log_row, _loss_and_grad, _step
+from psilon.training import _log_row, _loss_and_grad, _step, _zero_pruned_moments
 
 
 def make_splits(kind="two_gaussians", n=300, d=4, noise=0.4, seed=0, train_n=200):
@@ -128,6 +130,64 @@ class TestAdam:
             runs.append({n: p.copy() for n, p in net.slots()})
         for n in runs[0]:
             np.testing.assert_array_equal(runs[0][n], runs[1][n])
+
+
+class TestAdamLayout:
+    # each layer's moments live in one chunk, updated in place in the order
+    # of the per-slot formula: every bit is the per-slot update's
+
+    @staticmethod
+    def per_slot_step(net, ref, grads, lr):
+        # the update written one slot at a time, with fresh temporaries
+        ref.t += 1
+        c1 = 1.0 - ref.beta1**ref.t
+        c2 = 1.0 - ref.beta2**ref.t
+        for name, param in net.slots():
+            g = grads[name]
+            m = ref.m.setdefault(name, np.zeros_like(param))
+            v = ref.v.setdefault(name, np.zeros_like(param))
+            m *= ref.beta1
+            m += (1.0 - ref.beta1) * g
+            v *= ref.beta2
+            v += (1.0 - ref.beta2) * g * g
+            param -= lr * (m / c1) / (np.sqrt(v / c2) + ref.eps)
+        net.touch()
+
+    @pytest.mark.parametrize("kind", ["crelu_resnet", "mlp_frozen_lengths"])
+    def test_matches_the_per_slot_update(self, kind):
+        if kind == "crelu_resnet":
+            spec = NetSpec(kind="crelu_resnet", d_in=4, d_out=2, hidden=[5, 5], mode=L1WN)
+        else:
+            spec = NetSpec(kind="mlp", d_in=4, d_out=2, hidden=[6, 5], mode=L1WN, freeze_lengths=True)
+        net, ref_net = init_network(spec, make_rng(50)), init_network(spec, make_rng(50))
+        state = AdamState()
+        ref = SimpleNamespace(beta1=0.9, beta2=0.999, eps=1e-8, t=0, m={}, v={})
+        rng = make_rng(51)
+        for step in range(8):
+            grads = {n: rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-6.0, 2.0)
+                     for n, p in net.slots()}
+            grads["layer0.raw"][0] = 0.0
+            lr = 10.0 ** rng.uniform(-4.0, -1.0)
+            adam_step(net, state, grads, lr)
+            self.per_slot_step(ref_net, ref, grads, lr)
+            if step == 2:
+                # a copied state keeps its moments and layout apart from the original
+                net, state = copy.deepcopy((net, state))
+            if step == 4:
+                # the end of a prune window: the moments of pruned raw entries are zeroed
+                for layer in (*net.layers(), *ref_net.layers()):
+                    layer.mode = blend(1.0)
+                live = sum(map(np.count_nonzero, ref.m.values()))
+                _zero_pruned_moments(net, state)
+                _zero_pruned_moments(ref_net, ref)
+                assert sum(map(np.count_nonzero, ref.m.values())) < live
+            for name, p in ref_net.slots():
+                assert np.array_equal(dict(net.slots())[name], p), name
+                assert np.array_equal(state.m[name], ref.m[name]), name
+                assert np.array_equal(state.v[name], ref.v[name]), name
+        assert list(state.m) == list(ref.m) == [n for n, _ in net.slots()]
+        assert adam_state_to_json(state) == adam_state_to_json(ref)
+        assert json.dumps(adam_state_to_json(state)) == json.dumps(adam_state_to_json(ref))
 
 
 class TestRegularizedLoss:
