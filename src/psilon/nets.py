@@ -13,7 +13,10 @@ reads the inputs u_j of the previous pre-activation z (`_layer_inputs`:
 the network input for the first layer, relu(z) or crelu(z) in an MLP, the
 two CReLU halves for a pair), and a residual block adds the skip z
 (`_is_block`).  A layer's effective weights are always a tuple, (W,) for a
-dense layer and (W+, W-) for a pair (`layer_weights`).
+dense layer and (W+, W-) for a pair (`layer_weights`).  `forward` keeps a
+trace for `backward`; `_logits` runs the same loop (`_layer_outputs`) and
+keeps none, for callers that read only the logits, and can write every
+array into `ForwardBuffers` that the caller owns.
 
 All layers store raw directions plus length parameters; effective weights
 are materialized through the normalization mode at every use, so row-norm
@@ -99,8 +102,9 @@ def require(ok: bool, key: str, need: str, value) -> None:
         raise ConfigError(f"{key} must be {need}, got {value!r}")
 
 
-def _halves(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.maximum(z, 0.0), np.minimum(z, 0.0)
+def _halves(z: np.ndarray, plus=None, minus=None) -> tuple[np.ndarray, np.ndarray]:
+    """(relu(z), -relu(-z)), written into `plus` and `minus` when given."""
+    return np.maximum(z, 0.0, out=plus), np.minimum(z, 0.0, out=minus)
 
 
 def crelu(z: np.ndarray) -> np.ndarray:
@@ -238,13 +242,46 @@ class Trace:
     states: list
 
 
-def _layer_inputs(net: Network, i: int, z: np.ndarray) -> tuple:
-    """What layer i reads of the previous pre-activation z."""
+class ForwardBuffers:
+    """Flat float64 arrays that a forward without a trace writes into, one
+    per role: two ping-pong pre-activations ("z0", "z1"), the layer inputs
+    ("u0", and "u1" for a pair's second half) and a pair's second product
+    ("prod").  Each grows to the largest request and is handed out as a
+    C-ordered (n, width) prefix view, so forwards over splits of any size
+    share it; what a view holds lasts until the next forward."""
+
+    def __init__(self):
+        self.flat: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, n: int, width: int) -> np.ndarray:
+        size = n * width
+        buf = self.flat.get(role)
+        if buf is None or buf.size < size:
+            buf = self.flat[role] = np.empty(size)
+        return buf[:size].reshape(n, width)
+
+    def clear(self) -> None:
+        self.flat.clear()
+
+
+def _fresh(role: str, n: int, width: int) -> np.ndarray:
+    """A new (n, width) array, for a forward that owns no buffers."""
+    return np.empty((n, width))
+
+
+def _layer_inputs(net: Network, i: int, z: np.ndarray, take=_fresh) -> tuple:
+    """What layer i reads of the previous pre-activation z, written into
+    arrays from `take(role, n, width)`."""
     if i == 0:
         return (z,)
+    n, h = z.shape
     if net.kind == "crelu_resnet":
-        return _halves(z)
-    return (np.maximum(z, 0.0),) if net.activation == "relu" else (crelu(z),)
+        return _halves(z, take("u0", n, h), take("u1", n, h))
+    if net.activation == "relu":
+        return (np.maximum(z, 0.0, out=take("u0", n, h)),)
+    u = take("u0", n, 2 * h)  # crelu(z)
+    _halves(z, u[:, :h], u[:, h:])
+    return (u,)
 
 
 def _is_block(net: Network, i: int) -> bool:
@@ -252,19 +289,44 @@ def _is_block(net: Network, i: int) -> bool:
     return net.kind == "crelu_resnet" and 0 < i < len(net.layers()) - 1
 
 
-def _affine(skip, inputs: tuple, ws: tuple, bias) -> np.ndarray:
-    """[skip +] sum_j inputs_j @ ws_j^T [+ bias], added left to right.
+def _affine(skip, inputs: tuple, ws: tuple, bias, out=None, prod=None) -> np.ndarray:
+    """[skip +] sum_j inputs_j @ ws_j^T [+ bias], added left to right, into
+    `out`; each product after the first is formed in `prod` (both are new
+    arrays when None).
 
     The sums go into the first product in place: u_0 @ w_0^T + skip is
     skip + u_0 @ w_0^T bit for bit, since IEEE addition is commutative."""
-    out = inputs[0] @ ws[0].T
+    out = np.matmul(inputs[0], ws[0].T, out=out)
     if skip is not None:
         out += skip
     for u, w in zip(inputs[1:], ws[1:]):
-        out += u @ w.T
+        out += np.matmul(u, w.T, out=prod)
     if bias is not None:
         out += bias
     return out
+
+
+def _layer_outputs(net: Network, X: np.ndarray, effs: list, take):
+    """Each layer's pre-activation output in turn, for the (batch, d_in)
+    input X and the weights `effs`, written into arrays from `take`: the
+    one step z' = [z +] sum_j u_j W_j^T [+ b] of every forward."""
+    z = X
+    for i, (layer, ws) in enumerate(zip(net.layers(), effs)):
+        n, h = z.shape[0], layer.shape()[0]
+        prod = take("prod", n, h) if len(ws) > 1 else None
+        z = _affine(z if _is_block(net, i) else None, _layer_inputs(net, i, z, take), ws,
+                    layer.bias, take(f"z{i % 2}", n, h), prod)
+        yield z
+
+
+def _batch(net: Network, x) -> tuple[np.ndarray, bool]:
+    """x as a (batch, d_in) float64 matrix, and whether it was one vector."""
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    X = x[None, :] if squeeze else x
+    if X.shape[1] != net.d_in:
+        raise DimensionError(f"input width {X.shape[1]} != network d_in {net.d_in}")
+    return X, squeeze
 
 
 def forward(net: Network, x: np.ndarray, effs: list | None = None) -> tuple[np.ndarray, Trace]:
@@ -276,27 +338,32 @@ def forward(net: Network, x: np.ndarray, effs: list | None = None) -> tuple[np.n
     stands, in `layer_weights` layout; without them each layer is
     materialized once, and the trace keeps its normalizer state.
     """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    X = x[None, :] if squeeze else x
-    if X.shape[1] != net.d_in:
-        raise DimensionError(f"input width {X.shape[1]} != network d_in {net.d_in}")
-
+    X, squeeze = _batch(net, x)
     if effs is None:
         states = [NormState() for _ in net.layers()]
         effs = [layer.weights(st) for layer, st in zip(net.layers(), states)]
     else:
         states = [None] * len(effs)
-    zs = [X]
-    for i, (layer, ws) in enumerate(zip(net.layers(), effs)):
-        z = zs[-1]
-        zs.append(_affine(z if _is_block(net, i) else None, _layer_inputs(net, i, z), ws, layer.bias))
+    zs = [X, *_layer_outputs(net, X, effs, _fresh)]
     out = zs.pop()
     return (out[0] if squeeze else out), Trace(version=net.version, zs=zs, effs=effs, states=states)
 
 
+def _logits(net: Network, x: np.ndarray, effs: list | None = None,
+            buffers: ForwardBuffers | None = None) -> np.ndarray:
+    """`forward`'s logits, bit for bit, without a trace: each layer's
+    output is dropped once the next layer has read it.  With `buffers`,
+    every array is a view of theirs, the logits too (see `ForwardBuffers`)."""
+    X, squeeze = _batch(net, x)
+    if effs is None:
+        effs = layer_weights(net)
+    for out in _layer_outputs(net, X, effs, _fresh if buffers is None else buffers.take):
+        pass
+    return out[0] if squeeze else out
+
+
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    out, _ = forward(net, x)
+    out = _logits(net, x)
     if net.out_nonlinearity == "sigmoid":
         return sigmoid(out)
     return out

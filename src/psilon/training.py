@@ -17,7 +17,8 @@ materializes each layer's effective weights once: the regularizer's value
 and its weight gradient reuse the matrices that `forward` keeps in its
 trace.  So does each logged metrics row: its two losses, the regularizer's
 value (`pathnorm.bound_value` for the path bounds, with no gradient) and
-`metrics.rows_near_sparsity` read one `nets.layer_weights` list.  Before
+`metrics.rows_near_sparsity` read one `nets.layer_weights` list, and its
+two forwards keep no trace and write into the run's `buffers`.  Before
 the pruning window every layer runs blend(0), which the
 reparameterization computes with the L1WN kernel alone.  Adam keeps each
 layer's moments in one contiguous chunk and updates it in place, through
@@ -36,8 +37,10 @@ from .data import Dataset, SplitSpec, split, standardize
 from .metrics import rows_near_sparsity
 from .nets import (
     ConfigError,
+    ForwardBuffers,
     NetSpec,
     Network,
+    _logits,
     backward,
     forward,
     init_network,
@@ -279,10 +282,12 @@ def _loss_and_grad(logits: np.ndarray, ds: Dataset, loss: str):
     return val, soft / b
 
 
-def data_loss(net: Network, ds: Dataset, loss: str, effs: list | None = None) -> float:
-    """The loss of `net` on all of `ds` (see `nets.forward` for `effs`)."""
-    logits, _ = forward(net, ds.features, effs)
-    return _loss_and_grad(logits, ds, loss)[0]
+def data_loss(net: Network, ds: Dataset, loss: str, effs: list | None = None,
+              buffers: ForwardBuffers | None = None) -> float:
+    """The loss of `net` on all of `ds` (see `nets.forward` for `effs`),
+    from a forward that keeps no trace and writes into `buffers` when given
+    (`nets.ForwardBuffers`)."""
+    return _loss_and_grad(_logits(net, ds.features, effs, buffers), ds, loss)[0]
 
 
 # --- regularizers ---------------------------------------------------------------
@@ -500,6 +505,8 @@ class Run:
     rng: np.random.Generator = field(init=False)  # the batch shuffles, seeded from the plan
     perm: np.ndarray | None = None  # this epoch's order of the training rows
     rows: list[MetricsRow] = field(default_factory=list)
+    # what the log row's forwards write into; emptied when the run ends
+    buffers: ForwardBuffers = field(default_factory=ForwardBuffers, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_regularizer(self.net, self.plan.regularizer)
@@ -527,8 +534,8 @@ def _log_row(run: Run, lr: float, alpha: float) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         run.rows.append(MetricsRow(
             step=run.step,
-            train_loss=data_loss(net, splits.train, plan.loss, effs),
-            val_loss=data_loss(net, splits.val, plan.loss, effs),
+            train_loss=data_loss(net, splits.train, plan.loss, effs, run.buffers),
+            val_loss=data_loss(net, splits.val, plan.loss, effs, run.buffers),
             reg_value=reg_value(net, plan.regularizer, effs),
             lr=lr,
             alpha=alpha,
@@ -571,10 +578,15 @@ def _step(run: Run) -> None:
 def train_with_state(net: Network, splits: Splits, plan: TrainPlan) -> Run:
     """Train `net` in place for the plan's step budget, with seeded epoch
     reshuffles and one metrics row per epoch (and one final row); returns
-    the finished `Run`.  Raises TrainingDiverged on a non-finite loss."""
+    the finished `Run`.  Raises TrainingDiverged on a non-finite loss.
+    Either way the run's forward buffers are emptied: they are as large as
+    the splits, and the run is done with them."""
     run = Run(net, plan, splits)
-    while run.step < plan.steps:
-        _step(run)
+    try:
+        while run.step < plan.steps:
+            _step(run)
+    finally:
+        run.buffers.clear()
     return run
 
 
@@ -629,7 +641,7 @@ def evaluate(net: Network, ds: Dataset) -> dict:
     with more than one output."""
     if ds.task != "multiclass" and net.d_out != 1:
         raise ConfigError(f"{ds.task} eval needs a model with 1 output, got {net.d_out}")
-    logits, _ = forward(net, ds.features)
+    logits = _logits(net, ds.features)
     if ds.task == "regression":
         rmse = float(np.sqrt(np.mean((logits[:, 0] - ds.targets) ** 2)))
         out = {"rmse": rmse}

@@ -25,7 +25,7 @@ from psilon.nets import (
     predict,
     write_json,
 )
-from psilon.nets import _is_block, _layer_inputs
+from psilon.nets import ForwardBuffers, _is_block, _layer_inputs, _logits
 from psilon.reparam import L1PROJ, L1WN, L2WN, NONE, blend
 from psilon.selftest import jitter, row_constraint_problems
 
@@ -138,31 +138,41 @@ class TestForward:
             single, _ = forward(net, xs[i])
             np.testing.assert_allclose(batch_out[i], single, atol=1e-14)
 
-    @pytest.mark.parametrize("fields", [
-        {"kind": "mlp"},
-        {"kind": "mlp", "activation": "crelu"},
-        {"kind": "crelu_resnet"},
-        {"kind": "crelu_resnet", "bias": False},
-    ], ids=["mlp_relu", "mlp_crelu", "crelu_resnet", "crelu_resnet_no_bias"])
-    def test_sums_match_left_to_right(self, fields):
+    @pytest.mark.parametrize("fields, rows", [
+        ({"kind": "mlp"}, 7),
+        ({"kind": "mlp", "activation": "crelu"}, 7),
+        ({"kind": "crelu_resnet"}, 7),
+        ({"kind": "crelu_resnet", "bias": False}, 7),
+        ({"kind": "mlp", "hidden": [], "bias": False}, 7),
+        ({"kind": "crelu_resnet"}, None),
+    ], ids=["mlp_relu", "mlp_crelu", "crelu_resnet", "crelu_resnet_no_bias", "linear_no_bias",
+            "single_vector"])
+    def test_sums_match_left_to_right(self, fields, rows):
         # the in-place sums are skip + sum_j u_j @ w_j^T + bias added left
-        # to right, bit for bit; precomputed weights give the same logits
-        net = init_network(NetSpec(d_in=3, d_out=2, hidden=[4, 4], mode=L1WN, **fields), make_rng(12))
+        # to right, bit for bit; precomputed weights give the same logits,
+        # and so does the forward without a trace, into fresh arrays or
+        # into buffers that a larger batch grew first
+        net = init_network(NetSpec(d_in=3, d_out=2, **{"hidden": [4, 4], **fields}, mode=L1WN),
+                           make_rng(12))
         rng = make_rng(13)
         jitter(net, rng)
-        x = rng.standard_normal((7, 3))
-        z = x
+        x = rng.standard_normal(3 if rows is None else (rows, 3))
+        z = np.atleast_2d(x)
         for i, (layer, ws) in enumerate(zip(net.layers(), layer_weights(net))):
             out = z if _is_block(net, i) else None
             for u, w in zip(_layer_inputs(net, i, z), ws):
                 out = u @ w.T if out is None else out + u @ w.T
             z = out if layer.bias is None else out + layer.bias
         got, _ = forward(net, x)
-        assert np.array_equal(got, z)
+        assert np.array_equal(got, z if rows else z[0])
         effs = layer_weights(net)
         given, trace = forward(net, x, effs)
         assert np.array_equal(given, got)
         assert trace.effs is effs
+        assert np.array_equal(_logits(net, x), got)
+        buffers = ForwardBuffers()
+        _logits(net, rng.standard_normal((9, 3)), effs, buffers)
+        assert np.array_equal(_logits(net, x, effs, buffers), got)
 
     def test_predict_sigmoid(self):
         spec = NetSpec(kind="mlp", d_in=2, d_out=1, hidden=[3], mode=NONE, out_nonlinearity="sigmoid")

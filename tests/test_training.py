@@ -16,7 +16,7 @@ from psilon.metrics import network_sparsity
 from psilon.nets import NetSpec, backward, forward, init_network, layer_weights, network_to_json
 from psilon.pathnorm import bound_value_and_grad
 from psilon.reparam import L1WN, NONE, blend, rows_threshold
-from psilon.selftest import row_constraint_problems
+from psilon.selftest import jitter, row_constraint_problems
 from psilon.training import (
     DEFAULT_LAMBDA_GRID,
     AdamState,
@@ -352,6 +352,29 @@ class TestLogRow:
         row = run.rows[-1]
         assert (row.train_loss, row.val_loss, row.reg_value, row.network_nsparsity) == want
 
+    @pytest.mark.parametrize("n", [700, 300], ids=["val_larger", "val_smaller"])
+    def test_second_row_reuses_the_buffers(self, n):
+        # both losses of a row share the run's buffers, which grow to the
+        # larger split at the first row and are only reused after it
+        splits = make_splits(n=n, train_n=200)
+        assert (splits.val.n > splits.train.n) == (n == 700)
+        spec = NetSpec(kind="crelu_resnet", d_in=4, d_out=1, hidden=[5, 5], mode=L1WN)
+        net = init_network(spec, make_rng(15))
+        run = Run(net, TrainPlan(steps=5), splits)
+        _log_row(run, 0.1, 0.0)
+        pointers = {role: buf.ctypes.data for role, buf in run.buffers.flat.items()}
+        assert set(pointers) == {"z0", "z1", "u0", "u1", "prod"}
+        jitter(net, make_rng(16))
+        _log_row(run, 0.1, 0.0)
+        assert {role: buf.ctypes.data for role, buf in run.buffers.flat.items()} == pointers
+        # the last layer's output buffer holds the second row's validation logits
+        last = run.buffers.flat[f"z{(len(net.layers()) - 1) % 2}"]
+        assert np.array_equal(last[: splits.val.n], forward(net, splits.val.features)[0][:, 0])
+        row = run.rows[-1]
+        assert row.train_loss != run.rows[0].train_loss
+        assert (row.train_loss, row.val_loss) == (
+            data_loss(net, splits.train, "cross_entropy"), data_loss(net, splits.val, "cross_entropy"))
+
 
 class TestTrain:
     def test_zero_steps_no_change_empty_log(self):
@@ -379,8 +402,9 @@ class TestTrain:
         logs = []
         for _ in range(2):
             net = init_network(spec, make_rng(11))
-            rows = train_with_state(net, splits, TrainPlan(steps=60, batches_per_epoch=5, seed=3)).rows
-            logs.append(rows_to_csv(rows))
+            run = train_with_state(net, splits, TrainPlan(steps=60, batches_per_epoch=5, seed=3))
+            assert run.buffers.flat == {}  # the finished run holds no forward buffers
+            logs.append(rows_to_csv(run.rows))
         assert logs[0] == logs[1]
 
     def test_divergence_aborts_with_diagnostic_row(self):
@@ -393,6 +417,7 @@ class TestTrain:
             train_with_state(net, splits, TrainPlan(steps=20, batches_per_epoch=5, loss="mse"))
         assert len(exc.value.run.rows) >= 1
         assert not np.isfinite(exc.value.run.rows[-1].train_loss)
+        assert exc.value.run.buffers.flat == {}
         # a grid search worker sends it to the parent process pickled
         back = pickle.loads(pickle.dumps(exc.value))
         assert str(back) == str(exc.value) == f"non-finite loss at step {exc.value.run.step}"

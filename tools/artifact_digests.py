@@ -17,7 +17,9 @@ windows that end at and before `train.steps`) and on synthetic and CSV
 data (regression with a constant target, multiclass with the target in the
 middle column); `analyze --oracle --pairs 200 --out` on every model;
 `eval` with and without `--stats` on the CSV models; a 3-lambda
-`gridsearch --jsonl` at `--jobs 1` and `--jobs 2`; and a diverging `train`.
+`gridsearch --jsonl` at `--jobs 1` and `--jobs 2`; a diverging `train`;
+and, after it, a `train` whose validation split is larger than its training
+split.
 """
 
 from __future__ import annotations
@@ -94,6 +96,12 @@ RUNS = {
                     _train(steps=100, loss="cross_entropy", prune_window=[60, 100])),
 }
 
+# runs after the diverging one, so the commands before them keep their
+# places in the log: a validation split of 250 rows against 200 training rows
+LATE_RUNS = {
+    "val_larger": ("train", _synth("two_gaussians", 700, 5), {"hidden": [8, 6]}, _train()),
+}
+
 
 def write_csvs() -> None:
     ds = synth_task("sparse_teacher", 300, 5, 0.1, seed=5)
@@ -132,11 +140,10 @@ def digests() -> dict:
     return {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
 
-def matrix() -> dict:
-    Path("configs").mkdir()
-    write_csvs()
-    log: list = []
-    for name, (command, data, model, train) in RUNS.items():
+def train_runs(log: list, runs: dict) -> None:
+    """Each `train`/`prune` run with `analyze` on its model, and `eval` with
+    and without `--stats` on a CSV run's model."""
+    for name, (command, data, model, train) in runs.items():
         run(log, command, "--config", config(name, data, model, train), "--jsonl")
         model_path = f"runs/{name}/model.json"
         run(log, "analyze", model_path, "--oracle", "--pairs", "200", "--out", f"runs/{name}/analyze.json")
@@ -145,6 +152,13 @@ def matrix() -> dict:
                          "--task", data["task"]]
             run(log, *eval_args)
             run(log, *eval_args, "--stats", f"runs/{name}/dataset_stats.json")
+
+
+def matrix() -> dict:
+    Path("configs").mkdir()
+    write_csvs()
+    log: list = []
+    train_runs(log, RUNS)
     grid = config("grid", _synth("two_gaussians", 300, 5), {"hidden": [6]}, _train(steps=40))
     for jobs in ("1", "2"):
         out = f"runs/grid_jobs{jobs}"
@@ -156,6 +170,7 @@ def matrix() -> dict:
                        lr_schedule={"kind": "warm_hold_decay", "lo": 1e280, "hi": 1e280})
     run(log, "train", "--config", config("diverging", _synth("sparse_teacher", 300, 4, 0.1),
                                          {"hidden": [6], "mode": "none"}, diverging), "--jsonl")
+    train_runs(log, LATE_RUNS)
     return {"artifacts": digests(), "commands": log}
 
 

@@ -16,9 +16,14 @@ side changes its import time).
 
 For every end-to-end metric, it prints each side's median and quartiles
 over its N runs and the number of pairs in which the change is better,
-in the direction that the change's BENCHMARK.json declares.  It only
-reports: it gates nothing, and it exits 0 once every run has finished
-(1 if a run failed).  WORK is emptied when it ends.
+in the direction that the change's BENCHMARK.json declares.  It also says
+whether a gain may be claimed on the metric: at least 10 pairs ran, the
+change is better in at least 9 of every 10, and its median is better than
+the parent's by more than the parent's interquartile spread.  A metric whose change median
+is worse than the parent's by more than its BENCHMARK.json `bound` (a
+fraction of the parent's median) is flagged.  It only reports: it gates
+nothing, and it exits 0 once every run has finished (1 if a run failed).
+WORK is emptied when it ends.
 """
 
 from __future__ import annotations
@@ -58,13 +63,13 @@ def _run(checkout: Path, run_dir: Path, args) -> dict:
     return {k: m["value"] for k, m in result["metrics"].items()}
 
 
-def _directions(change: Path) -> dict:
-    """Metric name -> "higher" or "lower", from the change's BENCHMARK.json."""
+def _declared(change: Path) -> dict:
+    """Metric name -> its BENCHMARK.json entry, from the change's file."""
     try:
         spec = json.loads((change / "BENCHMARK.json").read_text())
     except (OSError, ValueError):
         return {}
-    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+    return {m["name"]: m for m in spec.get("end_to_end", [])}
 
 
 def _quartiles(xs: list) -> tuple:
@@ -72,6 +77,21 @@ def _quartiles(xs: list) -> tuple:
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def compare(parent: list, change: list, higher: bool, bound: float | None = None) -> dict:
+    """How the change's runs of one metric stand against the parent's,
+    pair by pair (`parent[i]` and `change[i]` ran in pair i): the change's
+    wins (ties count for neither side), whether a gain may be claimed, and
+    whether its median is worse than the parent's by more than `bound`, a
+    fraction of the parent's median."""
+    pa1, pa2, pa3 = _quartiles(parent)
+    pb2 = _quartiles(change)[1]
+    wins = sum((y > x) if higher else (y < x) for x, y in zip(parent, change))
+    gain = (pb2 - pa2) if higher else (pa2 - pb2)
+    claim = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gain > pa3 - pa1
+    over = bound is not None and -gain > bound * abs(pa2)
+    return {"wins": wins, "claim": claim, "over_bound": over}
 
 
 def main(argv=None) -> int:
@@ -108,18 +128,21 @@ def main(argv=None) -> int:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
 
-    better = _directions(sides["change"])
+    declared = _declared(sides["change"])
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs: median [q1, q3]")
     for name in runs["parent"][0]:
         a = [r[name] for r in runs["parent"]]
         b = [r[name] for r in runs["change"]]
-        higher = better.get(name, "lower") == "higher"
-        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+        spec = declared.get(name, {})
+        higher = spec.get("better", "lower") == "higher"
+        verdict = compare(a, b, higher, spec.get("bound"))
         (pa1, pa2, pa3), (pb1, pb2, pb3) = _quartiles(a), _quartiles(b)
         ratio = pb2 / pa2 if pa2 else float("nan")
         print(f"  {name:18s} parent {pa2:.6g} [{pa1:.6g}, {pa3:.6g}]  "
               f"change {pb2:.6g} [{pb1:.6g}, {pb3:.6g}]  x{ratio:.4f}  "
-              f"change better in {wins}/{args.pairs} ({'higher' if higher else 'lower'} is better)")
+              f"change better in {verdict['wins']}/{args.pairs} ({'higher' if higher else 'lower'} is better)"
+              f"  claim {'holds' if verdict['claim'] else 'does not hold'}"
+              + (f"  WORSE THAN ITS BOUND {spec['bound']}" if verdict["over_bound"] else ""))
     return 0
 
 
