@@ -133,9 +133,8 @@ def _build_net_spec(cfg: dict, train: Dataset) -> NetSpec:
     try:
         mode = NormMode.decode(m["mode"])
     except (AttributeError, ValueError):
-        raise ConfigError(
-            f"model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [0, 1]>, got {m['mode']!r}"
-        ) from None
+        mode = None
+    require(mode is not None, "model.mode", "l1wn, l2wn, l1proj, none or blend:<alpha in [0, 1]>", m["mode"])
     d_out = train.n_classes if train.task == "multiclass" else 1
     return NetSpec(**{**m, "mode": mode}, d_in=train.dim, d_out=d_out)
 
@@ -147,8 +146,7 @@ def _build_plan(cfg: dict) -> TrainPlan:
     t = cfg["train"]
     s = t["lr_schedule"]
     schedule = _SCHEDULES.get(s["kind"]) if isinstance(s["kind"], str) else None
-    if schedule is None:
-        raise ConfigError(f"unknown lr schedule {s['kind']!r}")
+    require(schedule is not None, "train.lr_schedule.kind", "warm_hold_decay or one_cycle", s["kind"])
     return TrainPlan(
         **{
             **t,

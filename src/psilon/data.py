@@ -124,11 +124,9 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_count(self.train_n, 1):
-            raise ConfigError(f"split.train_n must be an integer >= 1, got {self.train_n!r}")
+        require(is_count(self.train_n, 1), "split.train_n", "an integer >= 1", self.train_n)
         v = self.val_frac_of_rest
-        if not (is_number(v) and 0.0 < v < 1.0):
-            raise ConfigError(f"split.val_frac_of_rest must be a number in (0, 1), got {v!r}")
+        require(is_number(v) and 0.0 < v < 1.0, "split.val_frac_of_rest", "a number in (0, 1)", v)
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,7 @@ class DataSpec:
 
     def __post_init__(self):
         task = self.task
+        require(self.kind in ("synth", "csv"), "data.kind", "synth or csv", self.kind)
         if self.kind == "synth":
             require(task in SYNTH_TASKS, "data.task", f"one of {', '.join(SYNTH_TASKS)} for synth data", task)
             require(is_count(self.n, 1), "data.n", "an integer >= 1", self.n)
@@ -157,11 +156,9 @@ class DataSpec:
             if task == "sparse_teacher":
                 k = self.k_active
                 require(is_count(k, 1) and k <= self.dim, "data.k_active", "an integer in [1, data.dim]", k)
-        elif self.kind == "csv":
+        else:
             require(isinstance(self.path, str) and self.path, "data.path", "a file path for csv data", self.path)
             require(task in TASKS, "data.task", f"one of {', '.join(TASKS)} for csv data", task)
-        else:
-            raise ConfigError(f"unknown data kind {self.kind!r}")
 
     def load(self, seed: int) -> Dataset:
         """The dataset; `seed` draws a synthetic one."""
@@ -285,7 +282,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     between validation and test by val_frac_of_rest.  Each of the three
     splits gets at least one row."""
     if spec.train_n > ds.n:
-        raise DataError(f"train_n={spec.train_n} exceeds dataset size {ds.n}")
+        raise DataError(f"split.train_n={spec.train_n} exceeds dataset size {ds.n}")
     perm = np.random.default_rng(spec.seed).permutation(ds.n)
     train_idx = perm[: spec.train_n]
     rest = perm[spec.train_n :]

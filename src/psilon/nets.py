@@ -192,8 +192,7 @@ class Network:
         _check_layers(self.kind, self.activation, self.stack)
         if self.out_nonlinearity not in ("identity", "sigmoid"):
             raise ConfigError(f"unknown output nonlinearity {self.out_nonlinearity!r}")
-        if not isinstance(self.freeze_lengths, bool):
-            raise ConfigError(f"freeze_lengths must be true or false, got {self.freeze_lengths!r}")
+        require(isinstance(self.freeze_lengths, bool), "freeze_lengths", "true or false", self.freeze_lengths)
 
     @property
     def d_in(self) -> int:
@@ -233,8 +232,7 @@ class Trace:
     """What forward keeps for the matching backward, per layer: its
     pre-activation input z (the network input for the first layer), its
     effective weights as a tuple, and the `reparam.NormState` they were
-    computed from, or None for weights the caller supplied (the layer's
-    VJP then computes its normalizer afresh)."""
+    computed from."""
 
     version: int
     zs: list
@@ -329,21 +327,17 @@ def _batch(net: Network, x) -> tuple[np.ndarray, bool]:
     return X, squeeze
 
 
-def forward(net: Network, x: np.ndarray, effs: list | None = None) -> tuple[np.ndarray, Trace]:
+def forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, Trace]:
     """Network logits plus the activation trace needed by backward.
 
     Accepts a single input vector or a (batch, d_in) matrix; the output
     rank matches the input rank.  The output nonlinearity is not applied
-    (see `predict`).  `effs` are the effective weights of the network as it
-    stands, in `layer_weights` layout; without them each layer is
-    materialized once, and the trace keeps its normalizer state.
+    (see `predict`).  Each layer is materialized once, and the trace keeps
+    its weights and their normalizer state.
     """
     X, squeeze = _batch(net, x)
-    if effs is None:
-        states = [NormState() for _ in net.layers()]
-        effs = [layer.weights(st) for layer, st in zip(net.layers(), states)]
-    else:
-        states = [None] * len(effs)
+    states = [NormState() for _ in net.layers()]
+    effs = [layer.weights(st) for layer, st in zip(net.layers(), states)]
     zs = [X, *_layer_outputs(net, X, effs, _fresh)]
     out = zs.pop()
     return (out[0] if squeeze else out), Trace(version=net.version, zs=zs, effs=effs, states=states)
@@ -352,8 +346,10 @@ def forward(net: Network, x: np.ndarray, effs: list | None = None) -> tuple[np.n
 def _logits(net: Network, x: np.ndarray, effs: list | None = None,
             buffers: ForwardBuffers | None = None) -> np.ndarray:
     """`forward`'s logits, bit for bit, without a trace: each layer's
-    output is dropped once the next layer has read it.  With `buffers`,
-    every array is a view of theirs, the logits too (see `ForwardBuffers`)."""
+    output is dropped once the next layer has read it.  `effs` are the
+    network's effective weights as it stands, in `layer_weights` layout
+    (materialized here when None).  With `buffers`, every array is a view
+    of theirs, the logits too (see `ForwardBuffers`)."""
     X, squeeze = _batch(net, x)
     if effs is None:
         effs = layer_weights(net)
@@ -436,8 +432,8 @@ class NetSpec:
     def __post_init__(self):
         # kind, activation and output nonlinearity are checked by the Network
         # that `init_network` builds
-        if not isinstance(self.hidden, (list, tuple)) or not all(is_count(h, 1) for h in self.hidden):
-            raise ConfigError(f"model.hidden must be a list of integers >= 1, got {self.hidden!r}")
+        require(isinstance(self.hidden, (list, tuple)) and all(is_count(h, 1) for h in self.hidden),
+                "model.hidden", "a list of integers >= 1", self.hidden)
         if self.kind == "crelu_resnet":
             if len(set(self.hidden)) > 1:
                 raise ConfigError("residual blocks need a single common width")
@@ -445,8 +441,7 @@ class NetSpec:
                 raise ConfigError("residual network needs at least one hidden width")
         for name in ("bias", "shared_lengths", "freeze_lengths"):
             value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"model.{name} must be true or false, got {value!r}")
+            require(isinstance(value, bool), f"model.{name}", "true or false", value)
 
 
 def init_network(spec: NetSpec, rng: np.random.Generator) -> Network:
@@ -643,6 +638,8 @@ def _finite(doc, path: str, where: str) -> np.ndarray:
 
 
 def _layer_from_json(d, i: int):
+    if not isinstance(d, dict):
+        raise ConfigError(f"layer {i} is not a JSON object")
     where = f"layer {i}: "
     text = _lookup(d, "mode", where)
     try:
@@ -722,6 +719,8 @@ def _check_layers(kind: str, activation: str, layers: list) -> None:
 
 
 def network_from_json(doc: dict) -> Network:
+    if not isinstance(doc, dict):
+        raise ConfigError("the model is not a JSON object")
     kind, activation, out_nonlinearity, layer_docs = (
         _lookup(doc, key, "") for key in ("kind", "activation", "out_nonlinearity", "layers")
     )

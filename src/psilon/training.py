@@ -105,8 +105,7 @@ class TrainingDiverged(RuntimeError):
 def _check_schedule(schedule) -> None:
     """Every rate and fraction of a schedule is a finite number >= 0."""
     for name, value in vars(schedule).items():
-        if not (is_number(value) and value >= 0):
-            raise ConfigError(f"train.lr_schedule.{name} must be a finite number >= 0, got {value!r}")
+        require(is_number(value) and value >= 0, f"train.lr_schedule.{name}", "a finite number >= 0", value)
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,7 @@ class OneCycle:
 
     def __post_init__(self):
         _check_schedule(self)
-        if not self.peak_frac < 1:
-            raise ConfigError(f"train.lr_schedule.peak_frac must be < 1, got {self.peak_frac!r}")
+        require(self.peak_frac < 1, "train.lr_schedule.peak_frac", "< 1", self.peak_frac)
 
     def rate(self, t: float) -> float:
         """Linear ramp init -> max_lr up to the peak, then linear decay to final."""
@@ -181,14 +179,14 @@ def prune_alpha(step: int, window: tuple[int, int]) -> float:
 
 @dataclass(frozen=True)
 class Regularizer:
-    kind: str = "none"  # none | l2wr | path_closed_form | path_naive | path_improved
+    kind: str = "none"
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "l2wr", "path_closed_form", "path_naive", "path_improved"):
-            raise ConfigError(f"unknown regularizer {self.kind!r}")
-        if not (is_number(self.lam) and self.lam >= 0):
-            raise ConfigError("lambda must be a finite number >= 0")
+        require(self.kind in ("none", "l2wr", "path_closed_form", "path_naive", "path_improved"),
+                "train.regularizer.kind", "none, l2wr, path_closed_form, path_naive or path_improved", self.kind)
+        # --lam and --lambdas set it too
+        require(is_number(self.lam) and self.lam >= 0, "lambda", "a finite number >= 0", self.lam)
 
 
 @dataclass
@@ -203,22 +201,17 @@ class TrainPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_count(self.steps, 0):
-            raise ConfigError("train.steps must be an integer >= 0")
-        if not is_count(self.batches_per_epoch, 1):
-            raise ConfigError("train.batches_per_epoch must be an integer >= 1")
-        if self.batch_size is not None and not is_count(self.batch_size, 1):
-            raise ConfigError("train.batch_size must be null or an integer >= 1")
-        if not isinstance(self.lr_schedule, (WarmHoldDecay, OneCycle)):
-            raise ConfigError(f"train.lr_schedule must be WarmHoldDecay or OneCycle, got {self.lr_schedule!r}")
-        if self.loss not in ("mse", "cross_entropy"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
+        require(is_count(self.steps, 0), "train.steps", "an integer >= 0", self.steps)
+        bpe, bs = self.batches_per_epoch, self.batch_size
+        require(is_count(bpe, 1), "train.batches_per_epoch", "an integer >= 1", bpe)
+        require(bs is None or is_count(bs, 1), "train.batch_size", "null or an integer >= 1", bs)
+        require(isinstance(self.lr_schedule, (WarmHoldDecay, OneCycle)), "train.lr_schedule",
+                "WarmHoldDecay or OneCycle", self.lr_schedule)
+        require(self.loss in ("mse", "cross_entropy"), "train.loss", "mse or cross_entropy", self.loss)
         w = self.prune_window
-        if w is not None and not (
-            isinstance(w, (list, tuple)) and len(w) == 2 and all(is_count(v, 0) for v in w)
-            and w[0] < w[1] <= self.steps
-        ):
-            raise ConfigError("train.prune_window must be two integers 0 <= start < end <= train.steps")
+        ok = w is None or (isinstance(w, (list, tuple)) and len(w) == 2 and all(is_count(v, 0) for v in w)
+                           and w[0] < w[1] <= self.steps)
+        require(ok, "train.prune_window", "two integers 0 <= start < end <= train.steps", w)
 
 
 @dataclass
@@ -602,8 +595,7 @@ def grid_plans(plan: TrainPlan, lambdas: list[float] | None = None) -> list[Trai
     """The plan of each grid cell, one per lambda (the default grid when
     None), checked before any cell trains: each cell's Regularizer checks its
     lambda, and a cell needs a step to log the validation loss it is ranked by."""
-    if not is_count(plan.steps, 1):
-        raise ConfigError(f"train.steps must be an integer >= 1 for gridsearch, got {plan.steps!r}")
+    require(is_count(plan.steps, 1), "train.steps", "an integer >= 1 for gridsearch", plan.steps)
     lams = list(DEFAULT_LAMBDA_GRID if lambdas is None else lambdas)
     if not lams:
         raise ConfigError("need at least one lambda")

@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from psilon import selftest
 from psilon.cli import _dump_json, main, resolve_config
 from psilon.data import save_csv, synth_task
-from psilon.nets import NetSpec, init_network, save_network
+from psilon.nets import NetSpec, init_network, network_to_json, save_network
 from psilon.reparam import L1WN
 
 
@@ -35,35 +36,12 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(p)
 
 
-# CSV files that a config can name by a path relative to their directory
-CSV_FILES = {
-    "negative_label.csv": "a,y\n0.5,0\n1.5,-1\n2.5,1\n",
-    "target_only.csv": "y\n0.5\n1.5\n",
-    "fractional_label.csv": "a,y\n0.5,0\n1.5,0.5\n",
-    "binary_two.csv": "a,y\n0.5,0\n1.5,2\n",
-    "ragged.csv": "a,b,y\n0.5,1,0\n1.5,1\n",
-    "text_cell.csv": "a,y\n0.5,0\nx,1\n",
-    "header_only.csv": "a,y\n",
-    "empty.csv": "",
-    "one_class.csv": "a,y\n0.5,0\n1.5,0\n2.5,0\n",
-    "three_class.csv": "a,y\n" + "".join(f"{i / 10!r},{i % 3}\n" for i in range(200)),
-}
-
-
-def write_csv_files(directory):
-    for name, text in CSV_FILES.items():
-        (directory / name).write_text(text)
-    return directory
-
-
-def set_keys(doc, overrides):
-    """Set each dotted config key of `overrides` in `doc`."""
-    for key, value in overrides.items():
-        *sections, name = key.split(".")
-        section = doc
-        for s in sections:
-            section = section.setdefault(s, {})
-        section[name] = value
+def huge_lengths(doc):
+    """A model document whose lengths are near the float64 limit, so that its
+    bounds and logits overflow."""
+    for layer in doc["layers"]:
+        layer["lengths"]["values"] = [1e308] * len(layer["lengths"]["values"])
+    return doc
 
 
 class TestTrainCommand:
@@ -131,27 +109,6 @@ class TestTrainCommand:
         assert main([*argv, "--overwrite"]) == 0
         assert target.read_bytes() != b"hand-written\n"
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        doc = base_config(tmp_path / "run")
-        doc["modle"] = {}
-        cfg = write_config(tmp_path, doc)
-        assert main(["train", "--config", cfg]) == 1
-        assert "unknown keys" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text,reason", [
-        ('{"seed": ', "Expecting value: line 1 column 10 (char 9)"),
-        (None, "Is a directory"),
-    ], ids=["not_json", "directory"])
-    def test_unreadable_config_names_the_file(self, tmp_path, capsys, text, reason):
-        cfg = tmp_path / "cfg.json"
-        if text is None:
-            cfg.mkdir()
-        else:
-            cfg.write_text(text)
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-        assert capsys.readouterr().err == f"error: {cfg}: {reason}\n"
-        assert not (tmp_path / "run").exists()
-
     def test_prune_config_reaches_exact_sparsity(self, tmp_path):
         doc = base_config(
             tmp_path / "run",
@@ -162,11 +119,6 @@ class TestTrainCommand:
         assert main(["prune", "--config", cfg]) == 0
         sparsity = json.loads((tmp_path / "run" / "sparsity_report.json").read_text())
         assert sparsity["exact_sparsity"] > 0.0
-
-    def test_prune_requires_window(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, base_config(tmp_path / "run"))
-        assert main(["prune", "--config", cfg]) == 1
-        assert "prune_window" in capsys.readouterr().err
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "runA"))
@@ -189,34 +141,6 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--jsonl"]) == 2
         assert (tmp_path / "run" / "metrics.csv").exists()
         assert (tmp_path / "run" / "metrics.jsonl").exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["train", "--lam", "nan"],
-    ["train", "--lam", "inf"],
-    ["gridsearch", "--lambdas", "1e-3", "nan"],
-    ["gridsearch", "--lambdas", "inf"],
-], ids=["train_nan", "train_inf", "grid_nan", "grid_inf"])
-def test_non_finite_lambda_rejected(tmp_path, capsys, argv):
-    cfg = write_config(tmp_path, base_config(tmp_path / "run"))
-    command, *flags = argv
-    assert main([command, "--config", cfg, *flags]) == 1
-    assert capsys.readouterr().err == "error: lambda must be a finite number >= 0\n"
-    # nothing trained: no grid cell and no training artifact was written
-    assert not (tmp_path / "run" / "lam_0.001").exists()
-    assert not (tmp_path / "run" / "metrics.csv").exists()
-
-
-STEPS_MESSAGE = "train.steps must be an integer >= 0"
-BATCHES_MESSAGE = "train.batches_per_epoch must be an integer >= 1"
-BATCH_SIZE_MESSAGE = "train.batch_size must be null or an integer >= 1"
-WINDOW_MESSAGE = "train.prune_window must be two integers 0 <= start < end <= train.steps"
-IMPROVED_MESSAGE = "the improved residual bound only applies to CReLU residual nets"
-CLOSED_FORM_MESSAGE = "closed-form regularization needs shared lengths and an L1 normalization mode"
-GRID_STEPS_MESSAGE = "train.steps must be an integer >= 1 for gridsearch, got 0"
-SPLIT_MESSAGE = ("split.train_n={} and split.val_frac_of_rest={} leave {} validation and {} test "
-                 "rows of {}; each needs at least 1")
-MODE_MESSAGE = "model.mode must be l1wn, l2wn, l1proj, none or blend:<alpha in [0, 1]>, got "
 
 
 # the resolved config of a run that sets only out_dir: every default, in
@@ -278,139 +202,10 @@ RESOLVED_DEFAULTS = """\
 """
 
 
-CE_ON_REGRESSION_MESSAGE = "train.loss must be mse for regression data, got 'cross_entropy'"
-
-
 def test_resolved_defaults_are_unchanged():
     text = io.StringIO()
     _dump_json(resolve_config({"out_dir": "run"}), text)
     assert text.getvalue() == RESOLVED_DEFAULTS
-
-
-@pytest.mark.parametrize("argv, overrides, message", [
-    (["train", "--lam", "nan"], {}, "lambda must be a finite number >= 0"),
-    (["gridsearch", "--lambdas", "0.1", "nan"], {}, "lambda must be a finite number >= 0"),
-    (["train", "--steps", "-1"], {}, STEPS_MESSAGE),
-    (["train"], {"train.steps": -1}, STEPS_MESSAGE),
-    (["train"], {"train.steps": 1.5}, STEPS_MESSAGE),
-    (["train"], {"train.steps": True}, STEPS_MESSAGE),
-    (["gridsearch", "--lambdas", "0.1"], {"train.steps": 1.5}, STEPS_MESSAGE),
-    (["gridsearch", "--lambdas", "0.1"], {"train.steps": 0}, GRID_STEPS_MESSAGE),
-    (["gridsearch", "--lambdas", "0.1", "--steps", "0"], {}, GRID_STEPS_MESSAGE),
-    (["train"], {"train.batches_per_epoch": 0}, BATCHES_MESSAGE),
-    (["train"], {"train.batches_per_epoch": 1.5}, BATCHES_MESSAGE),
-    (["train"], {"train.batches_per_epoch": -2}, BATCHES_MESSAGE),
-    (["train"], {"train.batch_size": 1.5}, BATCH_SIZE_MESSAGE),
-    (["train"], {"train.batch_size": 0}, BATCH_SIZE_MESSAGE),
-    (["train"], {"train.prune_window": [10.7, 19.2]}, WINDOW_MESSAGE),
-    (["train"], {"train.prune_window": [False, True]}, WINDOW_MESSAGE),
-    (["train"], {"train.prune_window": "ab"}, WINDOW_MESSAGE),
-    (["train"], {"model.hidden": [0]}, "model.hidden must be a list of integers >= 1, got [0]"),
-    (["train"], {"model.hidden": "x"}, "model.hidden must be a list of integers >= 1, got 'x'"),
-    (["train"], {"model.kind": "bogus"}, "unknown network kind 'bogus'"),
-    (["train"], {"model.activation": "tanh"}, "unknown activation 'tanh'"),
-    (["train"], {"model.out_nonlinearity": "softmax"}, "unknown output nonlinearity 'softmax'"),
-    (["train"], {"train.regularizer": {"kind": "path_improved", "lam": 1e-3}}, IMPROVED_MESSAGE),
-    (["train"], {"model.shared_lengths": False}, CLOSED_FORM_MESSAGE),
-    (["train"], {"model.mode": "l2wn"}, CLOSED_FORM_MESSAGE),
-    (["gridsearch", "--lambdas", "0.1"], {"model.mode": "l2wn"}, CLOSED_FORM_MESSAGE),
-    (["train"], {"model": 5}, "config.model: expected an object"),
-    (["train"], {"train.regularizer": "x"}, "config.train.regularizer: expected an object"),
-    (["train"], {"train.lr_schedule": [1]}, "config.train.lr_schedule: expected an object"),
-    (["train"], {"model.mode": 5}, MODE_MESSAGE + "5"),
-    (["train"], {"model.mode": "bogus"}, MODE_MESSAGE + "'bogus'"),
-    (["train"], {"model.mode": "blend:x"}, MODE_MESSAGE + "'blend:x'"),
-    (["train"], {"model.bias": "yes"}, "model.bias must be true or false, got 'yes'"),
-    (["train"], {"model.shared_lengths": "no"}, "model.shared_lengths must be true or false, got 'no'"),
-    (["train"], {"model.freeze_lengths": 0}, "model.freeze_lengths must be true or false, got 0"),
-    (["train"], {"train.lr_schedule": {"kind": "warm_hold_decay", "hi": "NaN"}},
-     "train.lr_schedule.hi must be a finite number >= 0, got 'NaN'"),
-    (["train"], {"train.lr_schedule": {"kind": "warm_hold_decay", "hi": -1}},
-     "train.lr_schedule.hi must be a finite number >= 0, got -1"),
-    (["train"], {"train.lr_schedule": {"kind": "one_cycle", "max_lr": True}},
-     "train.lr_schedule.max_lr must be a finite number >= 0, got True"),
-    (["train"], {"train.lr_schedule": {"kind": "warm_hold_decay", "warm_frac": 0.5, "hold_frac": 0.5}},
-     "train.lr_schedule.warm_frac + hold_frac must be < 1, got 0.5 + 0.5"),
-    (["train"], {"train.lr_schedule": {"kind": "one_cycle", "peak_frac": 1}},
-     "train.lr_schedule.peak_frac must be < 1, got 1"),
-    (["train"], {"train.regularizer.lam": "x"}, "lambda must be a finite number >= 0"),
-    (["train"], {"seed": "a"}, "seed must be an integer >= 0, got 'a'"),
-    (["gridsearch", "--lambdas", "0.1"], {"seed": "a"}, "seed must be an integer >= 0, got 'a'"),
-    (["train"], {"out_dir": 5}, "out_dir must be a string, got 5"),
-    (["train"], {"split.val_frac_of_rest": "x"},
-     "split.val_frac_of_rest must be a number in (0, 1), got 'x'"),
-    (["train"], {"split.val_frac_of_rest": 2.0},
-     "split.val_frac_of_rest must be a number in (0, 1), got 2.0"),
-    (["train"], {"split.train_n": "x"}, "split.train_n must be an integer >= 1, got 'x'"),
-    (["train"], {"data.n": "x"}, "data.n must be an integer >= 1, got 'x'"),
-    (["train"], {"data.n": 0}, "data.n must be an integer >= 1, got 0"),
-    (["train"], {"split.train_n": 200}, SPLIT_MESSAGE.format(200, 0.5, 0, 0, 200)),
-    (["prune"], {"data.n": 201, "split.train_n": 200, "split.val_frac_of_rest": 0.4,
-                 "train.prune_window": [30, 60]}, SPLIT_MESSAGE.format(200, 0.4, 0, 1, 201)),
-    (["gridsearch", "--lambdas", "0.1"], {"data.n": 201, "split.train_n": 200,
-                                          "split.val_frac_of_rest": 0.6},
-     SPLIT_MESSAGE.format(200, 0.6, 1, 0, 201)),
-    (["train"], {"data.noise": "x"}, "data.noise must be a finite number >= 0, got 'x'"),
-    (["train"], {"data.task": "sparse_teacher", "data.k_active": "x"},
-     "data.k_active must be an integer in [1, data.dim], got 'x'"),
-    (["train"], {"data.task": "bogus"},
-     "data.task must be one of two_gaussians, xor_rings, sparse_teacher for synth data, got 'bogus'"),
-    (["train"], {"data": {"kind": "csv", "path": "d.csv", "task": "bogus"}},
-     "data.task must be one of regression, binary, multiclass for csv data, got 'bogus'"),
-    (["gridsearch", "--lambdas", "1e-3", "0.001"], {},
-     "--lambdas 0.001 and 0.001 would share the cell directory lam_0.001"),
-    (["gridsearch", "--lambdas", "1e-3", "1.0000001e-3", "0.001"], {},
-     "--lambdas 0.001 and 0.0010000001 would share the cell directory lam_0.001"),
-    (["gridsearch", "--lambdas", "0.1", "--jobs", "0"], {}, "--jobs must be an integer >= 1, got 0"),
-    (["gridsearch", "--lambdas", "0.1", "--jobs", "-4"], {}, "--jobs must be an integer >= 1, got -4"),
-    (["train"], {"data": {"kind": "csv", "path": "negative_label.csv", "task": "multiclass", "target": "y"}},
-     "negative_label.csv: class label -1.0 at line 3, column 'y' is not an integer >= 0"),
-    (["train"], {"data": {"kind": "csv", "path": "target_only.csv", "task": "regression", "target": "y"}},
-     "target_only.csv: no feature column besides the target 'y'"),
-    (["train"], {"data": {"kind": "csv", "path": "one_class.csv", "task": "multiclass", "target": "y"}},
-     "one_class.csv: every label in column 'y' is 0; multiclass needs at least 2 classes"),
-    (["train"], {"data.task": "sparse_teacher", "train.loss": "cross_entropy"}, CE_ON_REGRESSION_MESSAGE),
-    (["prune"], {"data": {"kind": "csv", "path": "three_class.csv", "task": "regression", "target": "y"},
-                 "train.prune_window": [30, 60]}, CE_ON_REGRESSION_MESSAGE),
-    (["gridsearch", "--lambdas", "0.1"], {"data": {"kind": "csv", "path": "three_class.csv",
-                                                   "task": "multiclass", "target": "y"},
-                                          "train.loss": "mse"},
-     "train.loss must be cross_entropy for multiclass data, got 'mse'"),
-    (["train"], {"out_dir": ""}, "out_dir must be a directory path, got ''"),
-    (["train", "--out", ""], {}, "out_dir must be a directory path, got ''"),
-    (["train"], {"out_dir": "cfg.json"}, "out_dir must be a directory path, got 'cfg.json' (File exists)"),
-    (["prune", "--out", "cfg.json/run"], {"train.prune_window": [30, 60]},
-     "out_dir must be a directory path, got 'cfg.json/run' (Not a directory)"),
-    (["gridsearch", "--lambdas", "0.1"], {"out_dir": "cfg.json"},
-     "out_dir must be a directory path, got 'cfg.json' (File exists)"),
-], ids=["train_lam_nan", "grid_lam_nan", "steps_flag_negative", "steps_negative",
-        "steps_fractional", "steps_bool", "grid_steps_fractional", "grid_steps_zero",
-        "grid_steps_flag_zero", "batches_zero",
-        "batches_fractional", "batches_negative", "batch_size_fractional", "batch_size_zero",
-        "window_fractional", "window_bool", "window_string", "hidden_zero", "hidden_string",
-        "kind_unknown", "activation_unknown", "out_nonlinearity_unknown", "improved_on_mlp",
-        "closed_form_per_row_lengths", "closed_form_l2wn", "grid_closed_form_l2wn",
-        "model_not_object", "regularizer_not_object", "schedule_not_object", "mode_number",
-        "mode_unknown", "mode_undecodable_blend", "bias_string", "shared_lengths_string",
-        "freeze_lengths_number", "schedule_rate_string", "schedule_rate_negative",
-        "schedule_rate_bool", "schedule_no_decay_span", "schedule_peak_at_end", "lam_string",
-        "seed_string", "grid_seed_string", "out_dir_number", "val_frac_string", "val_frac_above_1",
-        "train_n_string", "data_n_string", "data_n_zero", "split_no_rest",
-        "prune_split_no_val", "grid_split_no_test", "noise_string", "k_active_string",
-        "synth_task_unknown", "csv_task_unknown", "grid_lambda_duplicate", "grid_lambda_same_dir",
-        "grid_jobs_zero", "grid_jobs_negative", "csv_negative_label", "csv_target_only",
-        "csv_one_class", "ce_on_synth_regression", "prune_ce_on_csv_regression", "grid_mse_on_multiclass",
-        "out_dir_empty", "out_flag_empty", "out_dir_is_a_file", "prune_out_under_a_file",
-        "grid_out_dir_is_a_file"])
-def test_rejected_config_leaves_no_output(tmp_path, capsys, monkeypatch, argv, overrides, message):
-    monkeypatch.chdir(write_csv_files(tmp_path))
-    doc = base_config(tmp_path / "run")
-    set_keys(doc, overrides)
-    cfg = write_config(tmp_path, doc)
-    command, *flags = argv
-    assert main([command, "--config", cfg, *flags]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "run").exists()
 
 
 class TestGridsearchCommand:
@@ -490,101 +285,6 @@ class TestAnalyzeCommand:
         doc = json.loads(out.read_text())
         assert doc["improved_p1"] <= doc["naive_p1"]
 
-    @pytest.mark.parametrize("mutate,reason", [
-        (lambda doc: doc["layers"].clear(), "model has no layers"),
-        (lambda doc: doc["layers"][2]["raw"].update(plus=[[1.0] * 3], minus=[[1.0] * 3]),
-         "layer 2 takes 3 inputs but layer 1 gives 4"),
-        (lambda doc: doc["layers"][0]["lengths"].update(values=[1.0, 1.0]),
-         "layer 0: lengths shape (2,) is neither (1,) nor (4,)"),
-        (lambda doc: doc["layers"][0].update(bias=[0.0]), "layer 0: bias shape (1,) is not (4,)"),
-        (lambda doc: doc["layers"][0].update(raw=[1.0, 2.0, 3.0]),
-         "layer 0: raw shape (3,) is not one 2-D shape"),
-        (lambda doc: doc["layers"][1]["raw"]["minus"].pop(),
-         "layer 1: raw shape (4, 4) and (3, 4) is not one 2-D shape"),
-        (lambda doc: doc["layers"][1]["raw"].update(plus=[[1.0] * 4] * 5, minus=[[1.0] * 4] * 5),
-         "residual block 1 is 5x4, not square"),
-        (lambda doc: doc.update(kind="mlp"), "layer 1 must be one matrix"),
-        (lambda doc: doc.update(layers=doc["layers"][:1]),
-         "a residual net needs a first layer and a final pair"),
-        (lambda doc: doc.update(kind="cnn"), "unknown network kind 'cnn'"),
-        (lambda doc: doc.pop("layers"), "missing key 'layers'"),
-        (lambda doc: doc["layers"][0].pop("bias"), "layer 0: missing key 'bias'"),
-        (lambda doc: doc["layers"][1]["raw"].pop("minus"), "layer 1: missing key 'raw.minus'"),
-        (lambda doc: doc["layers"][2]["lengths"].pop("values"),
-         "layer 2: missing key 'lengths.values'"),
-        (lambda doc: doc["layers"][1].update(mode="bogus"), "layer 1: invalid mode 'bogus'"),
-        (lambda doc: doc["layers"][2].update(mode="blend:x"), "layer 2: invalid mode 'blend:x'"),
-        (lambda doc: doc["layers"][0]["raw"][1].__setitem__(2, float("nan")),
-         "layer 0: raw has a non-finite value"),
-        (lambda doc: doc["layers"][1]["raw"]["plus"][0].__setitem__(0, float("inf")),
-         "layer 1: raw.plus has a non-finite value"),
-        (lambda doc: doc["layers"][1]["lengths"].update(values=[float("-inf")]),
-         "layer 1: lengths.values has a non-finite value"),
-        (lambda doc: doc["layers"][2].update(bias=[float("nan")]),
-         "layer 2: bias has a non-finite value"),
-        (lambda doc: doc["layers"][2].update(bias=[10**400]),
-         "layer 2: bias is not an array of numbers"),
-        (lambda doc: doc.update(activation="tanh"), "unknown activation 'tanh'"),
-        (lambda doc: doc.update(out_nonlinearity="softmax"),
-         "unknown output nonlinearity 'softmax'"),
-        (lambda doc: doc["layers"][0].update(bias=["0", True, "2", "3"]),
-         "layer 0: bias is not an array of numbers"),
-        (lambda doc: doc["layers"][1]["lengths"].update(values=["1.0"]),
-         "layer 1: lengths.values is not an array of numbers"),
-        (lambda doc: doc["layers"][0]["raw"][0].__setitem__(1, None),
-         "layer 0: raw is not an array of numbers"),
-        (lambda doc: doc["layers"][2]["raw"].update(plus=[[True] * 4]),
-         "layer 2: raw.plus is not an array of numbers"),
-        (lambda doc: doc.update(freeze_lengths="no"), "freeze_lengths must be true or false, got 'no'"),
-        (lambda doc: doc["layers"][0].update(bias=[0.0, True, 0.0, 0.0]),
-         "layer 0: bias is not an array of numbers"),
-        (lambda doc: doc["dims"].update(d_out=2), "dims {'d_in': 3, 'd_out': 2, 'hidden': [4]} do not match "
-         "the layers, which give {'d_in': 3, 'd_out': 1, 'hidden': [4]}"),
-        (lambda doc: doc.pop("dims"), "missing key 'dims'"),
-        (lambda doc: doc["layers"][0]["raw"].__setitem__(1, [0.0] * 3),
-         "layer 0: raw row 1 is zero, which l1wn cannot normalize"),
-        (lambda doc: doc["layers"][1].update(mode="l2wn", raw={"plus": [[1.0] * 4, [0.0] * 4, *[[1.0] * 4] * 2],
-                                                             "minus": [[1.0] * 4, [0.0] * 4, *[[1.0] * 4] * 2]}),
-         "layer 1: raw row 1 is zero, which l2wn cannot normalize"),
-        (lambda doc: doc["layers"][2].update(mode="blend:0.5",
-                                             raw={"plus": [[0.0] * 4], "minus": [[0.0] * 4]}),
-         "layer 2: raw row 0 is zero, which blend:0.5 cannot normalize"),
-        (lambda doc: doc["layers"][0].update(mode="l2wn", raw=[[1.0] * 3, [1e-200] * 3, *[[1.0] * 3] * 2]),
-         "layer 0: raw row 1 has a norm that underflows to 0, which l2wn cannot normalize"),
-        (lambda doc: [layer["lengths"].update(values=[1e308] * len(layer["lengths"]["values"]))
-                      for layer in doc["layers"]],
-         "the model gives naive_p1 = inf, which is not a finite number"),
-    ], ids=["no_layers", "shapes_do_not_chain", "lengths_shape", "bias_shape", "raw_not_2d",
-            "pair_shapes_differ", "block_not_square", "layer_type", "no_final_pair",
-            "unknown_kind", "missing_layers_key", "missing_bias", "missing_pair_minus",
-            "missing_length_values", "unknown_mode", "undecodable_blend", "nan_raw",
-            "inf_raw_plus", "inf_lengths", "nan_bias", "huge_int_bias", "unknown_activation",
-            "unknown_out_nonlinearity", "string_bias", "string_lengths", "null_raw", "bool_raw_plus",
-            "string_freeze_lengths", "bool_in_bias", "dims_mismatch", "missing_dims", "zero_row",
-            "zero_pair_row_l2wn", "zero_pair_row_blend", "underflowing_row_l2wn", "overflowing_lengths"])
-    def test_malformed_model_rejected(self, tmp_path, capsys, mutate, reason):
-        spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=1, hidden=[4], mode=L1WN)
-        model = tmp_path / "m.json"
-        save_network(init_network(spec, np.random.default_rng(0)), model)
-        doc = json.loads(model.read_text())
-        mutate(doc)
-        model.write_text(json.dumps(doc))
-        assert main(["analyze", str(model)]) == 1
-        assert capsys.readouterr().err == f"error: {model}: {reason}\n"
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--box", "nan"), ("--box", "inf"), ("--box", "-1"), ("--box", "0"),
-        ("--pairs", "-1"), ("--seed", "-1"), ("--oracle-guard", "0"), ("--oracle-guard", "-1"),
-    ])
-    def test_bad_flag_rejected(self, tmp_path, capsys, flag, value):
-        spec = NetSpec(kind="mlp", d_in=3, d_out=1, hidden=[4], mode=L1WN)
-        model = tmp_path / "m.json"
-        save_network(init_network(spec, np.random.default_rng(0)), model)
-        assert main(["analyze", str(model), "--oracle", "--pairs", "10", flag, value]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {flag} must be ") and captured.err.count("\n") == 1
-
     @pytest.mark.parametrize("out", ["missing_dir/x.json", "."], ids=["missing_dir", "a_directory"])
     def test_unwritable_out_rejected_before_analysis(self, tmp_path, capsys, monkeypatch, out):
         spec = NetSpec(kind="mlp", d_in=3, d_out=1, hidden=[4], mode=L1WN)
@@ -596,13 +296,6 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --out must be a file path in an existing directory, got {path!r}\n"
-
-    def test_not_json_rejected(self, tmp_path, capsys):
-        model = tmp_path / "m.json"
-        model.write_text('{"kind": "mlp", ')
-        assert main(["analyze", str(model)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {model}: Expecting") and err.count("\n") == 1
 
 
 class TestEvalCommand:
@@ -689,10 +382,7 @@ class TestEvalCommand:
         spec = NetSpec(kind="mlp", d_in=3, d_out=1, hidden=[4], mode=L1WN)
         model = tmp_path / "m.json"
         save_network(init_network(spec, np.random.default_rng(13)), model)
-        doc = json.loads(model.read_text())
-        for layer in doc["layers"]:
-            layer["lengths"]["values"] = [1e308] * len(layer["lengths"]["values"])
-        model.write_text(json.dumps(doc))
+        model.write_text(json.dumps(huge_lengths(json.loads(model.read_text()))))
         csv_path = tmp_path / "d.csv"
         csv_path.write_text("a,b,c,y\n0.1,0.2,0.3,0\n0.3,-0.1,0.5,1\n-0.2,0.4,0.1,1\n")
         report = tmp_path / "r.json"
@@ -705,41 +395,6 @@ class TestEvalCommand:
         value = "naive_p1 = inf" if command == "analyze" else "cross_entropy = nan"
         assert captured.err == f"error: {model}: the model gives {value}, which is not a finite number\n"
         assert captured.out == "" and not report.exists()
-
-    @pytest.mark.parametrize("stats,reason", [
-        ({"feature_mean": [0.0] * 4, "target_median": 0.0, "target_qd": 1.0},
-         "missing keys ['feature_sd']"),
-        ({"feature_mean": [0.0] * 3, "feature_sd": [1.0] * 3, "target_median": 0.0,
-          "target_qd": 1.0}, "feature_mean must list 4 values, one per dataset feature"),
-        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0, 0.0, 1.0, 1.0], "target_median": 0.0,
-          "target_qd": 1.0}, "feature_sd has a value <= 0"),
-        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0, "a", 1.0, 1.0], "target_median": 0.0,
-          "target_qd": 1.0}, "feature_sd is not an array of numbers"),
-        ({"feature_mean": [0.0, None, 0.0, 0.0], "feature_sd": [1.0] * 4, "target_median": 0.0,
-          "target_qd": 1.0}, "feature_mean is not an array of numbers"),
-        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": None,
-          "target_qd": 1.0}, "target_median is not an array of numbers"),
-        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": 0.0,
-          "target_qd": 0.0}, "target_qd has a value <= 0"),
-        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4, "target_median": 0.0,
-          "target_qd": "1"}, "target_qd is not an array of numbers"),
-        ({"feature_mean": [0.0] * 4, "feature_sd": [1.0, float("nan"), 1.0, 1.0],
-          "target_median": 0.0, "target_qd": 1.0}, "feature_sd has a non-finite value"),
-        ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    ], ids=["missing_key", "wrong_feature_count", "zero_sd", "string_sd", "null_mean",
-            "null_median", "zero_qd", "string_qd", "nan_sd", "not_json"])
-    def test_bad_stats_file_rejected(self, tmp_path, capsys, stats, reason):
-        ds = synth_task("sparse_teacher", 30, 4, 0.2, seed=11)
-        csv_path = tmp_path / "d.csv"
-        save_csv(ds, csv_path)
-        spec = NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[6], mode=L1WN)
-        model = tmp_path / "m.json"
-        save_network(init_network(spec, np.random.default_rng(12)), model)
-        stats_path = tmp_path / "stats.json"
-        stats_path.write_text(stats if isinstance(stats, str) else json.dumps(stats))
-        assert main(["eval", str(model), "--data", str(csv_path), "--target", "target",
-                     "--task", "regression", "--stats", str(stats_path)]) == 1
-        assert capsys.readouterr().err == f"error: {stats_path}: {reason}\n"
 
     def test_missing_data_file(self, tmp_path, capsys):
         spec = NetSpec(kind="mlp", d_in=5, d_out=1, hidden=[6], mode=L1WN)
@@ -785,133 +440,429 @@ class TestSelftestCommand:
         ]
 
 
+# --- rejected inputs ------------------------------------------------------------
+#
+# One row per input that a command rejects: (id, command line, edit, message).
+# The runner writes the files of `fixtures()` into an empty directory, applies
+# the row's edit to the command's input file (`input_file`; see `edited` for
+# the forms an edit takes), runs the command there and expects exit code 1,
+# the one stderr line "error: <message>", an empty stdout and no new file or
+# directory.  A config key that `nets.require` rejects gives `must`'s message.
+
+TRAIN = "train --config cfg.json"
+PRUNE = "prune --config cfg.json"
+GRID = "gridsearch --config cfg.json --lambdas 0.1"
+EVAL = "eval mlp.json --data regression.csv --target y --task regression --stats stats.json"
 NAN = float("nan")
+DROP = object()  # an edit value that deletes its key
 
-# (command, dotted config key, value) of the input-boundary fuzz; "" is the
-# whole document, a dict sets several keys, and a CSV case names a file of
-# CSV_FILES
-CONFIG_FUZZ = [
-    ("train", "", []), ("train", "", None),
-    *(("train", section, value) for section in ("data", "split", "model", "train")
-      for value in (5, [], "x", None)),
-    ("train", "train.lr_schedule", 5), ("train", "train.regularizer", []),
-    ("train", "seed", -1), ("train", "seed", 1.5), ("train", "seed", None), ("train", "seed", True),
-    ("train", "out_dir", None), ("train", "out_dir", 5), ("train", "out_dir", "cfg.json"),
-    ("train", "out_dir", ""), ("prune", "out_dir", "cfg.json/run"), ("gridsearch", "out_dir", "cfg.json"),
-    *(("train", "data.kind", v) for v in (5, "bogus", None, [])),
-    *(("train", "data.task", v) for v in (5, "bogus", None, {"a": 1})),
-    *(("train", "data.n", v) for v in ("x", 0, -3, 1.5, True, None, 100)),
-    *(("train", "data.dim", v) for v in ("x", 0, 2.5, None, False)),
-    *(("train", "data.noise", v) for v in ("x", -1, NAN, True, None)),
-    *(("train", "data", {"task": "sparse_teacher", "n": 200, "dim": 4, "k_active": v})
-      for v in (0, 5, "x", None, 2.0)),
-    ("train", "data", {"task": "xor_rings", "n": 200, "dim": 1}),
-    *(("train", "data", {"kind": "csv", "path": v, "task": "regression", "target": "a"})
-      for v in (5, "", None, "missing.csv", ".", ["a.csv"])),
-    *(("train", "data", {"kind": "csv", "path": "text_cell.csv", "task": "binary", "target": v})
-      for v in ("nope", 5, None)),
-    *(("train", "data", {"kind": "csv", "path": "text_cell.csv", "task": v}) for v in ("bogus", 5, None)),
-    *(("train", "data", {"kind": "csv", "path": name, "task": task, "target": "y"}) for name, task in [
-        ("negative_label.csv", "multiclass"), ("negative_label.csv", "binary"),
-        ("target_only.csv", "regression"), ("fractional_label.csv", "multiclass"),
-        ("binary_two.csv", "binary"), ("ragged.csv", "binary"), ("text_cell.csv", "binary"),
-        ("header_only.csv", "regression"), ("empty.csv", "regression"), ("one_class.csv", "multiclass"),
-        ("three_class.csv", "regression")]),
-    ("train", "data.task", "sparse_teacher"),
-    ("gridsearch", {"data": {"kind": "csv", "path": "three_class.csv", "task": "multiclass", "target": "y"},
-                    "train.loss": "mse"}, None),
-    *(("train", "split.train_n", v) for v in (0, "x", 1.5, True, None, 200, 500)),
-    *(("train", "split.val_frac_of_rest", v) for v in (0, 1, "x", NAN, None, True, 0.001)),
-    *(("train", "model.kind", v) for v in ("bogus", 5, None)),
-    *(("train", "model.hidden", v) for v in ([0], "x", [1.5], [True], None, {}, [-2])),
-    ("train", "model", {"kind": "crelu_resnet", "hidden": [4, 5]}),
-    ("train", "model", {"kind": "crelu_resnet", "hidden": []}),
-    *(("train", "model.activation", v) for v in ("tanh", 5, None)),
-    *(("train", "model.mode", v) for v in (5, "bogus", "blend:2", "blend:nan", None)),
-    *(("train", f"model.{key}", v) for key in ("shared_lengths", "bias", "freeze_lengths")
-      for v in ("no", 1, None)),
-    *(("train", "model.out_nonlinearity", v) for v in ("softmax", None)),
-    *(("train", "train.steps", v) for v in (-1, 1.5, "x", True, None)),
-    ("gridsearch", "train.steps", 0),
-    *(("train", "train.batches_per_epoch", v) for v in (0, "x", None, 1000)),
-    *(("train", "train.batch_size", v) for v in (0, "x", 1.5, 1000)),
-    *(("train", "train.lr_schedule.kind", v) for v in ("bogus", 5, None)),
-    *(("train", f"train.lr_schedule.{key}", v) for key in ("lo", "hi", "warm_frac", "hold_frac")
-      for v in ("x", -1, NAN, None)),
-    *(("train", "train.lr_schedule", {"kind": "one_cycle", key: v})
-      for key in ("init", "max_lr", "final", "peak_frac") for v in ("x", -1, None)),
-    ("train", "train.lr_schedule", {"kind": "one_cycle", "peak_frac": 1.0}),
-    *(("train", "train.regularizer.kind", v) for v in ("bogus", 5, None, "path_improved")),
-    *(("train", "train.regularizer.lam", v) for v in (-1, "x", None, NAN)),
-    *(("train", "train.loss", v) for v in ("hinge", 5, [])),
-    *(("train", "train.prune_window", v) for v in ([5, 3], [0, 100], "x", [1], [None, 5])),
-    ("prune", "train.prune_window", None),
-]
+# CSV files that a config can name by a path relative to their directory
+CSV_FILES = {
+    "negative_label.csv": "a,y\n0.5,0\n1.5,-1\n2.5,1\n",
+    "target_only.csv": "y\n0.5\n1.5\n",
+    "fractional_label.csv": "a,y\n0.5,0\n1.5,0.5\n",
+    "binary_two.csv": "a,y\n0.5,0\n1.5,2\n",
+    "ragged.csv": "a,b,y\n0.5,1,0\n1.5,1\n",
+    "text_cell.csv": "a,y\n0.5,0\nx,1\n",
+    "header_only.csv": "a,y\n",
+    "empty.csv": "",
+    "one_class.csv": "a,y\n0.5,0\n1.5,0\n2.5,0\n",
+    "three_class.csv": "a,y\n" + "".join(f"{i / 10!r},{i % 3}\n" for i in range(200)),
+    "regression.csv": "a,b,c,d,y\n0.1,0.2,0.3,0.4,0.5\n0.4,0.3,0.2,0.1,1.5\n",
+}
 
 
-# mutations of a saved ReLU MLP [4 -> 4 -> 1] model.json, read by analyze;
-# each returns the document to write
-MODEL_FUZZ = [
-    lambda doc: [], lambda doc: None, lambda doc: 5,
-    lambda doc: {**doc, "layers": 5}, lambda doc: {**doc, "layers": [5]},
-    lambda doc: {**doc, "layers": None}, lambda doc: {**doc, "kind": None},
-    lambda doc: {**doc, "layers": doc["layers"][:-1]},
-    lambda doc: {**doc, "dims": {**doc["dims"], "d_out": 2}},
-    lambda doc: {**doc, "freeze_lengths": None}, lambda doc: {**doc, "activation": None},
-    *(lambda doc, v=v: doc["layers"][0].update(raw=v) or doc for v in (
-        [], [[]], [[], [], [], []], [[[1.0]]], "abc", None, [[1.0, None, 0.0, 0.0]] * 4)),
-    lambda doc: doc["layers"][0]["raw"][1].__setitem__(0, None) or doc,
-    *(lambda doc, v=v: doc["layers"][0]["lengths"].update(values=v) or doc for v in ([], None, [NAN], "1")),
-    lambda doc: doc["layers"][0].update(lengths=None) or doc,
-    *(lambda doc, v=v: doc["layers"][1].update(bias=v) or doc for v in ({}, [], [1.0, 2.0], "0")),
-    *(lambda doc, v=v: doc["layers"][0].update(mode=v) or doc for v in (None, 5, "blend:-1")),
-    lambda doc: doc["layers"][0].update(raw={"plus": doc["layers"][0]["raw"],
-                                             "minus": doc["layers"][0]["raw"]}) or doc,
-    lambda doc: doc["layers"][1]["raw"].__setitem__(0, [0.0] * 4) or doc,
-    lambda doc: (doc["layers"][0].update(mode="l2wn")
-                 or doc["layers"][0]["raw"].__setitem__(1, [1e-200] * 4) or doc),
-    lambda doc: [layer["lengths"].update(values=[1e308] * len(layer["lengths"]["values"]))
-                 for layer in doc["layers"]] and doc,
-]
+def fixtures() -> dict:
+    """The files a row's command can read, by name: CSV text or a JSON
+    document (the run config, a ReLU MLP [4 -> 4 -> 1], a CReLU ResNet
+    [3 -> 4 -> one block -> 1] and the dataset_stats.json of four features)."""
+    def model(kind, d_in):
+        spec = NetSpec(kind=kind, d_in=d_in, d_out=1, hidden=[4], mode=L1WN)
+        return network_to_json(init_network(spec, np.random.default_rng(0)))
+
+    return {
+        **CSV_FILES,
+        "cfg.json": base_config("run"),
+        "mlp.json": model("mlp", 4),
+        "resnet.json": model("crelu_resnet", 3),
+        "stats.json": {"feature_mean": [0.0] * 4, "feature_sd": [1.0] * 4,
+                       "target_median": 0.0, "target_qd": 1.0},
+    }
 
 
-def test_input_boundary_fuzz(tmp_path, capsys, monkeypatch):
-    """Every mutated config or model.json fails with exit 1 or 2, exactly
-    one stderr line and no traceback, and a rejected run makes no output
-    directory."""
-    monkeypatch.chdir(write_csv_files(tmp_path))
-    failures = []
+def input_file(argv: list) -> str:
+    """The file a row edits: the --config or --stats file, else the model."""
+    for flag in ("--config", "--stats"):
+        if flag in argv:
+            return argv[argv.index(flag) + 1]
+    return argv[1]
 
-    def run(case, argv, out=None):
-        try:
-            code = main(argv)
-        except Exception as e:  # a traceback at the command line
-            failures.append(f"{case}: raised {type(e).__name__}: {e}")
-            return
-        err = capsys.readouterr().err
-        if code not in (1, 2) or err.count("\n") != 1 or "Traceback" in err or (out and out.is_dir()):
-            failures.append(f"{case}: exit {code}, stderr {err!r}")
 
-    for i, (command, key, value) in enumerate(CONFIG_FUZZ):
-        out = tmp_path / f"run{i}"
-        doc = base_config(out, steps=10)
-        doc["model"]["hidden"] = [4]
-        if key:
-            set_keys(doc, key if isinstance(key, dict) else {key: value})
+def edited(doc, edit):
+    """`doc` after `edit`: text replaces the file, a function maps the
+    document, and a dict sets each dotted key ("" is the whole document, a
+    number indexes a list, a missing section is made, and the value DROP
+    deletes the key)."""
+    if isinstance(edit, str):
+        return edit
+    if callable(edit):
+        return edit(doc)
+    if "" in edit:
+        return edit[""]
+    for key, value in edit.items():
+        *path, name = key.split(".")
+        section = doc
+        for part in path:
+            section = section[int(part)] if isinstance(section, list) else section.setdefault(part, {})
+        name = int(name) if isinstance(section, list) else name
+        if value is DROP:
+            del section[name]
         else:
-            doc = value
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        extra = ["--lambdas", "0.1"] if command == "gridsearch" else []
-        run(f"{command} {key}={value!r}", [command, "--config", str(cfg), *extra], out)
+            section[name] = value
+    return doc
 
-    save_network(init_network(NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[4], mode=L1WN),
-                              np.random.default_rng(0)), tmp_path / "base.json")
-    for i, mutate in enumerate(MODEL_FUZZ):
-        model = tmp_path / f"m{i}.json"
-        model.write_text(json.dumps(mutate(json.loads((tmp_path / "base.json").read_text()))))
-        run(f"model case {i}", ["analyze", str(model)])
-    assert not failures, "\n".join(failures)
+
+def must(key, value, need) -> str:
+    return f"{key} must be {need}, got {value!r}"
+
+
+def bad(key, value, need, argv=TRAIN, id=None):
+    """The row of `argv` with the config `key` set to `value`, which is not `need`."""
+    return (id or f"{key}={value!r}", argv, {key: value}, must(key, value, need))
+
+
+def analyze(model, rows):
+    """Rows of `analyze` on the fixture `model` after each edit."""
+    return [(id, f"analyze {model}", edit, f"{model}: {reason}") for id, edit, reason in rows]
+
+
+RATE = "a finite number >= 0"
+MODE = "l1wn, l2wn, l1proj, none or blend:<alpha in [0, 1]>"
+WINDOW = "two integers 0 <= start < end <= train.steps"
+SYNTH_TASK = "one of two_gaussians, xor_rings, sparse_teacher for synth data"
+CSV_TASK = "one of regression, binary, multiclass for csv data"
+REGULARIZERS = "none, l2wr, path_closed_form, path_naive or path_improved"
+IMPROVED = "the improved residual bound only applies to CReLU residual nets"
+CLOSED_FORM = "closed-form regularization needs shared lengths and an L1 normalization mode"
+CE_ON_REGRESSION = must("train.loss", "cross_entropy", "mse for regression data")
+SPLIT = ("split.train_n={} and split.val_frac_of_rest={} leave {} validation and {} test rows of {}; "
+         "each needs at least 1")
+OUT_IS_A_FILE = "out_dir must be a directory path, got 'cfg.json' (File exists)"
+OUT_UNDER_A_FILE = "out_dir must be a directory path, got 'cfg.json/run' (Not a directory)"
+THREE_CLASS = {"kind": "csv", "path": "three_class.csv", "target": "y"}
+LAYER0_RAW = "layer 0: raw is not an array of numbers"
+
+REJECTED = [
+    # the document and its sections
+    ("config=[]", TRAIN, {"": []}, "config: expected an object"),
+    ("config=None", TRAIN, {"": None}, "config: expected an object"),
+    *((f"{section}={v!r}", TRAIN, {section: v}, f"config.{section}: expected an object")
+      for section in ("data", "split", "model", "train") for v in (5, [], "x", None)),
+    ("train.lr_schedule=5", TRAIN, {"train.lr_schedule": 5}, "config.train.lr_schedule: expected an object"),
+    ("schedule_not_object", TRAIN, {"train.lr_schedule": [1]}, "config.train.lr_schedule: expected an object"),
+    ("train.regularizer=[]", TRAIN, {"train.regularizer": []}, "config.train.regularizer: expected an object"),
+    ("regularizer_not_object", TRAIN, {"train.regularizer": "x"},
+     "config.train.regularizer: expected an object"),
+    ("unknown_config_key", TRAIN, {"modle": {}}, "config: unknown keys ['modle']"),
+    ("config_not_json", f"{TRAIN} --out run", '{"seed": ',
+     "cfg.json: Expecting value: line 1 column 10 (char 9)"),
+    ("config_directory", "train --config . --out run", None, ".: Is a directory"),
+    # seed and out_dir
+    *(bad("seed", v, "an integer >= 0") for v in (-1, 1.5, None, True)),
+    bad("seed", "a", "an integer >= 0", id="seed_string"),
+    bad("seed", "a", "an integer >= 0", GRID, "grid_seed_string"),
+    ("out_dir=None", TRAIN, {"out_dir": None}, "out_dir must be set (config key or --out)"),
+    bad("out_dir", 5, "a string"),
+    bad("out_dir", "", "a directory path"),
+    ("out_flag_empty", f"{TRAIN} --out ''", None, must("out_dir", "", "a directory path")),
+    ("out_dir_is_a_file", TRAIN, {"out_dir": "cfg.json"}, OUT_IS_A_FILE),
+    ("grid_out_dir_is_a_file", GRID, {"out_dir": "cfg.json"}, OUT_IS_A_FILE),
+    ("prune_out_under_a_file", f"{PRUNE} --out cfg.json/run", {"train.prune_window": [30, 60]},
+     OUT_UNDER_A_FILE),
+    ("prune_out_dir_under_a_file", PRUNE, {"out_dir": "cfg.json/run", "train.prune_window": [30, 60]},
+     OUT_UNDER_A_FILE),
+    # synthetic data
+    *(bad("data.kind", v, "synth or csv") for v in (5, "bogus", None, [])),
+    *(bad("data.task", v, SYNTH_TASK) for v in (5, "bogus", None, {"a": 1})),
+    *(bad("data.n", v, "an integer >= 1") for v in ("x", 0, -3, 1.5, True, None)),
+    ("data.n=100", TRAIN, {"data.n": 100}, "split.train_n=120 exceeds dataset size 100"),
+    *(bad("data.dim", v, "an integer >= 1 for two_gaussians") for v in ("x", 0, 2.5, None, False)),
+    ("xor_rings_dim=1", TRAIN, {"data": {"task": "xor_rings", "n": 200, "dim": 1}},
+     must("data.dim", 1, "an integer >= 2 for xor_rings")),
+    *(bad("data.noise", v, RATE) for v in ("x", -1, NAN, True, None)),
+    *((f"k_active={v!r}", TRAIN, {"data": {"task": "sparse_teacher", "n": 200, "dim": 4, "k_active": v}},
+       must("data.k_active", v, "an integer in [1, data.dim]")) for v in (0, 5, "x", None, 2.0)),
+    ("k_active_string", TRAIN, {"data.task": "sparse_teacher", "data.k_active": "x"},
+     must("data.k_active", "x", "an integer in [1, data.dim]")),
+    # CSV data
+    *((f"csv_path={v!r}", TRAIN, {"data": {"kind": "csv", "path": v, "task": "regression", "target": "a"}},
+       must("data.path", v, "a file path for csv data")) for v in (5, "", None, ["a.csv"])),
+    *((f"csv_path={v!r}", TRAIN, {"data": {"kind": "csv", "path": v, "task": "regression", "target": "a"}},
+       f"cannot open {v}: {reason}") for v, reason in [
+        ("missing.csv", "[Errno 2] No such file or directory: 'missing.csv'"),
+        (".", "[Errno 21] Is a directory: '.'"),
+    ]),
+    *((f"csv_task={v!r}", TRAIN, {"data": {"kind": "csv", "path": "text_cell.csv", "task": v}},
+       must("data.task", v, CSV_TASK)) for v in ("bogus", 5, None)),
+    ("csv_task_unknown", TRAIN, {"data": {"kind": "csv", "path": "d.csv", "task": "bogus"}},
+     must("data.task", "bogus", CSV_TASK)),
+    *((f"csv_target={v!r}", TRAIN,
+       {"data": {"kind": "csv", "path": "text_cell.csv", "task": "binary", "target": v}},
+       f"text_cell.csv: no column named {v!r}") for v in ("nope", 5, None)),
+    *((id, TRAIN, {"data": {"kind": "csv", "path": path, "task": task, "target": "y"}}, f"{path}: {reason}")
+      for id, path, task, reason in [
+        ("csv_negative_label", "negative_label.csv", "multiclass",
+         "class label -1.0 at line 3, column 'y' is not an integer >= 0"),
+        ("csv_negative_binary_label", "negative_label.csv", "binary",
+         "class label -1.0 at line 3, column 'y' is not an integer >= 0"),
+        ("csv_fractional_label", "fractional_label.csv", "multiclass",
+         "class label 0.5 at line 3, column 'y' is not an integer >= 0"),
+        ("csv_target_only", "target_only.csv", "regression", "no feature column besides the target 'y'"),
+        ("csv_binary_two", "binary_two.csv", "binary", "binary targets must be 0/1"),
+        ("csv_ragged", "ragged.csv", "binary", "line 3 has 2 cells, expected 3"),
+        ("csv_text_cell", "text_cell.csv", "binary", "non-numeric value 'x' at line 3, column 'a'"),
+        ("csv_header_only", "header_only.csv", "regression", "no data rows"),
+        ("csv_empty", "empty.csv", "regression", "empty file"),
+        ("csv_one_class", "one_class.csv", "multiclass",
+         "every label in column 'y' is 0; multiclass needs at least 2 classes"),
+    ]),
+    # the loss against the data's task
+    ("ce_on_synth_regression", TRAIN, {"data.task": "sparse_teacher", "train.loss": "cross_entropy"},
+     CE_ON_REGRESSION),
+    ("ce_on_csv_regression", TRAIN, {"data": {**THREE_CLASS, "task": "regression"}}, CE_ON_REGRESSION),
+    ("prune_ce_on_csv_regression", PRUNE, {"data": {**THREE_CLASS, "task": "regression"},
+                                           "train.prune_window": [30, 60]}, CE_ON_REGRESSION),
+    ("grid_mse_on_multiclass", GRID, {"data": {**THREE_CLASS, "task": "multiclass"}, "train.loss": "mse"},
+     must("train.loss", "mse", "cross_entropy for multiclass data")),
+    # the split
+    *(bad("split.train_n", v, "an integer >= 1") for v in (0, "x", 1.5, True, None)),
+    ("split.train_n=500", TRAIN, {"split.train_n": 500}, "split.train_n=500 exceeds dataset size 200"),
+    *(bad("split.val_frac_of_rest", v, "a number in (0, 1)") for v in (0, 1, "x", NAN, None, True)),
+    bad("split.val_frac_of_rest", 2.0, "a number in (0, 1)", id="val_frac_above_1"),
+    ("split_no_rest", TRAIN, {"split.train_n": 200}, SPLIT.format(200, 0.5, 0, 0, 200)),
+    ("split.val_frac_of_rest=0.001", TRAIN, {"split.val_frac_of_rest": 0.001},
+     SPLIT.format(120, 0.001, 0, 80, 200)),
+    ("prune_split_no_val", PRUNE, {"data.n": 201, "split.train_n": 200, "split.val_frac_of_rest": 0.4,
+                                   "train.prune_window": [30, 60]}, SPLIT.format(200, 0.4, 0, 1, 201)),
+    ("grid_split_no_test", GRID, {"data.n": 201, "split.train_n": 200, "split.val_frac_of_rest": 0.6},
+     SPLIT.format(200, 0.6, 1, 0, 201)),
+    # the model
+    *((f"model.kind={v!r}", TRAIN, {"model.kind": v}, f"unknown network kind {v!r}")
+      for v in ("bogus", 5, None)),
+    *(bad("model.hidden", v, "a list of integers >= 1") for v in ([0], "x", [1.5], [True], None, {}, [-2])),
+    ("resnet_hidden=[4, 5]", TRAIN, {"model": {"kind": "crelu_resnet", "hidden": [4, 5]}},
+     "residual blocks need a single common width"),
+    ("resnet_hidden=[]", TRAIN, {"model": {"kind": "crelu_resnet", "hidden": []}},
+     "residual network needs at least one hidden width"),
+    *((f"model.activation={v!r}", TRAIN, {"model.activation": v}, f"unknown activation {v!r}")
+      for v in ("tanh", 5, None)),
+    *((f"model.out_nonlinearity={v!r}", TRAIN, {"model.out_nonlinearity": v},
+       f"unknown output nonlinearity {v!r}") for v in ("softmax", None)),
+    *(bad("model.mode", v, MODE) for v in (5, "bogus", "blend:2", "blend:nan", None)),
+    bad("model.mode", "blend:x", MODE, id="mode_undecodable_blend"),
+    *(bad(f"model.{key}", v, "true or false") for key in ("shared_lengths", "bias", "freeze_lengths")
+      for v in ("no", 1, None)),
+    bad("model.bias", "yes", "true or false", id="bias_string"),
+    bad("model.freeze_lengths", 0, "true or false", id="freeze_lengths_number"),
+    ("closed_form_per_row_lengths", TRAIN, {"model.shared_lengths": False}, CLOSED_FORM),
+    ("closed_form_l2wn", TRAIN, {"model.mode": "l2wn"}, CLOSED_FORM),
+    ("grid_closed_form_l2wn", GRID, {"model.mode": "l2wn"}, CLOSED_FORM),
+    # the step budget and the batches
+    *(bad("train.steps", v, "an integer >= 0") for v in (-1, 1.5, "x", True, None)),
+    ("steps_flag_negative", f"{TRAIN} --steps -1", None, must("train.steps", -1, "an integer >= 0")),
+    bad("train.steps", 1.5, "an integer >= 0", GRID, "grid_steps_fractional"),
+    bad("train.steps", 0, "an integer >= 1 for gridsearch", GRID, "grid_steps_zero"),
+    ("grid_steps_flag_zero", f"{GRID} --steps 0", None,
+     must("train.steps", 0, "an integer >= 1 for gridsearch")),
+    *(bad("train.batches_per_epoch", v, "an integer >= 1") for v in (0, "x", None)),
+    bad("train.batches_per_epoch", 1.5, "an integer >= 1", id="batches_fractional"),
+    bad("train.batches_per_epoch", -2, "an integer >= 1", id="batches_negative"),
+    ("train.batches_per_epoch=1000", TRAIN, {"train.batches_per_epoch": 1000},
+     "cannot draw 1000 disjoint batches of 1 from 120 samples"),
+    *(bad("train.batch_size", v, "null or an integer >= 1") for v in (0, "x", 1.5)),
+    ("train.batch_size=1000", TRAIN, {"train.batch_size": 1000},
+     "cannot draw 5 disjoint batches of 1000 from 120 samples"),
+    # the learning-rate schedule
+    *(bad("train.lr_schedule.kind", v, "warm_hold_decay or one_cycle") for v in ("bogus", 5, None)),
+    *(bad(f"train.lr_schedule.{key}", v, RATE) for key in ("lo", "hi", "warm_frac", "hold_frac")
+      for v in ("x", -1, NAN, None)),
+    *((f"one_cycle.{key}={v!r}", TRAIN, {"train.lr_schedule": {"kind": "one_cycle", key: v}},
+       must(f"train.lr_schedule.{key}", v, RATE)) for key in ("init", "max_lr", "final", "peak_frac")
+      for v in ("x", -1, None)),
+    ("one_cycle.peak_frac=1.0", TRAIN, {"train.lr_schedule": {"kind": "one_cycle", "peak_frac": 1.0}},
+     must("train.lr_schedule.peak_frac", 1.0, "< 1")),
+    ("schedule_peak_at_end", TRAIN, {"train.lr_schedule": {"kind": "one_cycle", "peak_frac": 1}},
+     must("train.lr_schedule.peak_frac", 1, "< 1")),
+    ("schedule_rate_string", TRAIN, {"train.lr_schedule": {"kind": "warm_hold_decay", "hi": "NaN"}},
+     must("train.lr_schedule.hi", "NaN", RATE)),
+    ("schedule_rate_negative", TRAIN, {"train.lr_schedule": {"kind": "warm_hold_decay", "hi": -1}},
+     must("train.lr_schedule.hi", -1, RATE)),
+    ("schedule_rate_bool", TRAIN, {"train.lr_schedule": {"kind": "one_cycle", "max_lr": True}},
+     must("train.lr_schedule.max_lr", True, RATE)),
+    ("schedule_no_decay_span", TRAIN,
+     {"train.lr_schedule": {"kind": "warm_hold_decay", "warm_frac": 0.5, "hold_frac": 0.5}},
+     "train.lr_schedule.warm_frac + hold_frac must be < 1, got 0.5 + 0.5"),
+    # the regularizer and lambda
+    *(bad("train.regularizer.kind", v, REGULARIZERS) for v in ("bogus", 5, None)),
+    ("improved_on_mlp", TRAIN, {"train.regularizer": {"kind": "path_improved", "lam": 1e-3}}, IMPROVED),
+    *((f"train.regularizer.lam={v!r}", TRAIN, {"train.regularizer.lam": v}, must("lambda", v, RATE))
+      for v in (-1, "x", None, NAN)),
+    ("train_nan", f"{TRAIN} --lam nan", None, must("lambda", NAN, RATE)),
+    ("train_inf", f"{TRAIN} --lam inf", None, must("lambda", float("inf"), RATE)),
+    ("grid_lam_nan", f"{GRID} nan", None, must("lambda", NAN, RATE)),
+    ("grid_nan", "gridsearch --config cfg.json --lambdas 1e-3 nan", None, must("lambda", NAN, RATE)),
+    ("grid_inf", "gridsearch --config cfg.json --lambdas inf", None, must("lambda", float("inf"), RATE)),
+    ("grid_lambda_duplicate", "gridsearch --config cfg.json --lambdas 1e-3 0.001", None,
+     "--lambdas 0.001 and 0.001 would share the cell directory lam_0.001"),
+    ("grid_lambda_same_dir", "gridsearch --config cfg.json --lambdas 1e-3 1.0000001e-3 0.001", None,
+     "--lambdas 0.001 and 0.0010000001 would share the cell directory lam_0.001"),
+    ("grid_jobs_zero", f"{GRID} --jobs 0", None, must("--jobs", 0, "an integer >= 1")),
+    ("grid_jobs_negative", f"{GRID} --jobs -4", None, must("--jobs", -4, "an integer >= 1")),
+    # the loss and the prune window
+    *(bad("train.loss", v, "mse or cross_entropy") for v in ("hinge", 5, [])),
+    *(bad("train.prune_window", v, WINDOW) for v in ([5, 3], [0, 100], "x", [1], [None, 5])),
+    bad("train.prune_window", [10.7, 19.2], WINDOW, id="window_fractional"),
+    bad("train.prune_window", [False, True], WINDOW, id="window_bool"),
+    bad("train.prune_window", "ab", WINDOW, id="window_string"),
+    ("prune_requires_window", PRUNE, None, "prune requires train.prune_window in the config"),
+    ("prune_window=None", PRUNE, {"train.prune_window": None},
+     "prune requires train.prune_window in the config"),
+    # a model.json that `analyze` reads: a CReLU ResNet ...
+    *analyze("resnet.json", [
+        ("no_layers", {"layers": []}, "model has no layers"),
+        ("shapes_do_not_chain", {"layers.2.raw": {"plus": [[1.0] * 3], "minus": [[1.0] * 3]}},
+         "layer 2 takes 3 inputs but layer 1 gives 4"),
+        ("lengths_shape", {"layers.0.lengths.values": [1.0, 1.0]},
+         "layer 0: lengths shape (2,) is neither (1,) nor (4,)"),
+        ("bias_shape", {"layers.0.bias": [0.0]}, "layer 0: bias shape (1,) is not (4,)"),
+        ("raw_not_2d", {"layers.0.raw": [1.0, 2.0, 3.0]}, "layer 0: raw shape (3,) is not one 2-D shape"),
+        ("pair_shapes_differ", {"layers.1.raw.minus.3": DROP},
+         "layer 1: raw shape (4, 4) and (3, 4) is not one 2-D shape"),
+        ("block_not_square", {"layers.1.raw": {"plus": [[1.0] * 4] * 5, "minus": [[1.0] * 4] * 5}},
+         "residual block 1 is 5x4, not square"),
+        ("layer_type", {"kind": "mlp"}, "layer 1 must be one matrix"),
+        ("no_final_pair", lambda doc: {**doc, "layers": doc["layers"][:1]},
+         "a residual net needs a first layer and a final pair"),
+        ("pair_not_object", {"layers.1": []}, "layer 1 is not a JSON object"),
+        ("unknown_kind", {"kind": "cnn"}, "unknown network kind 'cnn'"),
+        ("missing_layers_key", {"layers": DROP}, "missing key 'layers'"),
+        ("missing_bias", {"layers.0.bias": DROP}, "layer 0: missing key 'bias'"),
+        ("missing_pair_minus", {"layers.1.raw.minus": DROP}, "layer 1: missing key 'raw.minus'"),
+        ("missing_length_values", {"layers.2.lengths.values": DROP}, "layer 2: missing key 'lengths.values'"),
+        ("unknown_mode", {"layers.1.mode": "bogus"}, "layer 1: invalid mode 'bogus'"),
+        ("undecodable_blend", {"layers.2.mode": "blend:x"}, "layer 2: invalid mode 'blend:x'"),
+        ("nan_raw", {"layers.0.raw.1.2": NAN}, "layer 0: raw has a non-finite value"),
+        ("inf_raw_plus", {"layers.1.raw.plus.0.0": float("inf")}, "layer 1: raw.plus has a non-finite value"),
+        ("inf_lengths", {"layers.1.lengths.values": [float("-inf")]},
+         "layer 1: lengths.values has a non-finite value"),
+        ("nan_bias", {"layers.2.bias": [NAN]}, "layer 2: bias has a non-finite value"),
+        ("huge_int_bias", {"layers.2.bias": [10**400]}, "layer 2: bias is not an array of numbers"),
+        ("unknown_activation", {"activation": "tanh"}, "unknown activation 'tanh'"),
+        ("unknown_out_nonlinearity", {"out_nonlinearity": "softmax"}, "unknown output nonlinearity 'softmax'"),
+        ("string_bias", {"layers.0.bias": ["0", True, "2", "3"]}, "layer 0: bias is not an array of numbers"),
+        ("string_lengths", {"layers.1.lengths.values": ["1.0"]},
+         "layer 1: lengths.values is not an array of numbers"),
+        ("null_raw", {"layers.0.raw.0.1": None}, LAYER0_RAW),
+        ("bool_raw_plus", {"layers.2.raw.plus": [[True] * 4]}, "layer 2: raw.plus is not an array of numbers"),
+        ("string_freeze_lengths", {"freeze_lengths": "no"}, "freeze_lengths must be true or false, got 'no'"),
+        ("bool_in_bias", {"layers.0.bias": [0.0, True, 0.0, 0.0]}, "layer 0: bias is not an array of numbers"),
+        ("dims_mismatch", {"dims.d_out": 2}, "dims {'d_in': 3, 'd_out': 2, 'hidden': [4]} do not match the "
+         "layers, which give {'d_in': 3, 'd_out': 1, 'hidden': [4]}"),
+        ("missing_dims", {"dims": DROP}, "missing key 'dims'"),
+        ("zero_row", {"layers.0.raw.1": [0.0] * 3}, "layer 0: raw row 1 is zero, which l1wn cannot normalize"),
+        ("zero_pair_row_l2wn", {"layers.1.mode": "l2wn", "layers.1.raw": dict.fromkeys(
+            ("plus", "minus"), [[1.0] * 4, [0.0] * 4, [1.0] * 4, [1.0] * 4])},
+         "layer 1: raw row 1 is zero, which l2wn cannot normalize"),
+        ("zero_pair_row_blend", {"layers.2.mode": "blend:0.5", "layers.2.raw": {"plus": [[0.0] * 4],
+                                                                                 "minus": [[0.0] * 4]}},
+         "layer 2: raw row 0 is zero, which blend:0.5 cannot normalize"),
+        ("underflowing_row_l2wn", {"layers.0.mode": "l2wn", "layers.0.raw": [[1.0] * 3, [1e-200] * 3, [1.0] * 3,
+                                                                        [1.0] * 3]},
+         "layer 0: raw row 1 has a norm that underflows to 0, which l2wn cannot normalize"),
+        ("overflowing_lengths", huge_lengths, "the model gives naive_p1 = inf, which is not a finite number"),
+    ]),
+    # ... and a ReLU MLP
+    *analyze("mlp.json", [
+        ("model_not_json", '{"kind": "mlp", ',
+         "Expecting property name enclosed in double quotes: line 1 column 17 (char 16)"),
+        *((f"model.json={v!r}", {"": v}, "the model is not a JSON object") for v in ([], None, 5)),
+        ("layers=5", {"layers": 5}, "'layers' is not a list"),
+        ("layers=None", {"layers": None}, "'layers' is not a list"),
+        ("layers=[5]", {"layers": [5]}, "layer 0 is not a JSON object"),
+        ("kind=None", {"kind": None}, "unknown network kind None"),
+        ("last_layer_cut", {"layers.1": DROP}, "dims {'d_in': 4, 'd_out': 1, 'hidden': []} do not match the "
+         "layers, which give {'d_in': 4, 'd_out': 4, 'hidden': []}"),
+        ("dims.d_out=2", {"dims.d_out": 2}, "dims {'d_in': 4, 'd_out': 2, 'hidden': []} do not match the "
+         "layers, which give {'d_in': 4, 'd_out': 1, 'hidden': []}"),
+        ("freeze_lengths=None", {"freeze_lengths": None}, "freeze_lengths must be true or false, got None"),
+        ("activation=None", {"activation": None}, "unknown activation None"),
+        ("raw=[]", {"layers.0.raw": []}, "layer 0: raw shape (0,) is not one 2-D shape"),
+        ("raw=[[]]", {"layers.0.raw": [[]]}, "layer 0: bias shape (4,) is not (1,)"),
+        ("raw=[[], [], [], []]", {"layers.0.raw": [[]] * 4},
+         "layer 0: raw row 0 is zero, which l1wn cannot normalize"),
+        ("raw=[[[1.0]]]", {"layers.0.raw": [[[1.0]]]}, "layer 0: raw shape (1, 1, 1) is not one 2-D shape"),
+        *((f"raw={v!r}", {"layers.0.raw": v}, LAYER0_RAW) for v in ("abc", None, [[1.0, None, 0.0, 0.0]] * 4)),
+        ("raw.1.0=None", {"layers.0.raw.1.0": None}, LAYER0_RAW),
+        ("lengths.values=[]", {"layers.0.lengths.values": []},
+         "layer 0: lengths shape (0,) is neither (1,) nor (4,)"),
+        ("lengths.values=None", {"layers.0.lengths.values": None},
+         "layer 0: lengths.values is not an array of numbers"),
+        ("lengths.values=[nan]", {"layers.0.lengths.values": [NAN]},
+         "layer 0: lengths.values has a non-finite value"),
+        ("lengths.values='1'", {"layers.0.lengths.values": "1"},
+         "layer 0: lengths.values is not an array of numbers"),
+        ("lengths=None", {"layers.0.lengths": None}, "layer 0: missing key 'lengths.values'"),
+        ("bias={}", {"layers.1.bias": {}}, "layer 1: bias is not an array of numbers"),
+        ("bias=[]", {"layers.1.bias": []}, "layer 1: bias shape (0,) is not (1,)"),
+        ("bias=[1.0, 2.0]", {"layers.1.bias": [1.0, 2.0]}, "layer 1: bias shape (2,) is not (1,)"),
+        ("bias='0'", {"layers.1.bias": "0"}, "layer 1: bias is not an array of numbers"),
+        *((f"mode={v!r}", {"layers.0.mode": v}, f"layer 0: invalid mode {v!r}") for v in (None, 5, "blend:-1")),
+        ("raw_pair_in_mlp", lambda doc: edited(doc, {"layers.0.raw": dict.fromkeys(
+            ("plus", "minus"), doc["layers"][0]["raw"])}), "layer 0 must be one matrix"),
+        ("zero_last_row", {"layers.1.raw.0": [0.0] * 4},
+         "layer 1: raw row 0 is zero, which l1wn cannot normalize"),
+        ("underflowing_row", {"layers.0.mode": "l2wn", "layers.0.raw.1": [1e-200] * 4},
+         "layer 0: raw row 1 has a norm that underflows to 0, which l2wn cannot normalize"),
+        ("huge_lengths", huge_lengths, "the model gives naive_p1 = inf, which is not a finite number"),
+    ]),
+    # analyze's flags
+    *((f"{flag}-{text}", f"analyze mlp.json --oracle --pairs 10 {flag} {text}", None, must(flag, value, need))
+      for flag, text, value, need in [
+        ("--box", "nan", NAN, "a finite number > 0"), ("--box", "inf", float("inf"), "a finite number > 0"),
+        ("--box", "-1", -1.0, "a finite number > 0"), ("--box", "0", 0.0, "a finite number > 0"),
+        ("--pairs", "-1", -1, ">= 0"), ("--seed", "-1", -1, ">= 0"),
+        ("--oracle-guard", "0", 0, ">= 1"), ("--oracle-guard", "-1", -1, ">= 1"),
+    ]),
+    # a dataset_stats.json that `eval --stats` reads
+    *((f"stats_{id}", EVAL, edit, f"stats.json: {reason}") for id, edit, reason in [
+        ("missing_key", {"feature_sd": DROP}, "missing keys ['feature_sd']"),
+        ("wrong_feature_count", {"feature_mean": [0.0] * 3, "feature_sd": [1.0] * 3},
+         "feature_mean must list 4 values, one per dataset feature"),
+        ("zero_sd", {"feature_sd.1": 0.0}, "feature_sd has a value <= 0"),
+        ("string_sd", {"feature_sd.1": "a"}, "feature_sd is not an array of numbers"),
+        ("null_mean", {"feature_mean.1": None}, "feature_mean is not an array of numbers"),
+        ("null_median", {"target_median": None}, "target_median is not an array of numbers"),
+        ("zero_qd", {"target_qd": 0.0}, "target_qd has a value <= 0"),
+        ("string_qd", {"target_qd": "1"}, "target_qd is not an array of numbers"),
+        ("nan_sd", {"feature_sd.1": NAN}, "feature_sd has a non-finite value"),
+        ("not_json", "{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv, edit, message", [pytest.param(*row, id=id) for id, *row in REJECTED])
+def test_rejected_input(tmp_path, capsys, monkeypatch, argv, edit, message):
+    monkeypatch.chdir(tmp_path)
+    argv, files = shlex.split(argv), fixtures()
+    if edit is not None:
+        name = input_file(argv)
+        files[name] = edited(files[name], edit)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.xfail(strict=True, reason="model.json's dims.hidden omits an MLP's first hidden width, so "
