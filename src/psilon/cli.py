@@ -11,7 +11,12 @@ The data, split, model and train sections' keys and defaults are the
 fields of the records they build; only the CLI's own defaults are written
 here.
 `train`, `prune` and `gridsearch` are set up one way (`_set_up`), and
-their outputs are deterministic in (config, seed).
+their outputs are deterministic in (config, seed) on one numpy build, one
+BLAS build and one BLAS thread count: a multithreaded BLAS can move the
+last bits of a large matrix product.  The CLI runs with the BLAS library's
+default thread count (OpenBLAS: one per core), while perfbench pins one
+thread, so its digests need not be the bytes `train` writes on a host
+with more than one core.
 """
 
 from __future__ import annotations
@@ -213,6 +218,16 @@ def _finite_result(model, doc, key="") -> None:
         raise ConfigError(f"{model}: the model gives {key} = {doc!r}, which is not a finite number")
 
 
+def _write_model(out: Path, run: Run) -> None:
+    """model.json, and checkpoint.json, which repeats the model next to
+    Adam's state; one memo formats each float of the model once for both
+    files, and it is dropped, with the model's lists, on return."""
+    model, rows = network_to_json(run.net), {}
+    write_json(model, out / "model.json", memo=rows)
+    write_json({"model": model, "optimizer": adam_state_to_json(run.adam)}, out / "checkpoint.json",
+               indent=2, end="\n", memo=rows)
+
+
 def cmd_train(args) -> int:
     cfg, splits, _, plan, net, out = _set_up(args, lambda plan: [
         "model.json", "checkpoint.json", "metrics.csv", "metrics.jsonl", "pathnorm_report.json",
@@ -226,9 +241,7 @@ def cmd_train(args) -> int:
         return RUNTIME_ERROR
 
     _write_log(out, run, args)
-    model = network_to_json(run.net)
-    write_json(model, out / "model.json")
-    _dump_json({"model": model, "optimizer": adam_state_to_json(run.adam)}, out / "checkpoint.json")
+    _write_model(out, run)
     report, warnings = analyze_network(run.net)
     doc = report.to_json()
     doc["seed"] = cfg["seed"]

@@ -71,10 +71,12 @@ class Standardization:
         dataset_stats.json), checked against `ds`: the keys `apply` reads,
         one mean and sd per feature, finite numbers and positive scales."""
         stats = read_json(path)
+        if not isinstance(stats, dict):
+            raise ConfigError(f"{path}: the stats file is not a JSON object")
         keys = ["feature_mean", "feature_sd"]
         if ds.task == "regression":
             keys += ["target_median", "target_qd"]
-        missing = [k for k in keys if not isinstance(stats, dict) or k not in stats]
+        missing = [k for k in keys if k not in stats]
         if missing:
             raise ConfigError(f"{path}: missing keys {missing}")
         values = {key: _finite(stats, key, f"{path}: ") for key in keys}
@@ -178,7 +180,7 @@ def load_csv(path, target: str, task: str) -> Dataset:
     try:
         f = open(path, newline="")
     except OSError as e:
-        raise DataError(f"cannot open {path}: {e}") from e
+        raise DataError(f"{path}: {e.strerror or e}") from None
     with f:
         reader = csv.reader(f)
         try:

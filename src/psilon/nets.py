@@ -514,17 +514,26 @@ def resnet_effective_parts(net: Network):
 # module runs its pure-Python encoder, one Python call per float, for
 # `json.dump` and for any indent; here dicts and lists of containers are
 # walked in Python and each innermost list of numbers is one C `json.dumps`
-# call.  The file is written to a temporary name and renamed into place, so
-# it never holds a partial document.
+# call.  A numeric ndarray is written as its `tolist()` would be, converted
+# one innermost row at a time.  Two writes of documents that share lists can
+# share a memo of each innermost list's text, so each float is formatted
+# once (`train` writes the model into model.json and checkpoint.json).  The
+# file is written to a temporary name and renamed into place, so it never
+# holds a partial document.
 
 # element types for which `json.dumps(list)` text contains no strings, so
 # that every ", " in it separates two elements
 _NUMBER_TYPES = frozenset({float, int, bool, type(None)})
 
 
-def _json_chunks(obj, indent: int | None, level: int):
+def _json_chunks(obj, indent: int | None, level: int, memo: dict | None):
     """Pieces of the text of `json.dumps(obj, indent=indent)`, for `obj`
     nested `level` containers deep."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf":
+        if obj.ndim > 1:
+            obj = list(obj)  # its rows, as views
+        else:
+            obj, memo = obj.tolist(), None  # a fresh list, which no write shares
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         yield json.dumps(obj)
         return
@@ -541,18 +550,25 @@ def _json_chunks(obj, indent: int | None, level: int):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             yield lead + json.dumps(key) + ": "
             lead = sep
-            yield from _json_chunks(value, indent, level + 1)
+            yield from _json_chunks(value, indent, level + 1, memo)
         yield outer + "}"
         return
     if set(map(type, obj)) <= _NUMBER_TYPES:
-        text = json.dumps(obj)
-        yield text if indent is None else "[" + inner + text[1:-1].replace(", ", sep) + outer + "]"
+        # the list's text between its brackets; the memo holds the list
+        # too, so no other list can take its id while the memo lives
+        entry = memo.get(id(obj)) if memo is not None else None
+        if entry is None:
+            entry = (obj, json.dumps(obj)[1:-1])
+            if memo is not None:
+                memo[id(obj)] = entry
+        body = entry[1] if indent is None else entry[1].replace(", ", sep)
+        yield "[" + inner + body + outer + "]"
         return
     lead = "[" + inner
     for item in obj:
         yield lead
         lead = sep
-        yield from _json_chunks(item, indent, level + 1)
+        yield from _json_chunks(item, indent, level + 1, memo)
     yield outer + "]"
 
 
@@ -572,11 +588,14 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
-def write_json(obj, path, indent: int | None = None, end: str = "") -> None:
+def write_json(obj, path, indent: int | None = None, end: str = "", memo: dict | None = None) -> None:
     """Write `json.dumps(obj, indent=indent) + end`, byte for byte, to the
-    file `path` (atomically, see `write_atomic`) or to an open text stream.
-    The text is streamed, never held whole in memory."""
-    chunks = itertools.chain(_json_chunks(obj, indent, 0), (end,))
+    file `path` (atomically, see `write_atomic`) or to an open text stream;
+    a numeric ndarray in `obj` is written as its `tolist()`.  The text is
+    streamed, never held whole in memory.  Writes given one `memo` dict
+    format each innermost list of numbers once; none of them may change a
+    list that an earlier one wrote."""
+    chunks = itertools.chain(_json_chunks(obj, indent, 0, memo), (end,))
     if hasattr(path, "write"):
         path.writelines(chunks)
     else:

@@ -383,13 +383,15 @@ class AdamState:
 
 
 def adam_state_to_json(state: AdamState) -> dict:
+    """The optimizer section of checkpoint.json, for `nets.write_json`: the
+    moments are `state.m`/`.v`'s views, which it writes as their lists."""
     return {
         "t": state.t,
         "beta1": state.beta1,
         "beta2": state.beta2,
         "eps": state.eps,
-        "m": {k: v.tolist() for k, v in state.m.items()},
-        "v": {k: v.tolist() for k, v in state.v.items()},
+        "m": state.m,
+        "v": state.v,
     }
 
 

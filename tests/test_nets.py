@@ -506,18 +506,70 @@ class TestWriteJson:
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_streams_the_text(self, tmp_path, indent):
-        # about 8 MB of text; the writer holds one innermost list at a time
-        doc = {"rows": make_rng(30).standard_normal((1200, 256)).tolist()}
+        # about 8 MB of text; the writer holds one innermost list at a time,
+        # and converts an array one row at a time
+        rows = make_rng(30).standard_normal((1200, 256))
         path = tmp_path / "big.json"
-        tracemalloc.start()
-        try:
-            write_json(doc, path, indent=indent)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = path.stat().st_size
-        assert size > 6_000_000
-        assert peak < size / 4
+        for doc in ({"rows": rows.tolist()}, {"rows": rows}):
+            tracemalloc.start()
+            try:
+                write_json(doc, path, indent=indent)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = path.stat().st_size
+            assert size > 6_000_000
+            assert peak < size / 4
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_ndarray_leaves_match_their_lists(self, indent):
+        rng = make_rng(32)
+        arrays = [
+            np.array(0.1), np.array(np.nan), np.array(-np.inf),  # 0-d
+            rng.standard_normal(7), np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22]),
+            rng.standard_normal((3, 4)), rng.standard_normal((4, 3)).T,  # 2-D, and a strided view
+            np.arange(24.0).reshape(2, 3, 4), np.empty(0), np.empty((0, 3)), np.empty((2, 0)),
+            np.arange(-3, 3), np.arange(4, dtype=np.uint8), np.array([True, False]),
+            np.array([0.1, 2.5], dtype=np.float32),
+        ]
+        for a in arrays:
+            stream = io.StringIO()
+            write_json(a, stream, indent=indent)
+            assert stream.getvalue() == json.dumps(a.tolist(), indent=indent), repr(a)
+        doc = {"m": {str(i): a for i, a in enumerate(arrays)}, "t": 3, "rows": [arrays[5], [1.0]]}
+        stream = io.StringIO()
+        write_json(doc, stream, indent=indent)
+        listed = {"m": {str(i): a.tolist() for i, a in enumerate(arrays)}, "t": 3,
+                  "rows": [arrays[5].tolist(), [1.0]]}
+        assert stream.getvalue() == json.dumps(listed, indent=indent)
+
+    @pytest.mark.parametrize("first, second", [(None, 2), (2, None), (None, None), (2, 2)])
+    def test_memo_shares_rows_between_documents(self, first, second):
+        # the second document repeats lists of the first (as checkpoint.json
+        # repeats model.json); each write gives json.dumps's bytes, and only
+        # the second document's new innermost lists are formatted again
+        shared = [[0.1, -2.5, 1e-300], [float("nan"), -0.0, 5e-324], [1, 2**64, True, None]]
+        model = {"rows": shared, "corpus": JSON_CORPUS}
+        checkpoint = {"model": model, "more": [shared[0], [3.5, -7.25]], "moments": np.ones((2, 3))}
+        memo = {}
+        for doc, indent in ((model, first), (checkpoint, second)):
+            stream = io.StringIO()
+            write_json(doc, stream, indent=indent, memo=memo)
+            if doc is model:
+                formatted = len(memo)
+            assert stream.getvalue() == json.dumps(doc, indent=indent, default=np.ndarray.tolist)
+        assert len(memo) == formatted + 1  # [3.5, -7.25]; an array's rows are never kept
+
+    def test_memo_never_serves_a_freed_list(self):
+        # each list is freed once written, so a later list may be allocated
+        # at its address; the memo must not give it the freed list's text
+        memo = {}
+        for i in range(300):
+            doc = {"row": [float(i), 0.5]}
+            stream = io.StringIO()
+            write_json(doc, stream, memo=memo)
+            assert stream.getvalue() == json.dumps(doc)
+            del doc
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         # a large valid prefix, then a value json cannot encode

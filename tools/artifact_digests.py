@@ -2,11 +2,14 @@
 of every file they write, with each command's stdout, stderr and exit code.
 
 Usage: python tools/artifact_digests.py WORKDIR > digests.json
+       python tools/artifact_digests.py --diff A.json B.json
 
 WORKDIR must not exist or be empty.  Every config, CSV and output lives in
 it under a relative path, and the commands run with it as the current
 directory, so two runs of the same code print the same JSON, and two
-checkouts compare by running each from the same WORKDIR path in turn.  The
+checkouts compare by running each from the same WORKDIR path in turn.
+`--diff` prints, as a Markdown list, the artifacts and commands whose
+digests or output differ between two such JSON files.  The
 script runs psilon in-process through `psilon.cli.main` and imports nothing
 else of psilon but the two dataset helpers, so it runs unchanged in an older
 checkout.
@@ -19,7 +22,10 @@ middle column); `analyze --oracle --pairs 200 --out` on every model;
 `eval` with and without `--stats` on the CSV models; a 3-lambda
 `gridsearch --jsonl` at `--jobs 1` and `--jobs 2`; a diverging `train`;
 and, after it, a `train` whose validation split is larger than its training
-split.
+split and a `prune` at criterion 7's shape, the one run whose matrix
+products are large enough for a multithreaded BLAS to split: run the
+script under `OPENBLAS_NUM_THREADS=1` and `=2` to see whether the thread
+count moves any bytes.
 """
 
 from __future__ import annotations
@@ -97,9 +103,14 @@ RUNS = {
 }
 
 # runs after the diverging one, so the commands before them keep their
-# places in the log: a validation split of 250 rows against 200 training rows
+# places in the log: a validation split of 250 rows against 200 training
+# rows, then criterion 7's shape (2000 training rows of 20 features, a
+# [64, 64] MLP, split given as a fifth entry), whose products are large
+# enough for a multithreaded BLAS to split
 LATE_RUNS = {
     "val_larger": ("train", _synth("two_gaussians", 700, 5), {"hidden": [8, 6]}, _train()),
+    "threaded": ("prune", _synth("sparse_teacher", 2600, 20, 0.05, k_active=2), {"hidden": [64, 64]},
+                 _train(steps=40, loss="mse", prune_window=[20, 40]), {"train_n": 2000}),
 }
 
 
@@ -119,8 +130,8 @@ def write_csvs() -> None:
         Path(name).write_text("\n".join(lines) + "\n")
 
 
-def config(name, data, model, train) -> str:
-    doc = {"seed": 13, "out_dir": f"runs/{name}", "data": data, "split": {"train_n": 200},
+def config(name, data, model, train, split=None) -> str:
+    doc = {"seed": 13, "out_dir": f"runs/{name}", "data": data, "split": split or {"train_n": 200},
            "model": {"kind": "mlp", "mode": "l1wn", **model}, "train": train}
     path = f"configs/{name}.json"
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -143,8 +154,8 @@ def digests() -> dict:
 def train_runs(log: list, runs: dict) -> None:
     """Each `train`/`prune` run with `analyze` on its model, and `eval` with
     and without `--stats` on a CSV run's model."""
-    for name, (command, data, model, train) in runs.items():
-        run(log, command, "--config", config(name, data, model, train), "--jsonl")
+    for name, (command, data, model, train, *split) in runs.items():
+        run(log, command, "--config", config(name, data, model, train, *split), "--jsonl")
         model_path = f"runs/{name}/model.json"
         run(log, "analyze", model_path, "--oracle", "--pairs", "200", "--out", f"runs/{name}/analyze.json")
         if data["kind"] == "csv":
@@ -174,7 +185,22 @@ def matrix() -> dict:
     return {"artifacts": digests(), "commands": log}
 
 
+def diff(a: dict, b: dict) -> list[str]:
+    """The artifacts and commands of two matrices that differ."""
+    moved = sorted(name for name in a["artifacts"].keys() | b["artifacts"].keys()
+                   if a["artifacts"].get(name) != b["artifacts"].get(name))
+    moved += [" ".join(x["argv"]) for x, y in zip(a["commands"], b["commands"]) if x != y]
+    if len(a["commands"]) != len(b["commands"]):
+        moved.append("the two command lists differ in length")
+    return moved
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        moved = diff(*(json.loads(Path(path).read_text()) for path in argv[1:]))
+        print(f"{len(moved)} artifacts or commands differ")
+        print("".join(f"- `{name}`\n" for name in moved))
+        return 0
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
