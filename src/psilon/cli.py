@@ -38,6 +38,7 @@ from .nets import (
     is_count,
     load_network,
     network_to_json,
+    pack_array,
     read_json,
     require,
     save_network,
@@ -219,13 +220,12 @@ def _finite_result(model, doc, key="") -> None:
 
 
 def _write_model(out: Path, run: Run) -> None:
-    """model.json, and checkpoint.json, which repeats the model next to
-    Adam's state; one memo formats each float of the model once for both
-    files, and it is dropped, with the model's lists, on return."""
-    model, rows = network_to_json(run.net), {}
-    write_json(model, out / "model.json", memo=rows)
-    write_json({"model": model, "optimizer": adam_state_to_json(run.adam)}, out / "checkpoint.json",
-               indent=2, end="\n", memo=rows)
+    """model.json, and checkpoint.json, which holds the model next to Adam's
+    state with every array packed by `nets.pack_array`, so only model.json's
+    floats are formatted as text."""
+    save_network(run.net, out / "model.json")
+    write_json({"model": network_to_json(run.net, pack_array), "optimizer": adam_state_to_json(run.adam)},
+               out / "checkpoint.json", indent=2, end="\n")
 
 
 def cmd_train(args) -> int:

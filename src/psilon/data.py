@@ -170,11 +170,11 @@ class DataSpec:
 
 
 def load_csv(path, target: str, task: str) -> Dataset:
-    """Parse a numeric CSV with a header row, the column `target` holding
-    the targets and every other column a feature; any blank, non-numeric or
-    non-finite cell fails with its row/column coordinates, and so does a
-    classification label that is not an integer >= 0; a multiclass column
-    needs at least 2 classes."""
+    """Parse a numeric CSV with a header row of distinct names, the column
+    `target` holding the targets and every other column a feature; any
+    blank, non-numeric or non-finite cell fails with its row/column
+    coordinates, and so does a classification label that is not an integer
+    >= 0; a multiclass column needs at least 2 classes."""
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}")
     try:
@@ -188,6 +188,9 @@ def load_csv(path, target: str, task: str) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            twice = next(h for k, h in enumerate(header) if h in header[:k])
+            raise DataError(f"{path}: the header names column {twice!r} twice")
         if target not in header:
             raise DataError(f"{path}: no column named {target!r}")
         if len(header) < 2:

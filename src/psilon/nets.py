@@ -30,6 +30,7 @@ twice for one set of parameters.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -67,6 +68,7 @@ __all__ = [
     "layer_weights",
     "network_to_json",
     "network_from_json",
+    "pack_array",
     "save_network",
     "load_network",
     "read_json",
@@ -514,26 +516,19 @@ def resnet_effective_parts(net: Network):
 # module runs its pure-Python encoder, one Python call per float, for
 # `json.dump` and for any indent; here dicts and lists of containers are
 # walked in Python and each innermost list of numbers is one C `json.dumps`
-# call.  A numeric ndarray is written as its `tolist()` would be, converted
-# one innermost row at a time.  Two writes of documents that share lists can
-# share a memo of each innermost list's text, so each float is formatted
-# once (`train` writes the model into model.json and checkpoint.json).  The
-# file is written to a temporary name and renamed into place, so it never
-# holds a partial document.
+# call.  checkpoint.json formats no array: `pack_array` writes each as its
+# float64 bytes in base64, which keep every bit and cost little next to
+# shortest-repr text.  The file is written to a temporary name and renamed
+# into place, so it never holds a partial document.
 
 # element types for which `json.dumps(list)` text contains no strings, so
 # that every ", " in it separates two elements
 _NUMBER_TYPES = frozenset({float, int, bool, type(None)})
 
 
-def _json_chunks(obj, indent: int | None, level: int, memo: dict | None):
+def _json_chunks(obj, indent: int | None, level: int):
     """Pieces of the text of `json.dumps(obj, indent=indent)`, for `obj`
     nested `level` containers deep."""
-    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biuf":
-        if obj.ndim > 1:
-            obj = list(obj)  # its rows, as views
-        else:
-            obj, memo = obj.tolist(), None  # a fresh list, which no write shares
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         yield json.dumps(obj)
         return
@@ -550,25 +545,18 @@ def _json_chunks(obj, indent: int | None, level: int, memo: dict | None):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             yield lead + json.dumps(key) + ": "
             lead = sep
-            yield from _json_chunks(value, indent, level + 1, memo)
+            yield from _json_chunks(value, indent, level + 1)
         yield outer + "}"
         return
     if set(map(type, obj)) <= _NUMBER_TYPES:
-        # the list's text between its brackets; the memo holds the list
-        # too, so no other list can take its id while the memo lives
-        entry = memo.get(id(obj)) if memo is not None else None
-        if entry is None:
-            entry = (obj, json.dumps(obj)[1:-1])
-            if memo is not None:
-                memo[id(obj)] = entry
-        body = entry[1] if indent is None else entry[1].replace(", ", sep)
-        yield "[" + inner + body + outer + "]"
+        text = json.dumps(obj)
+        yield text if indent is None else "[" + inner + text[1:-1].replace(", ", sep) + outer + "]"
         return
     lead = "[" + inner
     for item in obj:
         yield lead
         lead = sep
-        yield from _json_chunks(item, indent, level + 1, memo)
+        yield from _json_chunks(item, indent, level + 1)
     yield outer + "]"
 
 
@@ -588,33 +576,35 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
-def write_json(obj, path, indent: int | None = None, end: str = "", memo: dict | None = None) -> None:
+def write_json(obj, path, indent: int | None = None, end: str = "") -> None:
     """Write `json.dumps(obj, indent=indent) + end`, byte for byte, to the
-    file `path` (atomically, see `write_atomic`) or to an open text stream;
-    a numeric ndarray in `obj` is written as its `tolist()`.  The text is
-    streamed, never held whole in memory.  Writes given one `memo` dict
-    format each innermost list of numbers once; none of them may change a
-    list that an earlier one wrote."""
-    chunks = itertools.chain(_json_chunks(obj, indent, 0, memo), (end,))
+    file `path` (atomically, see `write_atomic`) or to an open text stream.
+    The text is streamed, never held whole in memory."""
+    chunks = itertools.chain(_json_chunks(obj, indent, 0), (end,))
     if hasattr(path, "write"):
         path.writelines(chunks)
     else:
         write_atomic(path, chunks)
 
 
-def _arr(a: np.ndarray | None):
-    return None if a is None else a.tolist()
+def pack_array(a: np.ndarray) -> dict:
+    """`a` as checkpoint.json stores an array: its C-order little-endian
+    float64 bytes in base64, with its dtype and shape, so that
+    `np.frombuffer(base64.b64decode(d["base64"]), d["dtype"]).reshape(d["shape"])`
+    gives back every bit."""
+    a = np.asarray(a, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape), "base64": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _layer_to_json(layer) -> dict:
+def _layer_to_json(layer, encode) -> dict:
     if isinstance(layer, PairLinear):
-        raw = {"plus": _arr(layer.raw_plus), "minus": _arr(layer.raw_minus)}
+        raw = {"plus": encode(layer.raw_plus), "minus": encode(layer.raw_minus)}
     else:
-        raw = _arr(layer.raw)
+        raw = encode(layer.raw)
     return {
         "raw": raw,
-        "lengths": {"shared": layer.g.shape == (1,), "values": _arr(layer.g)},
-        "bias": _arr(layer.bias),
+        "lengths": {"shared": layer.g.shape == (1,), "values": encode(layer.g)},
+        "bias": None if layer.bias is None else encode(layer.bias),
         "mode": layer.mode.encode(),
         "norm_source": layer.norm_source,
     }
@@ -683,14 +673,16 @@ def _dims(net: Network) -> dict:
     return {"d_in": net.d_in, "d_out": net.d_out, "hidden": hidden}
 
 
-def network_to_json(net: Network) -> dict:
+def network_to_json(net: Network, encode=np.ndarray.tolist) -> dict:
+    """The model document, each array written by `encode`: as nested lists
+    for model.json, or by `pack_array` for checkpoint.json."""
     return {
         "kind": net.kind,
         "dims": _dims(net),
         "activation": net.activation,
         "out_nonlinearity": net.out_nonlinearity,
         "freeze_lengths": net.freeze_lengths,
-        "layers": [_layer_to_json(layer) for layer in net.layers()],
+        "layers": [_layer_to_json(layer, encode) for layer in net.layers()],
     }
 
 

@@ -47,6 +47,7 @@ from .nets import (
     is_count,
     is_number,
     layer_weights,
+    pack_array,
     require,
     sigmoid,
 )
@@ -383,15 +384,15 @@ class AdamState:
 
 
 def adam_state_to_json(state: AdamState) -> dict:
-    """The optimizer section of checkpoint.json, for `nets.write_json`: the
-    moments are `state.m`/`.v`'s views, which it writes as their lists."""
+    """The optimizer section of checkpoint.json: each slot's moments, in
+    `Network.slots()` order, packed by `nets.pack_array`."""
     return {
         "t": state.t,
         "beta1": state.beta1,
         "beta2": state.beta2,
         "eps": state.eps,
-        "m": state.m,
-        "v": state.v,
+        "m": {name: pack_array(a) for name, a in state.m.items()},
+        "v": {name: pack_array(a) for name, a in state.v.items()},
     }
 
 

@@ -1,6 +1,8 @@
+import base64
 import io
 import json
 import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,34 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+def unpacked(doc: dict) -> np.ndarray:
+    """The array that a packed checkpoint.json entry holds."""
+    return np.frombuffer(base64.b64decode(doc["base64"]), doc["dtype"]).reshape(doc["shape"])
+
+
+def bits(a: np.ndarray) -> list:
+    return a.view(np.uint64).tolist()
+
+
+def model_arrays(model: dict):
+    """(slot name, packed array) of each array of a checkpoint's model
+    section, in the order of `Network.slots()` (lengths not frozen)."""
+    for i, layer in enumerate(model["layers"]):
+        raw = layer["raw"]
+        pairs = [("raw_plus", raw["plus"]), ("raw_minus", raw["minus"])] if "plus" in raw else [("raw", raw)]
+        pairs.append(("g", layer["lengths"]["values"]))
+        if layer["bias"] is not None:
+            pairs.append(("bias", layer["bias"]))
+        yield from ((f"layer{i}.{name}", packed) for name, packed in pairs)
+
+
+def decoded(doc):
+    """`doc` with each packed array replaced by its nested lists."""
+    if isinstance(doc, dict):
+        return unpacked(doc).tolist() if "base64" in doc else {k: decoded(v) for k, v in doc.items()}
+    return [decoded(v) for v in doc] if isinstance(doc, list) else doc
 
 
 def huge_lengths(doc):
@@ -78,21 +108,33 @@ class TestTrainCommand:
         assert sorted(p.name for p in out.iterdir() if p.name.startswith(".")) == []
 
     def test_checkpoint_holds_the_model_and_the_optimizer(self, tmp_path, capsys, monkeypatch):
-        # both files are written with one memo of the model's row text, and
-        # the moments straight from the run's AdamState
+        # every array of checkpoint.json is packed and decodes, bit for bit,
+        # to the trained parameters and Adam's moments, in slot order; run
+        # for an MLP `train` and a CReLU ResNet `prune` (pairs, and the
+        # blended mode that a prune window leaves)
         runs = []
         monkeypatch.setattr("psilon.cli.train_with_state",
                             lambda *a: runs.append(train_with_state(*a)) or runs[-1])
-        cfg = write_config(tmp_path, base_config(tmp_path / "run", prune_window=[40, 60]))
-        assert main(["train", "--config", cfg]) == 0
-        checkpoint = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
-        assert checkpoint["model"] == json.loads((tmp_path / "run" / "model.json").read_text())
-        adam = runs[0].adam
-        assert checkpoint["optimizer"] == {
-            "t": 60, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps,
-            "m": {k: v.tolist() for k, v in adam.m.items()}, "v": {k: v.tolist() for k, v in adam.v.items()},
-        }
-        assert list(checkpoint["optimizer"]["m"]) == [name for name, _ in runs[0].net.slots()]
+        resnet = base_config(tmp_path / "resnet", prune_window=[40, 60],
+                             regularizer={"kind": "path_improved", "lam": 1e-3})
+        resnet["model"] = {"kind": "crelu_resnet", "hidden": [6, 6], "mode": "l1wn"}
+        for command, doc in (("train", base_config(tmp_path / "mlp")), ("prune", resnet)):
+            assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+            out, run = Path(doc["out_dir"]), runs[-1]
+            checkpoint = json.loads((out / "checkpoint.json").read_text())
+            model, optimizer = checkpoint["model"], checkpoint["optimizer"]
+            names = [name for name, _ in run.net.slots()]
+            arrays = list(model_arrays(model))
+            assert [name for name, _ in arrays] == names == list(optimizer["m"]) == list(optimizer["v"])
+            for (_, packed), (_, param) in zip(arrays, run.net.slots()):
+                assert bits(unpacked(packed)) == bits(param)
+            for name in names:
+                assert bits(unpacked(optimizer["m"][name])) == bits(run.adam.m[name])
+                assert bits(unpacked(optimizer["v"][name])) == bits(run.adam.v[name])
+            assert {k: optimizer[k] for k in ("t", "beta1", "beta2", "eps")} == {
+                "t": 60, "beta1": run.adam.beta1, "beta2": run.adam.beta2, "eps": run.adam.eps}
+            # with its arrays decoded, the model section is model.json
+            assert decoded(model) == json.loads((out / "model.json").read_text())
 
     def test_rerun_identical_metrics(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "run"))
@@ -242,6 +284,24 @@ class TestGridsearchCommand:
         assert curves[0] == "step,lambda,val_loss"
         assert len(curves) > 2
 
+    def test_workers_write_the_bytes_of_one_process(self, tmp_path, capsys):
+        # at criterion 7's shape the products are large enough for a
+        # multithreaded BLAS to split, so a worker running with another BLAS
+        # thread count than its parent's could write other bytes
+        doc = base_config(tmp_path / "grid", steps=40, loss="mse")
+        doc["data"] = {"kind": "synth", "task": "sparse_teacher", "n": 2600, "dim": 20, "noise": 0.05,
+                       "k_active": 2}
+        doc["split"] = {"train_n": 2000}
+        doc["model"]["hidden"] = [64, 64]
+        for jobs in ("1", "2"):
+            doc["out_dir"] = str(tmp_path / f"jobs{jobs}")
+            cfg = write_config(tmp_path, doc)
+            assert main(["gridsearch", "--config", cfg, "--lambdas", "1e-4", "1e-3", "--jobs", jobs]) == 0
+        for cell in ("lam_0.0001", "lam_0.001"):
+            for name in ("metrics.csv", "model.json"):
+                one, two = (tmp_path / f"jobs{jobs}" / cell / name for jobs in ("1", "2"))
+                assert one.read_bytes() == two.read_bytes(), f"{cell}/{name}"
+
     def test_default_grid_is_thirteen_values(self, tmp_path):
         doc = base_config(tmp_path / "grid", steps=1)
         cfg = write_config(tmp_path, doc)
@@ -302,6 +362,34 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(model), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["improved_p1"] <= doc["naive_p1"]
+
+    @pytest.mark.parametrize("command, model, train", [
+        pytest.param("train", {"kind": "mlp", "hidden": [8, 6]}, {}, id="relu_mlp_closed_form"),
+        pytest.param("train", {"kind": "mlp", "hidden": [8, 6], "activation": "crelu"},
+                     {"regularizer": {"kind": "path_naive", "lam": 1e-3}}, id="crelu_mlp"),
+        pytest.param("prune", {"kind": "crelu_resnet", "hidden": [6, 6]},
+                     {"regularizer": {"kind": "path_improved", "lam": 1e-3}, "prune_window": [40, 60]},
+                     id="resnet_improved_prune"),
+    ])
+    def test_bound_chain_on_a_trained_network(self, tmp_path, capsys, command, model, train):
+        # the Theorem 1 and 2 chains, on trained weights: sampled slopes <=
+        # the tightest path bound, improved <= naive, and the closed form and
+        # the path oracle equal to the bound they collapse to
+        doc = base_config(tmp_path / "run", **train)
+        doc["model"] = {"mode": "l1wn", **model}
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(tmp_path / "run" / "model.json"), "--oracle", "--pairs", "200"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        naive, improved = report["naive_p1"], report["improved_p1"]
+        resnet = model["kind"] == "crelu_resnet"
+        assert (improved is not None) == resnet  # an MLP has no improved bound
+        assert report["empirical_lipschitz"] <= min(b for b in (naive, improved) if b is not None)
+        if resnet:
+            assert improved <= naive
+        assert report["closed_form"] == pytest.approx(improved if resnet else naive, rel=1e-12, abs=0)
+        assert report["oracle_p1"] is not None  # a net this small is within the oracle's guard
+        assert report["oracle_p1"] == pytest.approx(naive, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("out", ["missing_dir/x.json", "."], ids=["missing_dir", "a_directory"])
     def test_unwritable_out_rejected_before_analysis(self, tmp_path, capsys, monkeypatch, out):
@@ -487,6 +575,8 @@ CSV_FILES = {
     "one_class.csv": "a,y\n0.5,0\n1.5,0\n2.5,0\n",
     "three_class.csv": "a,y\n" + "".join(f"{i / 10!r},{i % 3}\n" for i in range(200)),
     "regression.csv": "a,b,c,d,y\n0.1,0.2,0.3,0.4,0.5\n0.4,0.3,0.2,0.1,1.5\n",
+    "repeated_target.csv": "a,y,y\n0.5,0,1\n1.5,1,0\n",
+    "repeated_feature.csv": "a, a ,y\n0.5,0.5,0\n1.5,1.5,1\n",
 }
 
 
@@ -643,7 +733,12 @@ REJECTED = [
         ("csv_empty", "empty.csv", "regression", "empty file"),
         ("csv_one_class", "one_class.csv", "multiclass",
          "every label in column 'y' is 0; multiclass needs at least 2 classes"),
+        *((f"csv_repeated_{what}", f"repeated_{what}.csv", "binary", f"the header names column {name!r} twice")
+          for what, name in (("target", "y"), ("feature", "a"))),
     ]),
+    *((f"eval_csv_repeated_{what}", f"eval mlp.json --data repeated_{what}.csv --target y --task binary", None,
+       f"repeated_{what}.csv: the header names column {name!r} twice")
+      for what, name in (("target", "y"), ("feature", "a"))),
     # the loss against the data's task
     ("ce_on_synth_regression", TRAIN, {"data.task": "sparse_teacher", "train.loss": "cross_entropy"},
      CE_ON_REGRESSION),

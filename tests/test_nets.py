@@ -1,4 +1,5 @@
 import ast
+import base64
 import io
 import json
 import tracemalloc
@@ -22,6 +23,7 @@ from psilon.nets import (
     layer_weights,
     network_from_json,
     network_to_json,
+    pack_array,
     predict,
     write_json,
 )
@@ -506,70 +508,18 @@ class TestWriteJson:
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_streams_the_text(self, tmp_path, indent):
-        # about 8 MB of text; the writer holds one innermost list at a time,
-        # and converts an array one row at a time
-        rows = make_rng(30).standard_normal((1200, 256))
+        # about 8 MB of text; the writer holds one innermost list at a time
+        doc = {"rows": make_rng(30).standard_normal((1200, 256)).tolist()}
         path = tmp_path / "big.json"
-        for doc in ({"rows": rows.tolist()}, {"rows": rows}):
-            tracemalloc.start()
-            try:
-                write_json(doc, path, indent=indent)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            size = path.stat().st_size
-            assert size > 6_000_000
-            assert peak < size / 4
-
-    @pytest.mark.parametrize("indent", [None, 2])
-    def test_ndarray_leaves_match_their_lists(self, indent):
-        rng = make_rng(32)
-        arrays = [
-            np.array(0.1), np.array(np.nan), np.array(-np.inf),  # 0-d
-            rng.standard_normal(7), np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22]),
-            rng.standard_normal((3, 4)), rng.standard_normal((4, 3)).T,  # 2-D, and a strided view
-            np.arange(24.0).reshape(2, 3, 4), np.empty(0), np.empty((0, 3)), np.empty((2, 0)),
-            np.arange(-3, 3), np.arange(4, dtype=np.uint8), np.array([True, False]),
-            np.array([0.1, 2.5], dtype=np.float32),
-        ]
-        for a in arrays:
-            stream = io.StringIO()
-            write_json(a, stream, indent=indent)
-            assert stream.getvalue() == json.dumps(a.tolist(), indent=indent), repr(a)
-        doc = {"m": {str(i): a for i, a in enumerate(arrays)}, "t": 3, "rows": [arrays[5], [1.0]]}
-        stream = io.StringIO()
-        write_json(doc, stream, indent=indent)
-        listed = {"m": {str(i): a.tolist() for i, a in enumerate(arrays)}, "t": 3,
-                  "rows": [arrays[5].tolist(), [1.0]]}
-        assert stream.getvalue() == json.dumps(listed, indent=indent)
-
-    @pytest.mark.parametrize("first, second", [(None, 2), (2, None), (None, None), (2, 2)])
-    def test_memo_shares_rows_between_documents(self, first, second):
-        # the second document repeats lists of the first (as checkpoint.json
-        # repeats model.json); each write gives json.dumps's bytes, and only
-        # the second document's new innermost lists are formatted again
-        shared = [[0.1, -2.5, 1e-300], [float("nan"), -0.0, 5e-324], [1, 2**64, True, None]]
-        model = {"rows": shared, "corpus": JSON_CORPUS}
-        checkpoint = {"model": model, "more": [shared[0], [3.5, -7.25]], "moments": np.ones((2, 3))}
-        memo = {}
-        for doc, indent in ((model, first), (checkpoint, second)):
-            stream = io.StringIO()
-            write_json(doc, stream, indent=indent, memo=memo)
-            if doc is model:
-                formatted = len(memo)
-            assert stream.getvalue() == json.dumps(doc, indent=indent, default=np.ndarray.tolist)
-        assert len(memo) == formatted + 1  # [3.5, -7.25]; an array's rows are never kept
-
-    def test_memo_never_serves_a_freed_list(self):
-        # each list is freed once written, so a later list may be allocated
-        # at its address; the memo must not give it the freed list's text
-        memo = {}
-        for i in range(300):
-            doc = {"row": [float(i), 0.5]}
-            stream = io.StringIO()
-            write_json(doc, stream, memo=memo)
-            assert stream.getvalue() == json.dumps(doc)
-            del doc
+        tracemalloc.start()
+        try:
+            write_json(doc, path, indent=indent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 6_000_000
+        assert peak < size / 4
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         # a large valid prefix, then a value json cannot encode
@@ -601,3 +551,34 @@ class TestWriteJson:
                         and any(k.arg == "indent" for k in node.keywords)):
                     offenders.append(f"{path.name}:{node.lineno} {callee}")
         assert offenders == []
+
+
+def unpacked(doc: dict) -> np.ndarray:
+    """The array that a `pack_array` document holds."""
+    return np.frombuffer(base64.b64decode(doc["base64"]), doc["dtype"]).reshape(doc["shape"])
+
+
+class TestPackArray:
+    def test_round_trips_every_bit(self):
+        wide = make_rng(33).standard_normal((4, 6))
+        # a quiet and a signalling NaN, each with a payload, and -NaN
+        nans = np.array([0x7FF8000000012345, 0x7FF0000000000ABC, 0xFFF8000000000000], dtype=np.uint64)
+        arrays = [
+            np.array([-0.0, 0.0, 5e-324, 2.5e-310, np.inf, -np.inf, 1e308, 0.1]),  # 1-D
+            nans.view(np.float64),
+            wide,  # 2-D
+            wide[1:, ::2], wide.T,  # non-contiguous views
+            np.array(2.5), np.empty((0, 3)),
+        ]
+        for a in arrays:
+            doc = pack_array(a)
+            assert (doc["dtype"], doc["shape"]) == ("<f8", list(a.shape))
+            back = unpacked(json.loads(json.dumps(doc)))
+            assert back.view(np.uint64).tolist() == a.view(np.uint64).tolist(), repr(a)
+
+    def test_bytes_are_little_endian_float64(self):
+        a = np.array([[1.5, -0.0], [3e-320, -2.0]])
+        assert base64.b64decode(pack_array(a)["base64"]) == a.astype("<f8").tobytes()
+        assert pack_array(a.astype(">f8")) == pack_array(a)
+        assert pack_array(np.array([0.1, 3.0], dtype=np.float32))["base64"] == pack_array(
+            np.array([np.float32(0.1), 3.0]))["base64"]

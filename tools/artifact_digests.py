@@ -14,6 +14,12 @@ script runs psilon in-process through `psilon.cli.main` and imports nothing
 else of psilon but the two dataset helpers, so it runs unchanged in an older
 checkout.
 
+Before it prints, the script decodes every `checkpoint.json` and compares
+its model section with the `model.json` beside it, each array bit for bit
+(a packed array is decoded with base64 and numpy; the lists of an older
+checkpoint are read as they are).  On a mismatch it names the file and
+exits 1.
+
 The matrix: `train`/`prune --jsonl` on MLP and CReLU ResNet configs that
 cover every regularizer, normalization mode and schedule (with prune
 windows that end at and before `train.steps`) and on synthetic and CSV
@@ -30,6 +36,7 @@ count moves any bytes.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
 import io
@@ -38,6 +45,8 @@ import os
 import random
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -185,6 +194,30 @@ def matrix() -> dict:
     return {"artifacts": digests(), "commands": log}
 
 
+def same_model(ours, model) -> bool:
+    """Whether a checkpoint's model section `ours` holds the document
+    `model` of model.json: the same keys and scalars, and each array with
+    the same shape and float64 bits."""
+    if isinstance(model, dict):
+        return isinstance(ours, dict) and ours.keys() == model.keys() and all(
+            same_model(ours[k], model[k]) for k in model)
+    if isinstance(model, list) and model and isinstance(model[0], dict):
+        return isinstance(ours, list) and len(ours) == len(model) and all(map(same_model, ours, model))
+    if isinstance(model, list):
+        if isinstance(ours, dict):
+            ours = np.frombuffer(base64.b64decode(ours["base64"]), ours["dtype"]).reshape(ours["shape"])
+        a, b = np.asarray(ours, dtype="<f8"), np.asarray(model, dtype="<f8")
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(ours) is type(model) and ours == model
+
+
+def checkpoint_faults() -> list[str]:
+    """Each checkpoint.json whose model differs from the model.json beside it."""
+    return [path.as_posix() for path in sorted(Path(".").rglob("checkpoint.json"))
+            if not same_model(json.loads(path.read_text())["model"],
+                              json.loads((path.parent / "model.json").read_text()))]
+
+
 def diff(a: dict, b: dict) -> list[str]:
     """The artifacts and commands of two matrices that differ."""
     moved = sorted(name for name in a["artifacts"].keys() | b["artifacts"].keys()
@@ -210,7 +243,13 @@ def main(argv: list[str]) -> int:
         print(f"error: {work} is not empty", file=sys.stderr)
         return 1
     os.chdir(work)
-    json.dump(matrix(), sys.stdout, indent=1, sort_keys=True)
+    digest = matrix()
+    faults = checkpoint_faults()
+    for path in faults:
+        print(f"error: {path}: its model is not the model.json beside it", file=sys.stderr)
+    if faults:
+        return 1
+    json.dump(digest, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
 
