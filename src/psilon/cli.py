@@ -414,6 +414,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return RUNTIME_ERROR
+    except MemoryError as e:  # numpy's names the array it could not allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return RUNTIME_ERROR
 
 
 if __name__ == "__main__":

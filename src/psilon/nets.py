@@ -360,8 +360,12 @@ def _logits(net: Network, x: np.ndarray, effs: list | None = None,
     return out[0] if squeeze else out
 
 
-def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    out = _logits(net, x)
+def predict(net: Network, x: np.ndarray, effs: list | None = None,
+            buffers: ForwardBuffers | None = None) -> np.ndarray:
+    """The network's outputs, with the output nonlinearity applied: the
+    logits of `_logits(net, x, effs, buffers)`, which with `buffers` are a
+    view of theirs unless a sigmoid makes a new array."""
+    out = _logits(net, x, effs, buffers)
     if net.out_nonlinearity == "sigmoid":
         return sigmoid(out)
     return out

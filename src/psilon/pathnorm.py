@@ -14,7 +14,8 @@ sup norm on inputs and the L1 norm on outputs:
   * product bound: operator-norm product, with the final (inf,1) factor
     enumerated exactly over sign vertices when the width permits;
   * path enumeration and empirical Lipschitz probing as independent
-    oracles.
+    oracles; the probe runs its sampled rows in cache-sized chunks, so its
+    memory is its draws and a few chunk-sized arrays.
 
 Training and `analyze_network` share one engine: each path bound is one
 chain of nonnegative factor matrices (`_bound_chain`), read for its value
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linalg import DimensionError, as_matrix, op_inf_norm, op_inf_one_norm
-from .nets import Network, layer_weights, predict
+from .nets import ForwardBuffers, Network, layer_weights, predict
 from .reparam import row_source
 
 __all__ = [
@@ -187,6 +188,19 @@ def product_bound(weights, exact_dim_limit: int = 16) -> tuple[float, bool]:
     return val, exact
 
 
+_PROBE_ELEMENTS = 1 << 16  # elements in the widest array of an empirical_lipschitz chunk
+_PROBE_MIN_ROWS = 16  # rows per chunk however wide the network
+
+
+def _probe_rows(effs: list) -> int:
+    """Rows per `empirical_lipschitz` chunk for the weights `effs`: as many
+    as keep the widest array a forward forms (a layer's input or output, a
+    CReLU copy of both halves) within `_PROBE_ELEMENTS`, but at least
+    `_PROBE_MIN_ROWS`."""
+    width = max(n for ws in effs for w in ws for n in w.shape)
+    return max(_PROBE_MIN_ROWS, _PROBE_ELEMENTS // width)
+
+
 def empirical_lipschitz(
     net: Network, n_pairs: int, input_box: float, rng: np.random.Generator
 ) -> float:
@@ -196,6 +210,16 @@ def empirical_lipschitz(
     short coordinate steps of length 1e-4 (local slope probes); random
     pairs alone badly underestimate the supremum in higher dimension.  The
     output nonlinearity is applied, matching what the bounds cover.
+
+    The weights are materialized once, and the 2 * n_pairs rows run through
+    the network in chunks of `_probe_rows` rows, every chunk's forwards
+    writing into one `ForwardBuffers`.  So besides the n_pairs x d_in draws
+    the probe holds a few chunk-sized arrays, each of at most
+    `_PROBE_ELEMENTS` elements unless `_PROBE_MIN_ROWS` rows of one layer
+    are wider.  The pairs are the ones a single forward over all rows
+    probed: the same generator calls in the same order.  So is the value,
+    up to a BLAS product that rounds a chunk's row otherwise than the whole
+    matrix's (the tests allow a relative 1e-12).
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -211,11 +235,17 @@ def empirical_lipschitz(
 
     xs = np.vstack([x, base])
     ys = np.vstack([y, probe])
-    fx = predict(net, xs)
-    fy = predict(net, ys)
-    if fx.ndim == 1:
-        fx, fy = fx[:, None], fy[:, None]
-    num = np.sum(np.abs(fx - fy), axis=1)
+    effs = layer_weights(net)
+    rows = _probe_rows(effs)
+    buffers = ForwardBuffers()
+    fx = np.empty((min(rows, len(xs)), net.d_out))
+    num = np.empty(len(xs))
+    for start in range(0, len(xs), rows):
+        part = slice(start, start + rows)
+        f = fx[: len(xs[part])]
+        np.copyto(f, predict(net, xs[part], effs, buffers))  # ys's forward reuses the buffers
+        f -= predict(net, ys[part], effs, buffers)
+        np.sum(np.abs(f, out=f), axis=1, out=num[part])
     den = np.max(np.abs(xs - ys), axis=1)
     ok = den > 0
     if not np.any(ok):

@@ -353,6 +353,25 @@ class TestAnalyzeCommand:
         assert doc["oracle_p1"] is None
         assert "enumeration" in captured.err
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 29.1 TiB for an array with shape (1000000000000, 4) and data type float64",
+         "error: Unable to allocate 29.1 TiB for an array with shape (1000000000000, 4) and data type float64"),
+        ("", "error: out of memory"),  # Python's own MemoryError carries no message
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, message, line):
+        # the probe's draws are n_pairs x d_in; a draw that cannot be
+        # allocated is simulated, so nothing large is asked for
+        class NoMemory:
+            def uniform(self, *args, **kwargs):
+                raise MemoryError(message)
+
+        net = init_network(NetSpec(kind="mlp", d_in=4, d_out=1, hidden=[5], mode=L1WN), np.random.default_rng(0))
+        model = tmp_path / "m.json"
+        save_network(net, model)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoMemory())
+        assert main(["analyze", str(model), "--pairs", "1000000000000"]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+
     def test_report_written_to_file(self, tmp_path, capsys):
         spec = NetSpec(kind="crelu_resnet", d_in=3, d_out=2, hidden=[4], mode=L1WN)
         net = init_network(spec, np.random.default_rng(2))

@@ -6,9 +6,11 @@ import pytest
 from psilon.linalg import DimensionError, make_rng, op_inf_one_norm
 from psilon.nets import NetSpec, init_network, predict
 from psilon.pathnorm import (
+    _PROBE_ELEMENTS,
     _SUFFIX_PATHS,
     PathBudgetError,
     _bound_chain,
+    _probe_rows,
     analyze_network,
     bound_value,
     bound_value_and_grad,
@@ -286,6 +288,23 @@ class TestProductBound:
         assert val == 20.0 * 2.0
 
 
+def one_shot_lipschitz(net, n_pairs, input_box, rng):
+    """`empirical_lipschitz` with one `predict` over all rows: the same
+    draws, in the same order."""
+    d = net.d_in
+    x = rng.uniform(-input_box, input_box, size=(n_pairs, d))
+    y = rng.uniform(-input_box, input_box, size=(n_pairs, d))
+    base = rng.uniform(-input_box, input_box, size=(n_pairs, d))
+    coords = rng.integers(0, d, size=n_pairs)
+    signs = np.where(rng.uniform(size=n_pairs) < 0.5, -1.0, 1.0)
+    probe = base.copy()
+    probe[np.arange(n_pairs), coords] += 1e-4 * signs
+    xs, ys = np.vstack([x, base]), np.vstack([y, probe])
+    num = np.sum(np.abs(predict(net, xs) - predict(net, ys)), axis=1)
+    den = np.max(np.abs(xs - ys), axis=1)
+    return float(np.max(num[den > 0] / den[den > 0]))
+
+
 class TestEmpiricalLipschitz:
     def test_linear_net_approaches_operator_norm(self):
         rng = make_rng(11)
@@ -315,6 +334,39 @@ class TestEmpiricalLipschitz:
         a = empirical_lipschitz(net, 500, 1.0, make_rng(16))
         b = empirical_lipschitz(net, 500, 1.0, make_rng(16))
         assert a == b
+
+    @pytest.mark.parametrize("kind, hidden, d_out, extra", [
+        pytest.param("mlp", [64, 32], 2, {}, id="relu_mlp"),
+        pytest.param("mlp", [32, 32], 3, {"activation": "crelu"}, id="crelu_mlp"),
+        pytest.param("mlp", [48], 1, {"out_nonlinearity": "sigmoid"}, id="sigmoid_mlp"),
+        pytest.param("crelu_resnet", [40, 40], 2, {}, id="crelu_resnet"),
+    ])
+    def test_chunked_probe_matches_one_shot_reference(self, kind, hidden, d_out, extra):
+        net = init_network(NetSpec(kind=kind, d_in=5, d_out=d_out, hidden=hidden, mode=L1WN, **extra),
+                           make_rng(17))
+        jitter(net, make_rng(18), 0.5)
+        rows = _probe_rows(layer_weights(net))
+        pairs = 2 * rows - 3
+        assert 2 * pairs >= 3 * rows and 2 * pairs % rows  # 3 full chunks and a partial one
+        value = empirical_lipschitz(net, pairs, 1.0, make_rng(19))
+        assert value == pytest.approx(one_shot_lipschitz(net, pairs, 1.0, make_rng(19)), rel=1e-12, abs=0)
+        assert value == empirical_lipschitz(net, pairs, 1.0, make_rng(19))
+
+    def test_memory_stays_bounded_on_forty_thousand_rows(self):
+        # a one-shot probe holds 2 * 20_000 x 256 floats (82 MB) per array
+        n_pairs, d = 20_000, 4
+        net = init_network(NetSpec(kind="mlp", d_in=d, d_out=1, hidden=[256, 256], mode=L1WN), make_rng(20))
+        tracemalloc.start()
+        try:
+            value = empirical_lipschitz(net, n_pairs, 1.0, make_rng(21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the draws with their stacks and den's temporaries are 12 n_pairs x d
+        # arrays; the chunks' buffers, outputs and weights fit in 8 arrays of
+        # the chunk budget
+        assert peak < 8 * (12 * n_pairs * d + 8 * _PROBE_ELEMENTS)
+        assert value > 0.0
 
 
 class TestBoundChains:

@@ -31,7 +31,8 @@ and, after it, a `train` whose validation split is larger than its training
 split and a `prune` at criterion 7's shape, the one run whose matrix
 products are large enough for a multithreaded BLAS to split: run the
 script under `OPENBLAS_NUM_THREADS=1` and `=2` to see whether the thread
-count moves any bytes.
+count moves any bytes.  Last comes `analyze --pairs 5000` on the `wide`
+model, whose Lipschitz probe runs its rows in several chunks.
 """
 
 from __future__ import annotations
@@ -191,6 +192,8 @@ def matrix() -> dict:
     run(log, "train", "--config", config("diverging", _synth("sparse_teacher", 300, 4, 0.1),
                                          {"hidden": [6], "mode": "none"}, diverging), "--jsonl")
     train_runs(log, LATE_RUNS)
+    # a probe whose 10,000 rows span several of `empirical_lipschitz`'s chunks
+    run(log, "analyze", "runs/wide/model.json", "--pairs", "5000", "--seed", "7")
     return {"artifacts": digests(), "commands": log}
 
 
